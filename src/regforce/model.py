@@ -9,6 +9,7 @@ used for deterministic tie-breaking everywhere).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -85,6 +86,48 @@ class AlgorithmSpec:
     def action_index(self, state: str, action: Action) -> int:
         return self.actions(state).index(action)
 
+    @functools.cached_property
+    def tables(self) -> "SpecTables":
+        """The integer form the exhaustive searches run on, compiled on
+        first use, so parsing never pays for it.  Every read of a validated
+        spec resolves every register value."""
+        ids = {name: i for i, name in enumerate(self.states)}
+        outcomes = (BOTTOM,) + self.alphabet
+        rows, covers = [], []
+        for actions in self.states.values():
+            row, mask = [], 0
+            for a in actions:
+                if isinstance(a, Read):
+                    row.append((READ, a.reg, {v: ids[a.target(v)] for v in outcomes}, a))
+                elif isinstance(a, Write):
+                    row.append((WRITE, a.reg, (a.value, ids[a.next_state]), a))
+                    mask |= 1 << a.reg
+                else:
+                    row.append((RETURN, None, a.decision, a))
+            rows.append(tuple(row))
+            covers.append(mask)
+        return SpecTables(ids=ids, rows=tuple(rows), covers=tuple(covers))
+
+
+# row kinds of SpecTables.rows
+READ, WRITE, RETURN = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class SpecTables:
+    """A spec compiled to integers, with the step semantics of
+    `step_with_outcome` for one process.
+
+    `ids` numbers the states in declaration order.  `rows[id]` holds the
+    state's actions in declaration order as `(kind, reg, arg, action)`, where
+    `arg` is a read's outcome -> next-id table, a write's `(value, next-id)`
+    or a return's decision.  Bit r of `covers[id]` is set when some action of
+    the state writes register r.
+    """
+    ids: dict
+    rows: tuple
+    covers: tuple
+
 
 @dataclass(frozen=True)
 class Proc:
@@ -158,12 +201,6 @@ def canonicalize(config: Configuration) -> tuple:
     """Pid-permutation-invariant form: register contents plus the multiset of
     (input, state, status) classes."""
     return (config.registers, tuple(sorted(proc_key(p) for p in config.procs)))
-
-
-def restricted_canonical(config: Configuration, pids) -> tuple:
-    """Canonical form over a subset of processes; valency w.r.t. a set depends
-    only on this."""
-    return (config.registers, tuple(sorted(proc_key(config.procs[pid]) for pid in pids)))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
         hit = solo_memo.get(key, "miss")
         if hit != "miss":
             return hit
-        search = _Search(spec, [(pid,)], None, coverage=False, m=None)
+        search = _Search(spec, [(pid,)], None, coverage=False)
         moves, cut = search.run(config, depth)
         result = True if moves is not None else (None if cut else False)
         solo_memo[key] = result
@@ -267,7 +267,7 @@ def replay_violation(report: ViolationReport) -> tuple:
             return False, "no stuck process identified"
         depth = report.depth or 64
         for pid in report.stuck_pids:
-            search = _Search(replayed.spec, [(pid,)], None, coverage=False, m=None)
+            search = _Search(replayed.spec, [(pid,)], None, coverage=False)
             if not unit_active(replayed.final, (pid,)):
                 return False, f"pid {pid} already returned"
             moves, cut = search.run(replayed.final, depth)

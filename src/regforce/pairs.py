@@ -87,9 +87,6 @@ class PairLedger:
                 return "stale"
         return "fresh"
 
-    def united_ids(self) -> tuple:
-        return tuple(p.pair_id for p in self.pairs if p.united)
-
 
 def _last_step_index(exec_: Execution, pid: int) -> Optional[int]:
     for i in range(len(exec_.steps) - 1, -1, -1):

@@ -226,9 +226,12 @@ def _parse_lines(text: str) -> list:
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as e:
             raise ReplayError(f"line {i}: not a JSON record ({e})") from None
+        if not isinstance(record, dict):
+            raise ReplayError(f"line {i}: not a JSON object")
+        records.append(record)
     return records
 
 

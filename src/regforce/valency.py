@@ -9,6 +9,21 @@ was exhausted with no cutoff), or unknown (a depth cutoff was hit).
 
 Searches operate on *units*: a unit is one pid, or a process-clone pair that
 moves in lockstep and counts as a single process.
+
+The reserving and solo DFS (`_Search`) runs on the integer tables a spec
+compiles on first use (`AlgorithmSpec.tables`), not on `Configuration`s.  Its
+state is a list of unit state ids, the register contents and a bitmask of the
+registers written so far.  The memo key `(state ids, registers, written)`
+maps one to one onto (state names, registers, written set), so memo hits,
+cutoffs and the first witness found are those of the same search over the
+dataclass model.  A pair is checked in sync once, at the root.  It cannot
+diverge afterwards: the clone repeats the leader's action on the register
+contents the leader left, so a read sees the value the leader saw and a write
+stores the value the leader stored, and both land in the same state.  The
+coverage test matches the written registers to the units' cover bitmasks and
+is memoised on (sorted masks, written).  Witness steps are built afterwards by
+the model's own step semantics (`materialize`), which re-checks every pair's
+lockstep outcome.
 """
 
 from __future__ import annotations
@@ -18,6 +33,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    READ,
+    RETURN,
     AlgorithmSpec,
     Configuration,
     EngineError,
@@ -166,68 +183,106 @@ def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs)
 
 
 class _Search:
-    """One exhaustive DFS for a target decision (or any termination)."""
+    """One exhaustive DFS for a target decision (or any termination), run on
+    the spec's integer tables; see the module docstring."""
 
-    def __init__(self, spec, units, target, coverage, m):
+    def __init__(self, spec, units, target, coverage):
         self.spec = spec
         self.units = sorted(units)
         self.target = target
         self.coverage = coverage
-        self.m = m
         self.memo: dict = {}
+        self.matchable: dict = {}  # (sorted cover masks, written) -> bool
         self.cutoff = False
-        self.found: Optional[tuple] = None
 
     def run(self, config: Configuration, depth: int):
+        members = [pid for unit in self.units for pid in unit]
+        if len(set(members)) != len(members):
+            raise ValueError(f"units {self.units} overlap")
         for unit in self.units:
+            # unit_state raises when the members of a pair are out of sync
             if not unit_active(config, unit):
                 raise ValueError(f"unit {unit} already returned")
-        self._dfs(config, frozenset(), depth, [])
-        return self.found, self.cutoff
+        tables = self.spec.tables
+        self.rows, self.covers = tables.rows, tables.covers
+        states = [tables.ids[config.proc(u[0]).state] for u in self.units]
+        found = self._dfs(states, config.registers, 0, depth)
+        return (None if found is None else tuple(reversed(found))), self.cutoff
 
-    def _key(self, config, written):
-        return (
-            tuple(config.proc(u[0]).state for u in self.units),
-            config.registers,
-            written,
-        )
+    def _covered(self, masks, written) -> bool:
+        if not written:
+            return True
+        key = (tuple(sorted(masks)), written)
+        hit = self.matchable.get(key)
+        if hit is None:
+            hit = self.matchable[key] = _matchable(masks, written)
+        return hit
 
-    def _dfs(self, config, written, budget, path):
-        if self.found is not None:
-            return
-        key = self._key(config, written)
+    def _dfs(self, states, regs, written, budget) -> Optional[list]:
+        """The moves of the first run found from this node, last move first."""
+        key = (tuple(states), regs, written)
         if self.memo.get(key, -1) >= budget:
-            return
+            return None
         self.memo[key] = budget
-        for unit in self.units:
-            state, decided = unit_state(config, unit)
-            if decided is not None:
-                continue
-            for action in self.spec.actions(state):
-                if budget <= 0:
-                    self.cutoff = True
-                    return
-                if isinstance(action, Return):
-                    if self.target is not None and action.decision != self.target:
+        if budget <= 0:
+            # every unit is active at every node (a return ends the search)
+            # and every state has an action, so some move is cut off here
+            self.cutoff = True
+            return None
+        rows, covers, units = self.rows, self.covers, self.units
+        target, coverage = self.target, self.coverage
+        for i, s in enumerate(states):
+            for kind, reg, arg, action in rows[s]:
+                if kind == RETURN:
+                    if target is not None and arg != target:
                         continue
-                    cfg2, _ = _apply_move(self.spec, config, unit, action)
-                    if self.coverage and covered_injectively(
-                            self.spec, cfg2, self.units, written) is None:
-                        continue
-                    self.found = tuple(path + [(unit, action)])
-                    return
-                cfg2, _ = _apply_move(self.spec, config, unit, action)
-                written2 = written
-                if isinstance(action, Write):
-                    written2 = written | {action.reg}
-                if self.coverage and covered_injectively(
-                        self.spec, cfg2, self.units, written2) is None:
+                    if coverage:
+                        masks = [covers[x] for x in states]
+                        masks[i] = 0  # a returned unit covers nothing
+                        if not self._covered(masks, written):
+                            continue
+                    return [(units[i], action)]
+                if kind == READ:
+                    nxt, regs2, written2 = arg[regs[reg]], regs, written
+                else:
+                    value, nxt = arg
+                    regs2 = regs[:reg] + (value,) + regs[reg + 1:]
+                    written2 = written | 1 << reg
+                states[i] = nxt
+                # every node's masks match its written set, so a move that
+                # writes no new register and loses no cover keeps the match
+                if coverage and (written2 != written or covers[s] & ~covers[nxt]) \
+                        and not self._covered([covers[x] for x in states], written2):
+                    states[i] = s
                     continue
-                path.append((unit, action))
-                self._dfs(cfg2, written2, budget - 1, path)
-                path.pop()
-                if self.found is not None:
-                    return
+                found = self._dfs(states, regs2, written2, budget - 1)
+                if found is not None:
+                    found.append((units[i], action))
+                    return found
+                states[i] = s
+        return None
+
+
+def _matchable(masks, written) -> bool:
+    """Whether every register bit of `written` can get its own mask covering
+    it (augmenting paths, as in `covered_injectively`)."""
+    owner = [0] * len(masks)  # mask index -> register bit it serves, 0 if free
+
+    def augment(bit, seen):
+        for j, mask in enumerate(masks):
+            if mask & bit and j not in seen:
+                seen.add(j)
+                if not owner[j] or augment(owner[j], seen):
+                    owner[j] = bit
+                    return True
+        return False
+
+    while written:
+        bit = written & -written
+        written ^= bit
+        if not augment(bit, set()):
+            return False
+    return True
 
 
 def materialize(spec: AlgorithmSpec, config: Configuration, moves) -> tuple:
@@ -264,7 +319,7 @@ def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) ->
     firsts = {}
     any_cut = False
     for d in (0, 1):
-        search = _Search(spec, [unit], d, coverage=False, m=None)
+        search = _Search(spec, [unit], d, coverage=False)
         moves, cut = search.run(config, depth)
         any_cut = any_cut or cut
         if moves is not None:
@@ -307,7 +362,7 @@ def reserving_search(spec, config, units, m, depth, target) -> tuple:
     units = [_as_unit(u) for u in units]
     if len(units) < m + 1:
         raise ValueError(f"need at least m+1={m + 1} units, got {len(units)}")
-    search = _Search(spec, units, target, coverage=True, m=m)
+    search = _Search(spec, units, target, coverage=True)
     return search.run(config, depth)
 
 
@@ -451,7 +506,7 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
             for unit in units:
                 if not unit_active(config, unit):
                     continue
-                search = _Search(spec, [unit], d, coverage=False, m=None)
+                search = _Search(spec, [unit], d, coverage=False)
                 moves, cut = search.run(config, depth)
                 cutoff = cutoff or cut
                 if moves is not None:

@@ -71,6 +71,15 @@ def test_parse_error_exits_one(tmp_path):
     assert "error" in out.stderr
 
 
+def test_replay_of_a_non_object_record_exits_one(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("[1]\n")
+    out = run_cli("replay", str(bad))
+    assert out.returncode == 1
+    assert out.stderr.startswith("replay error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_valency_query():
     out = run_cli("valency", "zoo/of-race-3.alg", "--inputs", "01", "--mode", "solo")
     assert out.returncode == 0

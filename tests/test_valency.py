@@ -4,7 +4,7 @@ import pytest
 
 from regforce import zoo
 from regforce.execution import Execution
-from regforce.model import Return, Write, enabled_actions, initial_configuration
+from regforce.model import EngineError, Return, Write, enabled_actions, initial_configuration
 from regforce.oracle import oracle_valency
 from regforce.valency import (
     InconclusiveError,
@@ -42,6 +42,16 @@ def test_solo_search_spin_reader_refutes_both_without_cutoff():
     assert res.zero.refuted and res.one.refuted
     assert not res.cutoff and res.any_witness is None
     assert solo_terminating(spin, config, 0, 50) is None
+
+
+def test_reserving_search_rejects_out_of_sync_and_overlapping_units(race3):
+    root = initial_configuration(race3, [0, 0, 1])
+    # the leader of the pair (0, 1) moves alone, so the pair sits in two states
+    config = Execution.start(race3, root).extend(0, enabled_actions(race3, root, 0)[0]).final
+    with pytest.raises(EngineError, match="out of sync"):
+        reserving_search(race3, config, [(0, 1), (2,)], 1, 8, None)
+    with pytest.raises(ValueError, match="overlap"):
+        reserving_search(race3, root, [(0, 1), (1, 2)], 1, 8, None)
 
 
 def test_of_race_solo_decision_equals_own_input(race3):
