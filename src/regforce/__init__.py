@@ -7,42 +7,4 @@ extracts replayable traces breaking agreement, validity, or solo
 termination.
 """
 
-from .model import (
-    AlgorithmSpec,
-    Configuration,
-    EngineError,
-    SpecError,
-    apply_step,
-    canonicalize,
-    enabled_actions,
-    format_algorithm,
-    initial_configuration,
-    load_algorithm,
-)
-from .execution import Execution, Step, block_write, indistinguishable
-from .pairs import PairLedger, duplicate_pair, pair_step, split_pair, unite_pair
-from .valency import (
-    Witness,
-    construct_reserving,
-    disjoint_witnesses,
-    is_reserving,
-    solo_search,
-    valency,
-)
-from .oracle import OracleVerdict, oracle_check, oracle_valency, replay_violation
-from .sqrt_attack import SqrtLevel, sqrt_base, sqrt_run, sqrt_step
-from .linear_attack import (
-    LinearLevel,
-    check_alpha_outside,
-    corollary_finish,
-    gamma_c,
-    gamma_s,
-    linear_base,
-    linear_run,
-    linear_step,
-    verify_properties,
-)
-from .reports import Inconclusive, LinearChainCertificate, SqrtChainCertificate, ViolationReport
-from .zoo import get_zoo, list_zoo
-
 __version__ = "0.1.0"

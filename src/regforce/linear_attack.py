@@ -14,7 +14,7 @@ the same register, invisibly to everyone else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .model import (
     ContradictionError,
@@ -284,22 +284,33 @@ def _resolve_orientation(level: LinearLevel, t_ids, depth):
     return None
 
 
-def check_alpha_outside(level: LinearLevel, depth: int):
-    """Locate the scanned witness's first write outside the covered set.
-
-    Returns (prefix moves, writing unit, write action, tail moves) or the
-    ViolationReport realized when no such write exists, or an Inconclusive
-    marker when the orientation cannot be decided.
-    """
-    t_ids = level.pool_ids()
+def _orient_and_split(level: LinearLevel, t_ids, depth):
+    """(orientation, index of the scanned witness's first write outside the
+    covered set), or what ends the level instead: the ViolationReport realized
+    when no such write exists, or an Inconclusive marker when the orientation
+    cannot be decided."""
     orient = _resolve_orientation(level, t_ids, depth)
     if orient is None:
         return Inconclusive(
             f"valency after the covering block write unknown at depth {depth}", depth)
+    regs = set(level.regs)
+    for i, (_, action) in enumerate(orient.scanned.moves):
+        if isinstance(action, Write) and action.reg not in regs:
+            return orient, i
+    return _confined_witness_violation(level, orient)
+
+
+def check_alpha_outside(level: LinearLevel, depth: int):
+    """Locate the scanned witness's first write outside the covered set.
+
+    Returns (prefix moves, writing unit, write action, tail moves), or the
+    ViolationReport or Inconclusive marker of `_orient_and_split`.
+    """
+    found = _orient_and_split(level, level.pool_ids(), depth)
+    if not isinstance(found, tuple):
+        return found
+    orient, split_at = found
     w = orient.scanned
-    split_at = _witness_write_split(w, set(level.regs))
-    if split_at is None:
-        return _confined_witness_violation(level, orient)
     wp_unit, wp_action = w.moves[split_at]
     return w.moves[:split_at], wp_unit, wp_action, w.moves[split_at + 1:]
 
@@ -308,12 +319,12 @@ def linear_step(level: LinearLevel, depth: int) -> Union[LinearLevel, ViolationR
     t_ids = level.pool_ids()
     if len(t_ids) < 3 * level.m + 2:
         raise EngineError(f"|T|={len(t_ids)} < 3m+2; budget bookkeeping broken")
-    orient = _resolve_orientation(level, t_ids, depth)
-    if orient is None:
-        return Inconclusive(
-            f"valency after the covering block write unknown at depth {depth}", depth)
+    found = _orient_and_split(level, t_ids, depth)
+    if not isinstance(found, tuple):
+        return found
+    orient, split_at = found
     try:
-        return _step_oriented(level, orient, t_ids, depth)
+        return _step_oriented(level, orient, split_at, t_ids, depth)
     except InconclusiveError as e:
         if e.breach is not None:
             _, unit = e.breach
@@ -322,13 +333,6 @@ def linear_step(level: LinearLevel, depth: int) -> Union[LinearLevel, ViolationR
                 depth=depth, evidence={"note": str(e)},
             )
         return Inconclusive(str(e), depth)
-
-
-def _witness_write_split(witness: Witness, regs) -> Optional[int]:
-    for i, (_, action) in enumerate(witness.moves):
-        if isinstance(action, Write) and action.reg not in regs:
-            return i
-    return None
 
 
 def _steps_for_moves(witness: Witness, upto_move: int) -> tuple:
@@ -340,16 +344,11 @@ def _written(steps) -> set:
     return {s.action.reg for s in steps if isinstance(s.action, Write)}
 
 
-def _step_oriented(level, orient, t_ids, depth):
+def _step_oriented(level, orient, split_at, t_ids, depth):
     spec = level.exec.spec
     m = level.m
     sd, od = orient.sd, 1 - orient.sd
     w = orient.scanned
-    regs = set(level.regs)
-
-    split_at = _witness_write_split(w, regs)
-    if split_at is None:
-        return _confined_witness_violation(level, orient)
 
     wp_unit, wp_action = w.moves[split_at]
     post_moves = w.moves[split_at + 1:]

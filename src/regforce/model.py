@@ -9,6 +9,7 @@ used for deterministic tie-breaking everywhere).
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 from dataclasses import dataclass
@@ -107,6 +108,12 @@ class AlgorithmSpec:
             rows.append(tuple(row))
             covers.append(mask)
         return SpecTables(ids=ids, rows=tuple(rows), covers=tuple(covers))
+
+    @functools.cached_property
+    def memos(self) -> dict:
+        """Search memos by name (`valency` keeps its query and profile memos
+        here); they live exactly as long as the spec."""
+        return collections.defaultdict(dict)
 
 
 # row kinds of SpecTables.rows

@@ -60,14 +60,6 @@ class PairLedger:
     def append(self, leader: int, clone: int) -> "PairLedger":
         return PairLedger(self.pairs + (Pair(len(self.pairs), leader, clone),))
 
-    def role(self, pid: int) -> str:
-        for p in self.pairs:
-            if pid == p.leader:
-                return "leader"
-            if pid == p.clone:
-                return "clone"
-        return "solo"
-
     def pair_of(self, pid: int) -> Optional[Pair]:
         for p in self.pairs:
             if pid in (p.leader, p.clone):

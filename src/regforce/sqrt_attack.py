@@ -272,7 +272,7 @@ def _switching_point(level, classes, cls_final, b_seq, wp, depth):
         res = solo_search(spec, last_exec.final, p, depth)
         if res.cutoff:
             return Inconclusive("terminating solo run search for the flip hit depth", depth)
-        if res.any_witness is None:
+        if not (res.zero.proven or res.one.proven):
             return ViolationReport(
                 kind="solo-termination", trace=last_exec, stuck_pids=(p,), depth=depth,
                 evidence={"note": "no terminating run after the poised write"},

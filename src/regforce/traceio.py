@@ -266,6 +266,8 @@ def replay_file(text: str) -> dict:
     if not records or records[0].get("record") != "header":
         raise ReplayError("missing header record")
     header = records[0]
+    if not isinstance(header.get("algorithm_text"), str):
+        raise ReplayError("header: algorithm_text is not a string")
     spec = load_algorithm(header["algorithm_text"])
     body = records[1:]
 

@@ -72,16 +72,6 @@ class Witness:
     def decider(self) -> Unit:
         return self.moves[-1][0]
 
-    def move_keys(self, spec: AlgorithmSpec, config: Configuration):
-        # for lexicographic comparison in tests
-        keys = []
-        cfg = config
-        for unit, action in self.moves:
-            state = cfg.proc(unit[0]).state
-            keys.append((unit, spec.action_index(state, action)))
-            cfg = _apply_move(spec, cfg, unit, action)[0]
-        return tuple(keys)
-
 
 @dataclass(frozen=True)
 class Tri:
@@ -302,52 +292,49 @@ def _witness(spec, config, moves, members, kind) -> Witness:
                    steps=steps, decision=last.decision)
 
 
+def _tri(witness: Optional[Witness], cutoff: bool, depth: int) -> Tri:
+    if witness is not None:
+        return Tri("proven", witness)
+    if cutoff:
+        return Tri("unknown", depth=depth)
+    return Tri("refuted")
+
+
+def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
+    """(least terminating solo run of `unit` returning `target`, or any
+    decision when target is None, as a Witness or None; cutoff).  A unit that
+    already returned has no run and hits no cutoff."""
+    if not unit_active(config, unit):
+        return None, False
+    moves, cut = _Search(spec, [unit], target, coverage=False).run(config, depth)
+    if moves is None:
+        return None, cut
+    return _witness(spec, config, moves, [unit], "solo"), cut
+
+
 @dataclass(frozen=True)
 class SoloResult:
     zero: Tri
     one: Tri
-    any_witness: Optional[Witness]  # lexicographically least terminating run
     cutoff: bool
 
 
 def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> SoloResult:
     """All decisions reachable by terminating solo runs of one unit."""
-    unit = _as_unit(unit)
-    if not unit_active(config, unit):
-        return SoloResult(Tri("refuted"), Tri("refuted"), None, False)
-    tris = {}
-    firsts = {}
-    any_cut = False
-    for d in (0, 1):
-        search = _Search(spec, [unit], d, coverage=False)
-        moves, cut = search.run(config, depth)
-        any_cut = any_cut or cut
-        if moves is not None:
-            w = _witness(spec, config, moves, [unit], "solo")
-            tris[d] = Tri("proven", w)
-            firsts[d] = w
-        elif cut:
-            tris[d] = Tri("unknown", depth=depth)
-        else:
-            tris[d] = Tri("refuted")
-    any_w = _lex_min(spec, config, [w for w in firsts.values()])
-    return SoloResult(tris[0], tris[1], any_w, any_cut)
-
-
-def _lex_min(spec, config, witnesses):
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda w: w.move_keys(spec, config))
+    (w0, cut0), (w1, cut1) = (_solo_run(spec, config, _as_unit(unit), d, depth) for d in (0, 1))
+    return SoloResult(_tri(w0, cut0, depth), _tri(w1, cut1, depth), cut0 or cut1)
 
 
 def solo_terminating(spec, config, unit, depth: int) -> Optional[Witness]:
-    """Least terminating solo run, or None; raises when only a cutoff blocks."""
-    res = solo_search(spec, config, unit, depth)
-    if res.any_witness is not None:
-        return res.any_witness
-    if res.cutoff:
+    """Least terminating solo run, or None; raises when only a cutoff blocks.
+
+    One DFS for any decision: the least run returning 0 or 1 is the least
+    of the two single-decision searches' runs, and with no run at all both
+    explore the same tree, so they hit a cutoff exactly when this does."""
+    witness, cut = _solo_run(spec, config, _as_unit(unit), None, depth)
+    if witness is None and cut:
         raise InconclusiveError(f"no terminating solo run of {unit} within depth")
-    return None
+    return witness
 
 
 def _as_unit(unit) -> Unit:
@@ -420,23 +407,6 @@ def group_moves(units, steps) -> Optional[list]:
 
 # -- valency ----------------------------------------------------------------
 
-# caches are grouped per algorithm object; the table holds a strong reference
-# to each spec, so ids can never be recycled under us
-_caches: dict = {}
-
-
-def clear_caches():
-    _caches.clear()
-
-
-def _spec_cache(spec) -> dict:
-    entry = _caches.get(id(spec))
-    if entry is None or entry[0] is not spec:
-        entry = (spec, {"profile": {}, "query": {}})
-        _caches[id(spec)] = entry
-    return entry[1]
-
-
 def _profile_key(config, units, m, depth, target):
     states = tuple(sorted(config.proc(u[0]).state for u in units))
     return (config.registers, states, m, depth, target)
@@ -446,7 +416,7 @@ def _subset_search(spec, config, units, m, depth, target):
     """Reserving search memoized on the anonymity profile of the subset:
     subsets whose members sit in the same multiset of states share results."""
     units = sorted(units)
-    memo = _spec_cache(spec)["profile"]
+    memo = spec.memos["profile"]
     key = _profile_key(config, units, m, depth, target)
     hit = memo.get(key)
     if hit is not None:
@@ -480,15 +450,16 @@ def valency(spec, config, units, m, depth, mode) -> ValencyReport:
     solo mode: a decision is proven when some unit of `units` has a
     terminating solo run returning it.  reserving mode: when some subset of
     exactly m+1 active units has a reserving execution returning it.
-    Queries are cached per algorithm on the canonical form restricted to the
-    queried units: nothing else can affect the answer.
+    Queries are cached on the spec (`AlgorithmSpec.memos`), keyed on the
+    canonical form restricted to the queried units: nothing else can affect
+    the answer.
     """
     units = tuple(sorted(_as_unit(u) for u in units))
     # the per-unit state list keeps witnesses attached to the right pids;
     # cross-permutation sharing happens inside the subset-profile memo
     states = tuple(unit_state(config, u) for u in units)
     query_key = (mode, m, depth, units, config.registers, states)
-    cache = _spec_cache(spec)["query"]
+    cache = spec.memos["query"]
     hit = cache.get(query_key)
     if hit is not None:
         return hit
@@ -504,20 +475,11 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
             witness = None
             cutoff = False
             for unit in units:
-                if not unit_active(config, unit):
-                    continue
-                search = _Search(spec, [unit], d, coverage=False)
-                moves, cut = search.run(config, depth)
+                witness, cut = _solo_run(spec, config, unit, d, depth)
                 cutoff = cutoff or cut
-                if moves is not None:
-                    witness = _witness(spec, config, moves, [unit], "solo")
+                if witness is not None:
                     break
-            if witness is not None:
-                tris[d] = Tri("proven", witness)
-            elif cutoff:
-                tris[d] = Tri("unknown", depth=depth)
-            else:
-                tris[d] = Tri("refuted")
+            tris[d] = _tri(witness, cutoff, depth)
     elif mode == "reserving":
         active = [u for u in units if unit_active(config, u)]
         for d in (0, 1):
@@ -530,12 +492,7 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
                     if moves is not None:
                         witness = _witness(spec, config, moves, list(subset), "reserving")
                         break
-            if witness is not None:
-                tris[d] = Tri("proven", witness)
-            elif cutoff:
-                tris[d] = Tri("unknown", depth=depth)
-            else:
-                tris[d] = Tri("refuted")
+            tris[d] = _tri(witness, cutoff, depth)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ValencyReport(zero=tris[0], one=tris[1], mode=mode, units=units, m=m, depth=depth)

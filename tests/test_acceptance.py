@@ -27,7 +27,7 @@ from regforce.oracle import oracle_check, oracle_valency, replay_violation
 from regforce.pairs import PairLedger, pair_step, split_pair, unite_pair
 from regforce.reports import LinearChainCertificate, ViolationReport
 from regforce.sqrt_attack import sqrt_run
-from regforce.valency import clear_caches, construct_reserving, is_reserving, valency
+from regforce.valency import construct_reserving, is_reserving, valency
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -57,13 +57,12 @@ def random_walk(spec, inputs, rng, steps):
 def test_criterion_1_budget_formulas(tmp_path):
     """sqrt chains at r=1,2,3 use exactly 2,3,5 processes; linear levels at
     (m=1, r=0,1) use exactly 11 and 13 pairs; each run under a minute."""
-    clear_caches()
     budgets = {}
     times = []
     for r_target, want in ((1, 2), (2, 3), (3, 5)):
         out_file = tmp_path / f"sqrt{r_target}.jsonl"
         t0 = time.time()
-        out = run_cli("attack", "sqrt", "zoo/of-race-3.alg",
+        out = run_cli("attack", "sqrt", "zoo:of-race-3",
                       "--target-r", str(r_target), "--depth", "64",
                       "--out", str(out_file))
         times.append(time.time() - t0)
@@ -76,7 +75,7 @@ def test_criterion_1_budget_formulas(tmp_path):
 
     out_file = tmp_path / "linear1.jsonl"
     t0 = time.time()
-    out = run_cli("attack", "linear", "zoo/one-register-flag.alg",
+    out = run_cli("attack", "linear", "zoo:one-register-flag",
                   "--m", "1", "--out", str(out_file))
     times.append(time.time() - t0)
     assert out.returncode == 0, out.stderr
@@ -94,7 +93,6 @@ def test_criterion_2_violation_soundness(tmp_path):
     """Broken specs produce exit-2 reports whose breach category replay and
     the oracle both confirm; certified specs at their certified scales yield
     no violations at all."""
-    clear_caches()
     expects = {
         "trivial-decider": ("agreement", 1),
         "constant-decider": ("validity", 1),
@@ -103,7 +101,7 @@ def test_criterion_2_violation_soundness(tmp_path):
     confirmed = {}
     for name, (category, r_target) in expects.items():
         out_file = tmp_path / f"{name}.jsonl"
-        out = run_cli("attack", "sqrt", f"zoo/{name}.alg",
+        out = run_cli("attack", "sqrt", f"zoo:{name}",
                       "--target-r", str(r_target), "--out", str(out_file))
         assert out.returncode == 2, f"{name}: exit {out.returncode}"
         replay = run_cli("replay", str(out_file))
@@ -135,7 +133,6 @@ def test_criterion_3_reserving_properties():
     """1,000 randomized reachable configurations: the constructed reserving
     execution passes the reserving check on every prefix, ends with a return,
     and its covered set grew at most m times."""
-    clear_caches()
     plans = [
         ("one-register-flag", 1, [0, 1, 0], 6),
         ("of-race-3", 3, [0, 1, 0, 1], 24),
@@ -172,7 +169,6 @@ def test_criterion_3_reserving_properties():
 def test_criterion_4_oracle_valency_equivalence():
     """Exhaustive agreement between the search-based solo valency and the
     independent reachability oracle on every reachable configuration."""
-    clear_caches()
     cases = [
         ("trivial-decider", [0, 1]),
         ("constant-decider", [1, 1]),
@@ -212,7 +208,6 @@ def test_criterion_5_linear_invariants():
     """The m=1 run completes with every level passing the property checker
     and the closing block write touching exactly m registers; larger m on the
     certified racers is attempted and honestly reported."""
-    clear_caches()
     t0 = time.time()
     out = linear_run(zoo.get_zoo("one-register-flag"), m=1, depth=64)
     t1 = time.time() - t0
@@ -276,7 +271,6 @@ state F: return 0
 
 def test_criterion_6_structural_invariants():
     """Five structural invariants, each on at least 200 randomized cases."""
-    clear_caches()
     counts = {}
 
     # distinct-register write commutation
@@ -416,10 +410,10 @@ def test_criterion_6_structural_invariants():
 def test_criterion_7_determinism(tmp_path):
     """Identical invocations produce byte-identical certificates and reports."""
     jobs = [
-        ("sqrt-chain", ["attack", "sqrt", "zoo/of-race-3.alg", "--target-r", "2"]),
-        ("sqrt-violation", ["attack", "sqrt", "zoo/one-register-flag.alg", "--target-r", "2"]),
-        ("linear-chain", ["attack", "linear", "zoo/one-register-flag.alg", "--m", "1"]),
-        ("oracle-report", ["check", "zoo/trivial-decider.alg", "--inputs", "01"]),
+        ("sqrt-chain", ["attack", "sqrt", "zoo:of-race-3", "--target-r", "2"]),
+        ("sqrt-violation", ["attack", "sqrt", "zoo:one-register-flag", "--target-r", "2"]),
+        ("linear-chain", ["attack", "linear", "zoo:one-register-flag", "--m", "1"]),
+        ("oracle-report", ["check", "zoo:trivial-decider", "--inputs", "01"]),
     ]
     identical = {}
     for tag, args in jobs:

@@ -1,8 +1,27 @@
+import hashlib
+import importlib
 import pathlib
+import pkgutil
 import subprocess
 import sys
+from importlib import resources
+
+import regforce
+from regforce import zoo
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# SHA-256 of each entry's `zoo show` output: where a text is kept may change,
+# its bytes may not
+ZOO_SHOW_SHA256 = {
+    "trivial-decider": "c2514b75806b85c9863b35e1a46722db5bcc49eb10195892f9067321cfb6a254",
+    "constant-decider": "53d9a8602b91918694ed029700131e917ce4b4dcd8c054d449ba3d860b97b828",
+    "spin-reader": "64b68f34f05a3af3eea34a7bd76d5cb2d7c9e37eed0999dc27cebb80def46224",
+    "one-register-flag": "4dd1e9a0d1808c2efbb3618163ff9a1e27642157d712b1a069d27d86cb659019",
+    "claim-commit": "67f4ad8211e5becf94916e96760c1cb05cf1bffbeb89f051db1b25e8f4797501",
+    "of-race-3": "6fa5d6dd4689cf56f775fa2f29c0e58733129d5e9829a5e66def58746ec60816",
+    "of-race-5": "fa93cb8b68ebdde95013bb6ea4fef2ccb521652113c36b599d0b239592388d1d",
+}
 
 
 def run_cli(*args, cwd=ROOT):
@@ -13,14 +32,14 @@ def run_cli(*args, cwd=ROOT):
 
 
 def test_check_certified_spec_exits_zero():
-    out = run_cli("check", "zoo/of-race-3.alg", "--inputs", "01", "--depth", "40")
+    out = run_cli("check", "zoo:of-race-3", "--inputs", "01", "--depth", "40")
     assert out.returncode == 0
     assert "agreement: ok" in out.stdout
 
 
 def test_check_broken_spec_exits_two(tmp_path):
     target = tmp_path / "report.jsonl"
-    out = run_cli("check", "zoo/trivial-decider.alg", "--inputs", "01",
+    out = run_cli("check", "zoo:trivial-decider", "--inputs", "01",
                   "--out", str(target))
     assert out.returncode == 2
     assert target.exists()
@@ -30,7 +49,7 @@ def test_check_broken_spec_exits_two(tmp_path):
 
 def test_attack_sqrt_violation_exits_two_and_replays(tmp_path):
     target = tmp_path / "v.jsonl"
-    out = run_cli("attack", "sqrt", "zoo/trivial-decider.alg",
+    out = run_cli("attack", "sqrt", "zoo:trivial-decider",
                   "--target-r", "1", "--out", str(target))
     assert out.returncode == 2
     replay = run_cli("replay", str(target))
@@ -40,7 +59,7 @@ def test_attack_sqrt_violation_exits_two_and_replays(tmp_path):
 
 def test_attack_sqrt_chain_exits_zero_and_replays(tmp_path):
     target = tmp_path / "c.jsonl"
-    out = run_cli("attack", "sqrt", "zoo/of-race-3.alg",
+    out = run_cli("attack", "sqrt", "zoo:of-race-3",
                   "--target-r", "2", "--depth", "64", "--out", str(target))
     assert out.returncode == 0
     replay = run_cli("replay", str(target))
@@ -49,7 +68,7 @@ def test_attack_sqrt_chain_exits_zero_and_replays(tmp_path):
 
 def test_attack_linear_chain(tmp_path):
     target = tmp_path / "l.jsonl"
-    out = run_cli("attack", "linear", "zoo/one-register-flag.alg",
+    out = run_cli("attack", "linear", "zoo:one-register-flag",
                   "--m", "1", "--out", str(target))
     assert out.returncode == 0
     assert "registers written=1" in out.stderr
@@ -58,7 +77,7 @@ def test_attack_linear_chain(tmp_path):
 
 
 def test_attack_linear_inconclusive_exits_three():
-    out = run_cli("attack", "linear", "zoo/of-race-3.alg", "--m", "1")
+    out = run_cli("attack", "linear", "zoo:of-race-3", "--m", "1")
     assert out.returncode == 3
     assert "inconclusive" in out.stderr
 
@@ -73,30 +92,32 @@ def test_parse_error_exits_one(tmp_path):
 
 def test_replay_of_a_non_object_record_exits_one(tmp_path):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("[1]\n")
-    out = run_cli("replay", str(bad))
-    assert out.returncode == 1
-    assert out.stderr.startswith("replay error:")
-    assert "Traceback" not in out.stderr
+    # a record that is no object, and a header whose algorithm text is no string
+    for text in ("[1]\n", '{"record":"header","algorithm_text":5}\n'):
+        bad.write_text(text)
+        out = run_cli("replay", str(bad))
+        assert out.returncode == 1
+        assert out.stderr.startswith("replay error:")
+        assert "Traceback" not in out.stderr
 
 
 def test_valency_query():
-    out = run_cli("valency", "zoo/of-race-3.alg", "--inputs", "01", "--mode", "solo")
+    out = run_cli("valency", "zoo:of-race-3", "--inputs", "01", "--mode", "solo")
     assert out.returncode == 0
     assert '"classification": "bivalent"' in out.stdout
 
 
 def test_valency_reserving_requires_m():
-    out = run_cli("valency", "zoo/of-race-3.alg", "--inputs", "01",
+    out = run_cli("valency", "zoo:of-race-3", "--inputs", "01",
                   "--mode", "reserving")
     assert out.returncode == 1
 
 
 def test_valency_at_trace_position(tmp_path):
     target = tmp_path / "c.jsonl"
-    run_cli("attack", "sqrt", "zoo/of-race-3.alg", "--target-r", "1",
+    run_cli("attack", "sqrt", "zoo:of-race-3", "--target-r", "1",
             "--out", str(target))
-    out = run_cli("valency", "zoo/of-race-3.alg", "--trace", str(target),
+    out = run_cli("valency", "zoo:of-race-3", "--trace", str(target),
                   "--at", "0", "--set", "0,1", "--mode", "solo")
     assert out.returncode == 0
     assert '"classification": "bivalent"' in out.stdout
@@ -106,15 +127,37 @@ def test_zoo_list_and_show():
     out = run_cli("zoo", "list")
     assert out.returncode == 0
     assert "one-register-flag" in out.stdout
-    shown = run_cli("zoo", "show", "of-race-3")
-    assert shown.returncode == 0
-    assert shown.stdout == (ROOT / "zoo" / "of-race-3.alg").read_text()
+    # every entry prints from its one source: of_race(k), or the packaged file
+    packaged = resources.files("regforce") / "zoo"
+    hand_written = []
+    for entry in zoo.list_zoo():
+        family, _, k = entry.name.rpartition("-")
+        if family == "of-race":
+            want = zoo.of_race(int(k))
+        else:
+            want = (packaged / f"{entry.name}.alg").read_text("utf-8")
+            hand_written.append(f"{entry.name}.alg")
+        shown = run_cli("zoo", "show", entry.name)
+        assert shown.returncode == 0
+        assert shown.stdout == want
+        assert hashlib.sha256(shown.stdout.encode()).hexdigest() == ZOO_SHOW_SHA256[entry.name]
+    # generated entries ship no file of their own
+    assert sorted(p.name for p in packaged.iterdir() if p.name.endswith(".alg")) \
+        == sorted(hand_written)
+
+
+def test_package_attributes_are_its_submodules():
+    # no name the package exports shadows a submodule (`regforce.valency`)
+    for info in pkgutil.iter_modules(regforce.__path__):
+        module = importlib.import_module(f"regforce.{info.name}")
+        assert getattr(regforce, info.name) is module
+        assert module is sys.modules[f"regforce.{info.name}"]
 
 
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for target in (a, b):
-        out = run_cli("attack", "sqrt", "zoo/of-race-3.alg",
+        out = run_cli("attack", "sqrt", "zoo:of-race-3",
                       "--target-r", "1", "--out", str(target))
         assert out.returncode == 0
     assert a.read_bytes() == b.read_bytes()

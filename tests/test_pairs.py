@@ -148,11 +148,3 @@ def test_duplicate_budget_enforced(flag):
     from regforce.model import EngineError
     with pytest.raises(EngineError, match="budget"):
         duplicate_pair(exec_, ledger, 0, budget=1)
-
-
-def test_roles(flag):
-    exec_, ledger = paired_start(flag, [0])
-    exec_, pid = __import__("regforce.execution", fromlist=["add_process"]).add_process(exec_, 0)
-    assert ledger.role(0) == "leader"
-    assert ledger.role(1) == "clone"
-    assert ledger.role(pid) == "solo"

@@ -2,16 +2,27 @@
 
 Both must return identical `(moves, cutoff)` on every input: the memo key of
 the kernel is a bijection of the reference's, so even the witness found first
-and the cutoff flag agree.
+and the cutoff flag agree.  The single any-decision DFS of `solo_terminating`
+must agree with the reference's two single-decision searches.
 """
 
 import itertools
 import random
 import zlib
 
+import pytest
+
 from regforce import zoo
 from regforce.model import initial_configuration, load_algorithm
-from regforce.valency import _Search, _apply_move, _matchable, unit_active, unit_state
+from regforce.valency import (
+    InconclusiveError,
+    _Search,
+    _apply_move,
+    _matchable,
+    solo_terminating,
+    unit_active,
+    unit_state,
+)
 
 from reference_search import ReferenceSearch
 
@@ -53,6 +64,19 @@ def _random_config(spec, inputs, units, rng, steps):
     return config
 
 
+def _cases():
+    """(spec, configuration, active units) for every zoo spec and layout."""
+    specs = [zoo.get_zoo(name) for name in zoo.CATALOG] + [load_algorithm(WRITE_OR_RETURN)]
+    for spec in specs:
+        for layout, (inputs, units) in LAYOUTS.items():
+            rng = random.Random(zlib.crc32(f"{spec.name}/{layout}".encode()))
+            for _ in range(CONFIGS_PER_LAYOUT):
+                config = _random_config(spec, inputs, units, rng, rng.randrange(0, 10))
+                active = [u for u in units if unit_active(config, u)]
+                if active:
+                    yield spec, config, active
+
+
 def _both(spec, config, units, target, coverage, depth):
     want = ReferenceSearch(spec, units, target, coverage, m=None).run(config, depth)
     got = _Search(spec, units, target, coverage).run(config, depth)
@@ -62,26 +86,51 @@ def _both(spec, config, units, target, coverage, depth):
 
 def test_kernel_matches_reference_on_every_zoo_spec():
     outcomes = {"found": 0, "cutoff": 0, "refuted": 0}
-    specs = [zoo.get_zoo(name) for name in zoo.CATALOG] + [load_algorithm(WRITE_OR_RETURN)]
-    for spec in specs:
-        name = spec.name
-        for layout, (inputs, units) in LAYOUTS.items():
-            rng = random.Random(zlib.crc32(f"{name}/{layout}".encode()))
-            for _ in range(CONFIGS_PER_LAYOUT):
-                config = _random_config(spec, inputs, units, rng, rng.randrange(0, 10))
-                active = [u for u in units if unit_active(config, u)]
-                if not active:
-                    continue
-                searches = [[u] for u in active] + [active]
-                for group in searches:
-                    for target in (0, 1, None):
-                        for coverage in (False, True):
-                            for depth in DEPTHS:
-                                moves, cut = _both(spec, config, group, target, coverage, depth)
-                                key = ("found" if moves is not None
-                                       else "cutoff" if cut else "refuted")
-                                outcomes[key] += 1
+    for spec, config, active in _cases():
+        for group in [[u] for u in active] + [active]:
+            for target in (0, 1, None):
+                for coverage in (False, True):
+                    for depth in DEPTHS:
+                        moves, cut = _both(spec, config, group, target, coverage, depth)
+                        key = ("found" if moves is not None
+                               else "cutoff" if cut else "refuted")
+                        outcomes[key] += 1
     # every kind of answer, the cutoff included, was compared
+    assert all(outcomes.values()), outcomes
+
+
+def _replay(spec, config, moves):
+    """(the (unit, action index) key of each move, the steps) of a solo run."""
+    keys, steps = [], []
+    for unit, action in moves:
+        keys.append((unit, spec.action_index(unit_state(config, unit)[0], action)))
+        config, s = _apply_move(spec, config, unit, action)
+        steps.extend(s)
+    return tuple(keys), tuple(steps)
+
+
+def test_solo_terminating_is_the_least_of_both_reference_decisions():
+    outcomes = {"found": 0, "cutoff": 0, "refuted": 0}
+    for spec, config, active in _cases():
+        for unit in active:
+            for depth in DEPTHS:
+                runs = [ReferenceSearch(spec, [unit], d, False, m=None).run(config, depth)
+                        for d in (0, 1)]
+                found = [moves for moves, _ in runs if moves is not None]
+                if not found:
+                    if any(cut for _, cut in runs):
+                        with pytest.raises(InconclusiveError):
+                            solo_terminating(spec, config, unit, depth)
+                        outcomes["cutoff"] += 1
+                    else:
+                        assert solo_terminating(spec, config, unit, depth) is None
+                        outcomes["refuted"] += 1
+                    continue
+                least = min(found, key=lambda moves: _replay(spec, config, moves)[0])
+                got = solo_terminating(spec, config, unit, depth)
+                assert (got.moves, got.steps) == (least, _replay(spec, config, least)[1]), \
+                    (spec.name, config, unit, depth)
+                outcomes["found"] += 1
     assert all(outcomes.values()), outcomes
 
 

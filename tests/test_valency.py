@@ -8,7 +8,6 @@ from regforce.model import EngineError, Return, Write, enabled_actions, initial_
 from regforce.oracle import oracle_valency
 from regforce.valency import (
     InconclusiveError,
-    clear_caches,
     compose_prefix,
     construct_reserving,
     disjoint_witnesses,
@@ -21,18 +20,12 @@ from regforce.valency import (
 from conftest import random_execution
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    yield
-
-
 def test_solo_search_trivial_decider(trivial):
     config = initial_configuration(trivial, [0, 1])
     res = solo_search(trivial, config, 0, depth=8)
     assert res.zero.proven and len(res.zero.witness.moves) == 1
     assert res.one.refuted
-    assert res.any_witness.decision == 0
+    assert solo_terminating(trivial, config, 0, depth=8).decision == 0
 
 
 def test_solo_search_spin_reader_refutes_both_without_cutoff():
@@ -40,8 +33,7 @@ def test_solo_search_spin_reader_refutes_both_without_cutoff():
     config = initial_configuration(spin, [0, 1])
     res = solo_search(spin, config, 0, depth=50)
     assert res.zero.refuted and res.one.refuted
-    assert not res.cutoff and res.any_witness is None
-    assert solo_terminating(spin, config, 0, 50) is None
+    assert not res.cutoff and solo_terminating(spin, config, 0, 50) is None
 
 
 def test_reserving_search_rejects_out_of_sync_and_overlapping_units(race3):

@@ -1,13 +1,8 @@
-import pathlib
-
 import pytest
 
 from regforce import zoo
 from regforce.model import Write, load_algorithm
 from regforce.oracle import oracle_check
-
-REPO_ZOO = pathlib.Path(__file__).resolve().parent.parent / "zoo"
-
 
 def test_catalogue_has_the_required_entries():
     names = {e.name for e in zoo.list_zoo()}
@@ -25,13 +20,6 @@ def test_trivial_decider_shape():
     spec = zoo.get_zoo("trivial-decider")
     assert len(spec.states) == 2
     assert spec.register_count == 0
-
-
-def test_shipped_files_match_the_catalogue():
-    for entry in zoo.list_zoo():
-        assert zoo.zoo_file_text(entry.name) == entry.text
-        repo_copy = (REPO_ZOO / f"{entry.name}.alg").read_text("utf-8")
-        assert repo_copy == entry.text
 
 
 @pytest.mark.parametrize("name,inputs,expect", [
