@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (oracle ok / certificate built / replay confirmed),
 1 usage, parse, or semantic errors, 2 a violation was found (report written),
-3 inconclusive (a depth bound or an assumption of the construction gave out).
+3 inconclusive (a depth bound or an assumption of the construction gave out,
+or a `check` sweep found no violation but was truncated).
 Identical invocations produce byte-identical files and output: every knob is
 a flag, nothing reads the clock or the environment.
 """
@@ -97,6 +98,9 @@ def _cmd_check(args) -> int:
     print(f"validity: {verdict.validity}")
     print(f"solo-termination: {verdict.solo_termination}")
     print(f"explored: {verdict.explored} truncated: {str(verdict.truncated).lower()}")
+    if verdict.ok and verdict.truncated:
+        print("inconclusive: no violation found, but the sweep did not close the reachable space")
+        return INCONCLUSIVE
     if verdict.ok:
         return OK
     initial = initial_configuration(spec, inputs)
@@ -158,8 +162,8 @@ def _cmd_valency(args) -> int:
         if args.at is not None:
             steps = steps[: args.at]
         initial = initial_configuration(spec, inputs)
-        exec_ = Execution.from_steps(spec, initial,
-                                     traceio._steps_from_records(spec, steps))
+        exec_ = Execution.from_steps(
+            spec, initial, traceio._steps_from_records(spec, steps, len(initial.procs)))
         config = exec_.final
     else:
         inputs = [int(c) for c in (args.inputs or "01")]

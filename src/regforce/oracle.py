@@ -8,17 +8,20 @@ category, and re-confirms violation reports produced elsewhere.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    READ,
+    WRITE,
     AlgorithmSpec,
     Configuration,
     EngineError,
+    Proc,
     Return,
     Write,
-    canonicalize,
-    enabled_actions,
     initial_configuration,
     step_with_outcome,
 )
@@ -43,6 +46,11 @@ class OracleVerdict:
         return (self.agreement, self.validity, self.solo_termination) == ("ok", "ok", "ok")
 
 
+# decision by node code % 6: (status * 2 + input) -> None while active
+_DECIDED = (None, None, 0, 0, 1, 1)
+_MISS = object()
+
+
 def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_000,
                  dedup: bool = True) -> OracleVerdict:
     """Breadth-first sweep over all schedules with canonical deduplication.
@@ -55,66 +63,109 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     checked for a terminating solo run of each active process.  `dedup=False`
     explores the raw schedule tree instead; tiny instances must reach the
     same verdicts either way.
-    """
-    from collections import deque
 
+    The sweep runs on the spec's integer tables (`AlgorithmSpec.tables`).  A
+    node is the registers tuple plus one code per pid,
+    `(state id * 3 + status) * 2 + input`, where status 0 is active and
+    1 + b means returned b.  The dedup key `(registers, sorted codes)` maps
+    one to one onto `model.canonicalize`'s key.  Each node keeps only its
+    parent's index and the move `pid * width + action index` that reached
+    it; a trace's `Step`s are rebuilt from the root when it is recorded.
+    """
     root = initial_configuration(spec, inputs)
-    verdict = OracleVerdict("ok", "ok", "ok")
-    seen = {canonicalize(root)}
-    solo_memo: dict = {}
-    input_set = set(inputs)
-    truncated = False
+    tables = spec.tables
+    rows, names = tables.rows, tuple(tables.ids)
+    width = max(map(len, rows))
+    regs0 = root.registers
+    codes0 = tuple(tables.ids[p.state] * 6 + p.input for p in root.procs)
+    parent, move = array("l", [-1]), array("l", [-1])
+
+    def path(node) -> tuple:
+        """The Steps from the root to `node`, re-stepped on the tables."""
+        trail = []
+        while node:
+            trail.append(move[node])
+            node = parent[node]
+        regs, sids = list(regs0), [c // 6 for c in codes0]
+        steps = []
+        for mv in reversed(trail):
+            pid, j = divmod(mv, width)
+            kind, reg, arg, action = rows[sids[pid]][j]
+            outcome = None
+            if kind == READ:
+                outcome = regs[reg]
+                sids[pid] = arg[outcome]
+            elif kind == WRITE:
+                regs[reg], sids[pid] = arg
+            steps.append(Step(pid, action, outcome))
+        return tuple(steps)
 
     # solo termination per (state, registers): exact reachability of a Return
-    def solo_ok(config, pid) -> Optional[bool]:
-        key = (config.proc(pid).state, config.registers)
-        hit = solo_memo.get(key, "miss")
-        if hit != "miss":
-            return hit
-        search = _Search(spec, [(pid,)], None, coverage=False)
-        moves, cut = search.run(config, depth)
+    solo_memo: dict = {}
+
+    def solo_ok(regs, codes, pid) -> Optional[bool]:
+        config = Configuration(regs, tuple(Proc(c & 1, names[c // 6], _DECIDED[c % 6])
+                                           for c in codes))
+        moves, cut = _Search(spec, [(pid,)], None, coverage=False).run(config, depth)
         result = True if moves is not None else (None if cut else False)
-        solo_memo[key] = result
+        solo_memo[(codes[pid] // 6, regs)] = result
         return result
 
-    queue = deque([(root, (), 0)])
+    verdict = OracleVerdict("ok", "ok", "ok")
+    seen = {(regs0, tuple(sorted(codes0)))}
+    input_set = set(inputs)
+    truncated = False
+    queue = deque([(regs0, codes0, 0, 0)])
     explored = 0
     while queue:
-        config, path, used = queue.popleft()
+        regs, codes, used, node = queue.popleft()
         explored += 1
         if explored > max_states:
             truncated = True
             break
 
-        decisions = {p.decided for p in config.procs if p.decided is not None}
+        decisions = {_DECIDED[c % 6] for c in codes}
+        decisions.discard(None)
         if len(decisions) > 1 and verdict.agreement == "ok":
             verdict.agreement = "violated"
-            verdict.agreement_trace = path
-        bad = decisions - input_set
-        if bad and verdict.validity == "ok":
+            verdict.agreement_trace = path(node)
+        if decisions - input_set and verdict.validity == "ok":
             verdict.validity = "violated"
-            verdict.validity_trace = path
+            verdict.validity_trace = path(node)
 
-        for pid in range(len(config.procs)):
-            if not config.procs[pid].active:
-                continue
-            ok = solo_ok(config, pid)
+        for pid, code in enumerate(codes):
+            if code % 6 > 1:
+                continue  # returned
+            ok = solo_memo.get((code // 6, regs), _MISS)
+            if ok is _MISS:
+                ok = solo_ok(regs, codes, pid)
             if ok is None:
                 truncated = True
             elif not ok and verdict.solo_termination == "ok":
                 verdict.solo_termination = "stuck"
-                verdict.stuck = (path, pid)
-            for action in enabled_actions(spec, config, pid):
+                verdict.stuck = (path(node), pid)
+            inp = code & 1
+            for j, (kind, reg, arg, _) in enumerate(rows[code // 6]):
                 if used >= depth:
                     truncated = True
                     break
-                cfg2, outcome = step_with_outcome(spec, config, pid, action)
+                regs2 = regs
+                if kind == READ:
+                    code2 = arg[regs[reg]] * 6 + inp
+                elif kind == WRITE:
+                    regs2 = regs[:reg] + (arg[0],) + regs[reg + 1:]
+                    code2 = arg[1] * 6 + inp
+                else:
+                    code2 = code + 2 + 2 * arg  # status 1 + decision
+                codes2 = codes[:pid] + (code2,) + codes[pid + 1:]
                 if dedup:
-                    key = canonicalize(cfg2)
+                    key = (regs2, tuple(sorted(codes2)))
                     if key in seen:
                         continue
                     seen.add(key)
-                queue.append((cfg2, path + (Step(pid, action, outcome),), used + 1))
+                queue.append((regs2, codes2, used + 1, len(parent)))
+                parent.append(node)
+                move.append(pid * width + j)
 
     verdict.explored = explored
     verdict.truncated = truncated
@@ -131,7 +182,6 @@ def oracle_valency(spec: AlgorithmSpec, config: Configuration, units, mode: str,
     coverage test; a state-count guard trips instead of truncating.
     """
     import itertools
-    from collections import deque
 
     units = [(u,) if isinstance(u, int) else tuple(u) for u in units]
     reached = set()

@@ -79,15 +79,17 @@ def execution_lines(exec_: Execution, roles=None, start: int = 0) -> list:
     return lines
 
 
-def header_record(spec: AlgorithmSpec, initial: Configuration,
+def header_record(spec: AlgorithmSpec, initial: Optional[Configuration],
                   ledger: Optional[PairLedger] = None, extra: Optional[dict] = None) -> str:
+    """The opening record; a file without an execution (`initial` None)
+    names no inputs."""
     from .model import format_algorithm
 
     rec = {
         "record": "header",
         "spec": spec.name,
         "algorithm_text": format_algorithm(spec),
-        "inputs": [p.input for p in initial.procs],
+        "inputs": [p.input for p in initial.procs] if initial else [],
         "pairs": [[p.leader, p.clone] for p in ledger.pairs] if ledger else [],
     }
     rec.update(extra or {})
@@ -200,7 +202,7 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
 
 
 def inconclusive_lines(spec: AlgorithmSpec, marker: Inconclusive) -> list:
-    return [_dump({
+    return [header_record(spec, None), _dump({
         "record": "inconclusive",
         "spec": spec.name,
         "reason": marker.reason,
@@ -235,11 +237,26 @@ def _parse_lines(text: str) -> list:
     return records
 
 
-def _steps_from_records(spec, records):
+def _inputs(record: dict, where: str) -> list:
+    """The record's `inputs`, checked to be a nonempty list of bits."""
+    inputs = record.get("inputs")
+    if not isinstance(inputs, list) or not inputs \
+            or any(type(b) is not int or b not in (0, 1) for b in inputs):
+        raise ReplayError(f"{where}: inputs is not a nonempty list of bits")
+    return inputs
+
+
+def _steps_from_records(spec, records, pids: int):
+    """Steps of a system of `pids` processes from their records."""
     steps = []
     for rec in records:
         kind = rec["kind"]
         state = rec["state_before"]
+        pid = rec["pid"]
+        if type(pid) is not int or not 0 <= pid < pids:
+            raise ReplayError(f"step {rec['i']}: pid {pid!r} is not one of {pids} pids")
+        if not isinstance(state, str):
+            raise ReplayError(f"step {rec['i']}: state_before is not a string")
         action = None
         for a in spec.actions(state):
             if kind == "read" and isinstance(a, Read) and a.reg == rec["reg"] \
@@ -255,7 +272,7 @@ def _steps_from_records(spec, records):
                 break
         if action is None:
             raise ReplayError(f"step {rec['i']}: no matching action in state {state!r}")
-        steps.append(Step(rec["pid"], action, rec.get("outcome")))
+        steps.append(Step(pid, action, rec.get("outcome")))
     return steps
 
 
@@ -305,12 +322,13 @@ def _replay_violation_records(spec, header, body):
                       if meta and meta["record"] == "violation")
     counter = [(meta, steps) for meta, steps in sections
                if meta and meta["record"] == "counter"]
-    initial = initial_configuration(spec, header["inputs"])
-    trace = Execution.from_steps(spec, initial, _steps_from_records(spec, main_steps))
+    initial = initial_configuration(spec, _inputs(header, "header"))
+    pids = len(initial.procs)
+    trace = Execution.from_steps(spec, initial, _steps_from_records(spec, main_steps, pids))
     counter_trace = None
     if counter:
         counter_trace = Execution.from_steps(
-            spec, initial, _steps_from_records(spec, counter[0][1]))
+            spec, initial, _steps_from_records(spec, counter[0][1], pids))
     report = ViolationReport(
         kind=vio["kind"], trace=trace, evidence=vio.get("evidence") or {},
         counter_trace=counter_trace, prefix_len=vio.get("prefix_len"),
@@ -332,8 +350,9 @@ def _replay_certificate_records(spec, header, body):
             continue
         if meta["record"] == "level":
             levels += 1
-            initial = initial_configuration(spec, meta["inputs"])
-            exec_ = Execution.from_steps(spec, initial, _steps_from_records(spec, steps))
+            initial = initial_configuration(spec, _inputs(meta, f"level {levels}"))
+            exec_ = Execution.from_steps(spec, initial,
+                                         _steps_from_records(spec, steps, len(initial.procs)))
             if header.get("attack") == "sqrt":
                 want = (meta["r"] - 1) * meta["r"] // 2 + 2
                 if meta["budget"] != want or len(initial.procs) != want:
@@ -347,7 +366,8 @@ def _replay_certificate_records(spec, header, body):
         elif meta["record"] == "witness":
             if exec_ is None:
                 raise ReplayError("witness before any level")
-            extended = exec_.extend_steps(_steps_from_records(spec, steps))
+            extended = exec_.extend_steps(
+                _steps_from_records(spec, steps, len(exec_.initial.procs)))
             last = extended.steps[-1]
             if not isinstance(last.action, Return) or last.action.decision != meta["decision"]:
                 raise ReplayError("witness does not end with the claimed return")
@@ -355,7 +375,8 @@ def _replay_certificate_records(spec, header, body):
         elif meta["record"] == "closing-block-write":
             if exec_ is None:
                 raise ReplayError("closing section before any level")
-            closed = exec_.extend_steps(_steps_from_records(spec, steps))
+            closed = exec_.extend_steps(
+                _steps_from_records(spec, steps, len(exec_.initial.procs)))
             if len(closed.written_registers()) != meta["registers_written"]:
                 raise ReplayError("closing block write register count mismatch")
     if levels == 0 or checked_witnesses < 2 * levels:

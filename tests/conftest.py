@@ -6,6 +6,24 @@ from regforce import zoo
 from regforce.execution import Execution
 from regforce.model import enabled_actions, initial_configuration
 
+# no zoo state can both write and return, or holds more than one action; here
+# a returning unit may be the only one covering a written register, and every
+# state is a nondeterministic choice
+WRITE_OR_RETURN = """\
+algorithm write-or-return
+values 1 2
+registers 2
+input 0 -> A
+input 1 -> B
+state A: write r0 := 1 -> B
+state A: write r1 := 2 -> C
+state B: write r0 := 2 -> C
+state B: return 1
+state B: read r1 ? { 2 -> A ; * -> C }
+state C: return 0
+state C: write r1 := 1 -> A
+"""
+
 
 @pytest.fixture
 def trivial():

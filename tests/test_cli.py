@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import pathlib
 import pkgutil
 import subprocess
@@ -32,9 +33,20 @@ def run_cli(*args, cwd=ROOT):
 
 
 def test_check_certified_spec_exits_zero():
-    out = run_cli("check", "zoo:of-race-3", "--inputs", "01", "--depth", "40")
+    out = run_cli("check", "zoo:of-race-3", "--inputs", "01", "--depth", "60")
     assert out.returncode == 0
     assert "agreement: ok" in out.stdout
+    assert out.stdout.endswith("truncated: false\n")
+
+
+def test_check_truncated_clean_sweep_exits_three():
+    # no violation within depth 40, but the reachable space is not closed
+    out = run_cli("check", "zoo:of-race-3", "--inputs", "011", "--depth", "40")
+    assert out.returncode == 3
+    lines = out.stdout.splitlines()
+    assert lines[:4] == ["agreement: ok", "validity: ok", "solo-termination: ok",
+                         "explored: 47556 truncated: true"]
+    assert len(lines) == 5 and lines[4].startswith("inconclusive:")
 
 
 def test_check_broken_spec_exits_two(tmp_path):
@@ -82,6 +94,17 @@ def test_attack_linear_inconclusive_exits_three():
     assert "inconclusive" in out.stderr
 
 
+def test_inconclusive_out_file_replays(tmp_path):
+    target = tmp_path / "i.jsonl"
+    out = run_cli("attack", "linear", "zoo:of-race-3", "--m", "1", "--out", str(target))
+    assert out.returncode == 3
+    header = json.loads(target.read_text().splitlines()[0])
+    assert header["record"] == "header" and header["spec"] == "of-race-3"
+    replay = run_cli("replay", str(target))
+    assert replay.returncode == 0
+    assert json.loads(replay.stdout)["kind"] == "inconclusive"
+
+
 def test_parse_error_exits_one(tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("algorithm x\nwhat even is this\n")
@@ -92,8 +115,22 @@ def test_parse_error_exits_one(tmp_path):
 
 def test_replay_of_a_non_object_record_exits_one(tmp_path):
     bad = tmp_path / "bad.jsonl"
-    # a record that is no object, and a header whose algorithm text is no string
-    for text in ("[1]\n", '{"record":"header","algorithm_text":5}\n'):
+    report = tmp_path / "report.jsonl"
+    assert run_cli("check", "zoo:trivial-decider", "--inputs", "01",
+                   "--out", str(report)).returncode == 2
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+
+    def mistyped(index, field, value):
+        edited = [dict(rec) for rec in records]
+        edited[index][field] = value
+        return "".join(json.dumps(rec) + "\n" for rec in edited)
+
+    # a record that is no object, a header whose algorithm text is no string,
+    # header inputs that are no list of bits, and a step whose pid is no pid
+    cases = ["[1]\n", '{"record":"header","algorithm_text":5}\n']
+    cases += [mistyped(0, "inputs", value) for value in ("01", [0, 7], None)]
+    cases += [mistyped(2, "pid", value) for value in ("a", 2)]
+    for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))
         assert out.returncode == 1

@@ -24,6 +24,7 @@ from regforce.valency import (
     unit_state,
 )
 
+from conftest import WRITE_OR_RETURN
 from reference_search import ReferenceSearch
 
 # unit layouts: (inputs, units); pairs start in sync and move in lockstep
@@ -31,22 +32,6 @@ LAYOUTS = {
     "singletons": ([0, 1, 0], [(0,), (1,), (2,)]),
     "pairs": ([0, 0, 1, 1, 0], [(0, 1), (2, 3), (4,)]),
 }
-# no zoo state can both write and return; here a returning unit may be the
-# only one covering a written register
-WRITE_OR_RETURN = """\
-algorithm write-or-return
-values 1 2
-registers 2
-input 0 -> A
-input 1 -> B
-state A: write r0 := 1 -> B
-state A: write r1 := 2 -> C
-state B: write r0 := 2 -> C
-state B: return 1
-state B: read r1 ? { 2 -> A ; * -> C }
-state C: return 0
-state C: write r1 := 1 -> A
-"""
 DEPTHS = (0, 1, 2, 3, 5, 8, 13)
 CONFIGS_PER_LAYOUT = 4
 
