@@ -11,11 +11,11 @@ a flag, nothing reads the clock or the environment.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .model import EngineError, SpecError, load_algorithm
+from .model import EngineError, SpecError, initial_configuration, load_algorithm
 from .execution import Execution
-from .model import initial_configuration
 from .oracle import oracle_check
 from .reports import LinearChainCertificate, SqrtChainCertificate, ViolationReport
 from .sqrt_attack import sqrt_run
@@ -24,6 +24,28 @@ from . import traceio, zoo
 from .valency import valency
 
 OK, USAGE, VIOLATION, INCONCLUSIVE = 0, 1, 2, 3
+
+
+class UsageError(Exception):
+    """An option value the command cannot use."""
+
+
+def _bits(text: str) -> list:
+    """An `--inputs` string such as 011, one input bit per process."""
+    if not text or set(text) - {"0", "1"}:
+        raise UsageError(f"--inputs must be a nonempty string of 0s and 1s, got {text!r}")
+    return [int(c) for c in text]
+
+
+def _pids(text: str, count: int) -> list:
+    """A `--set` list such as 0,2 of pids below `count`."""
+    try:
+        pids = [int(p) for p in text.split(",")]
+    except ValueError:
+        pids = None
+    if pids is None or not all(0 <= pid < count for pid in pids):
+        raise UsageError(f"--set must list pids below {count}, got {text!r}")
+    return pids
 
 
 def _load_spec(path: str):
@@ -72,7 +94,7 @@ def _parser() -> argparse.ArgumentParser:
     val.add_argument("spec")
     val.add_argument("--trace", default=None, help="certificate/report file to replay into")
     val.add_argument("--at", type=int, default=None, help="stop after this many steps")
-    val.add_argument("--inputs", default=None, help="inputs when no trace is given")
+    val.add_argument("--inputs", default="01", help="inputs when no trace is given")
     val.add_argument("--set", dest="pidset", default=None,
                      help="comma-separated pids (default: all)")
     val.add_argument("--mode", choices=["solo", "reserving"], default="solo")
@@ -92,7 +114,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
-    inputs = [int(c) for c in args.inputs]
+    inputs = _bits(args.inputs)
     verdict = oracle_check(spec, inputs, args.depth, args.max_states)
     print(f"agreement: {verdict.agreement}")
     print(f"validity: {verdict.validity}")
@@ -123,6 +145,8 @@ def _cmd_check(args) -> int:
 def _cmd_attack(args) -> int:
     spec = _load_spec(args.spec)
     if args.attack_kind == "sqrt":
+        if args.target_r < 0:
+            raise UsageError(f"--target-r must be nonnegative, got {args.target_r}")
         outcome = sqrt_run(spec, args.target_r, args.depth)
     else:
         outcome = linear_run(spec, args.m, args.depth)
@@ -152,24 +176,11 @@ def _cmd_valency(args) -> int:
     spec = _load_spec(args.spec)
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as fh:
-            records = traceio._parse_lines(fh.read())
-        header = records[0]
-        # the first trace section: a violation's main trace, or the first
-        # level execution of a certificate (levels carry their own inputs)
-        meta, steps = next(((m, s) for m, s in traceio._section_steps(spec, records[1:])
-                            if s), (None, []))
-        inputs = (meta or {}).get("inputs") or header["inputs"]
-        if args.at is not None:
-            steps = steps[: args.at]
-        initial = initial_configuration(spec, inputs)
-        exec_ = Execution.from_steps(
-            spec, initial, traceio._steps_from_records(spec, steps, len(initial.procs)))
-        config = exec_.final
+            config = traceio.first_trace(spec, fh.read(), args.at).final
     else:
-        inputs = [int(c) for c in (args.inputs or "01")]
-        config = initial_configuration(spec, inputs)
+        config = initial_configuration(spec, _bits(args.inputs))
     if args.pidset:
-        pids = [int(p) for p in args.pidset.split(",")]
+        pids = _pids(args.pidset, len(config.procs))
     else:
         pids = list(range(len(config.procs)))
     m = args.m
@@ -186,7 +197,6 @@ def _cmd_valency(args) -> int:
         "zero": report.zero.status,
         "one": report.one.status,
     }
-    import json
     print(json.dumps(out, sort_keys=True))
     if report.classify() == "unknown":
         return INCONCLUSIVE
@@ -197,7 +207,6 @@ def _cmd_replay(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     summary = traceio.replay_file(text)
-    import json
     print(json.dumps(summary, sort_keys=True))
     return OK
 
@@ -228,13 +237,7 @@ def main(argv=None) -> int:
             code = _cmd_replay(args)
         else:
             code = _cmd_zoo(args)
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = USAGE
-    except KeyError as e:
+    except (SpecError, FileNotFoundError, KeyError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = USAGE
     except traceio.ReplayError as e:

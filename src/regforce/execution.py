@@ -20,6 +20,7 @@ from .model import (
     Read,
     Write,
     enabled_actions,
+    initial_configuration,
     step_with_outcome,
 )
 
@@ -169,13 +170,6 @@ def poised_write(exec_: Execution, pid: int, reg: int, value: Optional[str] = No
     return None
 
 
-def covers(spec: AlgorithmSpec, config: Configuration, pid: int, reg: int) -> bool:
-    return any(
-        isinstance(a, Write) and a.reg == reg
-        for a in enabled_actions(spec, config, pid)
-    )
-
-
 def indistinguishable(c1: Configuration, c2: Configuration, who: Iterable[int]) -> bool:
     """Registers equal and every listed process has equal (state, status)."""
     if c1.registers != c2.registers:
@@ -220,6 +214,17 @@ def mirror_history(exec_: Execution, source: int, count: int, mirrors: Sequence[
         raise EngineError(f"source pid {source} has only {copied} steps, wanted {count}")
     rebuilt = Execution.from_steps(exec_.spec, exec_.initial, new_steps)
     return (rebuilt, new_marker) if marker is not None else rebuilt
+
+
+def restricted_replay(exec_: Execution, pids: Iterable[int], steps) -> Execution:
+    """Replay steps taken only by `pids` from the start of the system that
+    holds just those processes of `exec_`, with their inputs, renumbered in
+    pid order."""
+    pids = sorted(pids)
+    remap = {pid: i for i, pid in enumerate(pids)}
+    inputs = [exec_.initial.proc(pid).input for pid in pids]
+    system = Execution.start(exec_.spec, initial_configuration(exec_.spec, inputs))
+    return system.extend_steps(Step(remap[s.pid], s.action, s.outcome) for s in steps)
 
 
 def insert_step(exec_: Execution, index: int, pid: int, action) -> Execution:

@@ -4,26 +4,37 @@ Levels keep every written register either freshly split (the leader wrote it,
 its clone still covers it with the identical pending write) or covered by a
 united pair, so coverage survives from level to level instead of burning a
 new clone per register.  Valency is judged by reserving executions of
-exactly m+1 non-split pairs drawn from the untouched pool T, the case
-analysis follows the split of the scanned witness at its first write outside
-the covered set, and stale split pairs left behind by overwrites are
-repaired by slipping the old clone's write in front of an existing write to
-the same register, invisibly to everyone else.
+exactly m+1 non-split pairs drawn from the untouched pool T.
+
+A step runs the scanned witness up to its first write outside the covered
+set and then scans one plan of steps, querying the pool's valency after
+every prefix.  In case 1 the pool can still return the other value there,
+and the plan is the rest of the witness, pair by pair from the poised write.
+In case 2 it cannot, and the plan is the cleanup: trailing clones restore
+the overwritten split registers, then the covering leaders write one at a
+time.  Either scan ends in one of two ways: the first bivalent prefix
+becomes the next level (case X.1), or, all prefixes univalent, the adjacent
+flip does, by duplicating the pair behind the flip step (case X.2).  Stale
+split pairs left behind by overwrites are repaired by slipping the old
+clone's write in front of an existing write to the same register,
+invisibly to everyone else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
-from .model import (
-    ContradictionError,
-    EngineError,
-    Write,
-    initial_configuration,
+from .model import ContradictionError, EngineError, Write, initial_configuration
+from .execution import Execution, indistinguishable, insert_step, restricted_replay
+from .pairs import (
+    PairLedger,
+    duplicate_pair,
+    new_pair,
+    pair_step,
+    split_pair,
+    unite_pair,
 )
-from .execution import Execution, Step, insert_step
-from .pairs import PairLedger, duplicate_pair, new_pair, split_pair, unite_pair
 from .reports import Inconclusive, LinearChainCertificate, ViolationReport
 from .valency import (
     InconclusiveError,
@@ -182,16 +193,6 @@ def assert_properties(level: LinearLevel) -> LinearLevel:
     return level
 
 
-def _restrict_to_units(spec, initial, units, witness: Witness) -> Execution:
-    """Replay a witness inside the system holding only the witness units."""
-    pids = sorted(pid for u in units for pid in u)
-    remap = {pid: i for i, pid in enumerate(pids)}
-    inputs = [initial.proc(pid).input for pid in pids]
-    restricted = Execution.start(spec, initial_configuration(spec, inputs))
-    steps = [Step(remap[s.pid], s.action, s.outcome) for s in witness.steps]
-    return restricted.extend_steps(steps)
-
-
 def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport, Inconclusive]:
     n_pairs = expected_pairs(m, 0)
     n_zero = (n_pairs + 1) // 2
@@ -224,7 +225,7 @@ def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport,
         if w.decision != want:
             # every process in these units holds input `want`; replayed in the
             # system of only them, the other decision breaks validity
-            restricted = _restrict_to_units(spec, exec_.initial, units, w)
+            restricted = restricted_replay(exec_, [pid for u in units for pid in u], w.steps)
             return ViolationReport(
                 kind="validity", trace=restricted,
                 evidence={"inputs": [want], "decision": w.decision},
@@ -250,14 +251,15 @@ class _Orientation:
     sd: int  # the scanned witness returns this
     scanned: Witness
     scanned_ids: tuple
-    other_ids: tuple
     pool_witness: Witness  # reserving witness at D returning 1 - sd
 
 
-def gamma_c(level: LinearLevel):
+def gamma_c(level: LinearLevel, exec_=None, ledger=None):
     """The covering block write: each covered register is written by the
-    covering pair's leader alone, splitting the pair fresh; reaches D."""
-    exec_, ledger = level.exec, level.ledger
+    covering pair's leader alone, splitting the pair fresh.  It runs at the
+    end of `exec_` (default: the level execution, where it reaches D)."""
+    if exec_ is None:
+        exec_, ledger = level.exec, level.ledger
     for reg in sorted(level.covered_regs):
         exec_, ledger = split_pair(exec_, ledger, level.cover[reg],
                                    level.cover_actions[reg])
@@ -268,7 +270,7 @@ def gamma_s(level: LinearLevel, exec_, ledger, ext_steps):
     """The trailing-clone block write: every split register overwritten by
     the extension is rewritten by its waiting clone, uniting the pair and
     restoring the value the register held at the level configuration."""
-    for reg_s in _gamma_s_regs(level, ext_steps):
+    for reg_s in sorted(_written(ext_steps) & set(level.split_regs)):
         exec_, ledger = unite_pair(exec_, ledger, level.cover[reg_s])
     return exec_, ledger
 
@@ -278,9 +280,9 @@ def _resolve_orientation(level: LinearLevel, t_ids, depth):
     exec_d, _ = gamma_c(level)
     rep_d = valency(spec, exec_d.final, level.units(t_ids), level.m, depth, "reserving")
     if rep_d.one.proven:
-        return _Orientation(0, level.alpha, level.p_ids, level.q_ids, rep_d.one.witness)
+        return _Orientation(0, level.alpha, level.p_ids, rep_d.one.witness)
     if rep_d.zero.proven and rep_d.one.refuted:
-        return _Orientation(1, level.beta, level.q_ids, level.p_ids, rep_d.zero.witness)
+        return _Orientation(1, level.beta, level.q_ids, rep_d.zero.witness)
     return None
 
 
@@ -298,21 +300,6 @@ def _orient_and_split(level: LinearLevel, t_ids, depth):
         if isinstance(action, Write) and action.reg not in regs:
             return orient, i
     return _confined_witness_violation(level, orient)
-
-
-def check_alpha_outside(level: LinearLevel, depth: int):
-    """Locate the scanned witness's first write outside the covered set.
-
-    Returns (prefix moves, writing unit, write action, tail moves), or the
-    ViolationReport or Inconclusive marker of `_orient_and_split`.
-    """
-    found = _orient_and_split(level, level.pool_ids(), depth)
-    if not isinstance(found, tuple):
-        return found
-    orient, split_at = found
-    w = orient.scanned
-    wp_unit, wp_action = w.moves[split_at]
-    return w.moves[:split_at], wp_unit, wp_action, w.moves[split_at + 1:]
 
 
 def linear_step(level: LinearLevel, depth: int) -> Union[LinearLevel, ViolationReport, Inconclusive]:
@@ -345,31 +332,34 @@ def _written(steps) -> set:
 
 
 def _step_oriented(level, orient, split_at, t_ids, depth):
+    """Run the scanned witness up to its first outside write, then pick the
+    plan to scan by what the pool can still return there."""
     spec = level.exec.spec
-    m = level.m
     sd, od = orient.sd, 1 - orient.sd
     w = orient.scanned
-
-    wp_unit, wp_action = w.moves[split_at]
-    post_moves = w.moves[split_at + 1:]
     pre_steps = _steps_for_moves(w, split_at)
-
     exec_pre = level.exec.extend_steps(pre_steps)
-    t_units = level.units(t_ids)
-    rep_pre = valency(spec, exec_pre.final, t_units, m, depth, "reserving")
+    rep_pre = valency(spec, exec_pre.final, level.units(t_ids), level.m, depth, "reserving")
 
     if rep_pre.side(od).proven:
-        return _case_one(level, orient, t_ids, exec_pre, pre_steps,
-                         wp_unit, wp_action, post_moves, rep_pre, depth)
+        # case 1: the poised write and the rest of the witness, pair by pair
+        plan = [("pair", level.ledger.pair_of(unit[0]).pair_id, action)
+                for unit, action in w.moves[split_at:]]
+        return _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan,
+                     "1", "pair-step", od, depth)
     if rep_pre.side(sd).proven and rep_pre.side(od).refuted:
-        return _case_two(level, orient, t_ids, exec_pre, pre_steps,
-                         wp_unit, wp_action, rep_pre, depth)
+        # case 2: the cleanup block writes one step at a time; trailing clones
+        # restore the overwritten split registers (uniting their pairs), then
+        # the covering leaders write (splitting theirs)
+        restore = sorted(_written(pre_steps) & set(level.split_regs))
+        plan = [("unite", level.cover[reg], level.ledger.pair(level.cover[reg]).split.action)
+                for reg in restore]
+        plan += [("split", level.cover[reg], level.cover_actions[reg])
+                 for reg in sorted(level.covered_regs)]
+        return _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan,
+                     "2", "cleanup", sd, depth)
     return Inconclusive(
         f"valency after the confined witness prefix unknown at depth {depth}", depth)
-
-
-def _gamma_s_regs(level: LinearLevel, steps) -> list:
-    return sorted(_written(steps) & set(level.split_regs))
 
 
 def _confined_witness_violation(level, orient):
@@ -377,11 +367,9 @@ def _confined_witness_violation(level, orient):
     it, wash its writes out with the trailing clones, block-write the covered
     registers, and the untouched pool still returns the other value in the
     same trace."""
-    exec_, ledger = level.exec.extend_steps(orient.scanned.steps), level.ledger
-    exec_, ledger = gamma_s(level, exec_, ledger, orient.scanned.steps)
-    for reg_c in sorted(level.covered_regs):
-        exec_, ledger = split_pair(exec_, ledger, level.cover[reg_c],
-                                   level.cover_actions[reg_c])
+    steps = orient.scanned.steps
+    exec_, ledger = gamma_s(level, level.exec.extend_steps(steps), level.ledger, steps)
+    exec_, _ = gamma_c(level, exec_, ledger)
     exec_ = exec_.extend_steps(orient.pool_witness.steps)
     return ViolationReport(
         kind="agreement", trace=exec_,
@@ -395,60 +383,65 @@ def _confined_witness_violation(level, orient):
 
 @dataclass
 class _Assembly:
-    """Everything the level constructors share once a prefix is chosen."""
+    """The scan prefix a new level is built on."""
     case_tag: str
     exec_now: Execution  # ends at the candidate configuration
     ledger_now: PairLedger
-    reg: int  # the register joining the covered sets
     wp_unit: tuple
-    wp_action: Write
-    new_split_cover: dict  # reg -> pair id (fresh splits at the candidate)
-    kept_cover: dict  # reg -> pair id (united coverers carried over)
-    kept_actions: dict  # reg -> Write for kept_cover
-    match_regs: list  # registers needing coverers from the scanned side
-    force_reg: bool  # reg unwritten: its coverer must be wp_unit
-    repair_regs: list  # overwritten split registers, repair candidates
+    wp_action: Write  # the poised write to the register joining the covered sets
+    touched: frozenset  # split registers the extension overwrote
+    wp_done: bool  # the poised write is part of the extension
+    split_now: tuple  # covered registers whose covering pair the scan split
+
+    @property
+    def reg(self) -> int:
+        return self.wp_action.reg
 
 
-def _case_one(level, orient, t_ids, exec_pre, pre_steps, wp_unit, wp_action,
-              post_moves, rep_pre, depth):
-    """Scan lockstep-pair prefixes of the witness tail."""
+def _advance(exec_, ledger, step):
+    """Take one plan step: a lockstep pair move, a trailing clone's
+    restoring write, or a covering leader's write."""
+    kind, pair_id, action = step
+    if kind == "pair":
+        return pair_step(exec_, ledger, pair_id, action)
+    if kind == "unite":
+        return unite_pair(exec_, ledger, pair_id)
+    return split_pair(exec_, ledger, pair_id, action)
+
+
+def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, start, depth):
+    """Classify the pool's valency after every prefix of the plan, starting
+    `start`-univalent.  The first bivalent prefix becomes the next level
+    (case `tag`.1); with none, the adjacent univalency flip does (`tag`.2).
+    Every prefix is queried before any is classified, so the witnesses the
+    valency memos hand out do not depend on where the scan stops."""
     spec = level.exec.spec
-    m = level.m
-    sd, od = orient.sd, 1 - orient.sd
+    wp_unit, wp_action = orient.scanned.moves[split_at]
     t_units = level.units(t_ids)
-    scan_moves = [(wp_unit, wp_action)] + list(post_moves)
-
+    prefixes = [(exec_pre, level.ledger)]
     reports = [rep_pre]
-    execs = [exec_pre]
-    cur = exec_pre
-    for unit, action in scan_moves:
-        cur = cur.extend(unit[0], action).extend(unit[1], action)
-        execs.append(cur)
-        reports.append(valency(spec, cur.final, t_units, m, depth, "reserving"))
+    for step in plan:
+        prefixes.append(_advance(*prefixes[-1], step))
+        reports.append(valency(spec, prefixes[-1][0].final, t_units, level.m, depth,
+                               "reserving"))
 
-    def build_assembly(j, tag):
-        ext = execs[j].steps[len(level.exec.steps):]
-        touched = _written(ext) & set(level.split_regs)
-        new_split_cover = {reg: level.cover[reg]
-                           for reg in level.split_regs if reg not in touched}
-        kept_cover = {reg: level.cover[reg] for reg in level.covered_regs}
-        kept_actions = dict(level.cover_actions)
+    def assembly(j, outcome):
+        exec_now, ledger_now = prefixes[j]
+        taken = plan[:j]
         return _Assembly(
-            case_tag=tag, exec_now=execs[j], ledger_now=level.ledger,
-            reg=wp_action.reg, wp_unit=wp_unit, wp_action=wp_action,
-            new_split_cover=new_split_cover, kept_cover=kept_cover,
-            kept_actions=kept_actions,
-            match_regs=sorted(touched | ({wp_action.reg} if j > 0 else set())),
-            force_reg=(j == 0),
-            repair_regs=sorted(touched),
+            case_tag=f"{tag}.{outcome}", exec_now=exec_now, ledger_now=ledger_now,
+            wp_unit=wp_unit, wp_action=wp_action,
+            touched=frozenset(_written(exec_now.steps[len(level.exec.steps):])
+                              & set(level.split_regs)),
+            wp_done=any(kind == "pair" for kind, _, _ in taken),
+            split_now=tuple(action.reg for kind, _, action in taken if kind == "split"),
         )
 
     for j, rep in enumerate(reports):
-        returned = _returned_decisions(execs[j].final, orient.scanned_ids, level)
-        for d in sorted(returned):
+        exec_now = prefixes[j][0]
+        for d in sorted(_returned_decisions(exec_now.final, orient.scanned_ids, level)):
             if rep.side(1 - d).proven:
-                trace = execs[j].extend_steps(rep.side(1 - d).witness.steps)
+                trace = exec_now.extend_steps(rep.side(1 - d).witness.steps)
                 return ViolationReport(
                     kind="agreement", trace=trace,
                     evidence={"decisions": sorted({d, 1 - d}), "level": level.r,
@@ -456,107 +449,19 @@ def _case_one(level, orient, t_ids, exec_pre, pre_steps, wp_unit, wp_action,
                 )
         cls = rep.classify()
         if cls == "bivalent":
-            return _finish_bivalent(level, orient, t_ids, build_assembly(j, "1.1"),
-                                    rep, depth)
+            return _finish_bivalent(level, orient, t_ids, assembly(j, "1"), rep, depth)
         if cls == "unknown":
-            return Inconclusive(f"pair-step prefix {j}: valency unknown", depth)
+            return Inconclusive(f"{word} prefix {j}: valency unknown", depth)
         if cls == "degenerate":
             return Inconclusive(
-                f"pair-step prefix {j}: no reserving execution within depth", depth)
+                f"{word} prefix {j}: no reserving execution within depth", depth)
 
-    flip = _find_flip(reports, f"{od}-univalent", f"{sd}-univalent")
-    o_unit, o_action = scan_moves[flip]
-    if not isinstance(o_action, Write):
+    flip = _find_flip(reports, f"{start}-univalent", f"{1 - start}-univalent")
+    if not isinstance(plan[flip][2], Write):
         raise ContradictionError(
             "pool valency flipped across a step the pool cannot observe")
-    assembly = build_assembly(flip, "1.2")
-    o_pair = level.ledger.pair_of(o_unit[0]).pair_id
-
-    def run_o(exec3, ledger3):
-        return exec3.extend(o_unit[0], o_action).extend(o_unit[1], o_action), ledger3
-
-    return _finish_switch(level, orient, t_ids, assembly, o_pair, o_action, run_o,
-                          flip_side=od, depth=depth)
-
-
-def _case_two(level, orient, t_ids, exec_pre, pre_steps, wp_unit, wp_action,
-              rep_pre, depth):
-    """Scan single-step prefixes of the cleanup block writes: trailing clones
-    restore the overwritten split registers (uniting their pairs), then the
-    covering leaders write one at a time (splitting theirs)."""
-    spec = level.exec.spec
-    m = level.m
-    sd, od = orient.sd, 1 - orient.sd
-    t_units = level.units(t_ids)
-
-    w_pre = _written(pre_steps)
-    plan = [("unite", level.cover[reg_s], reg_s)
-            for reg_s in sorted(w_pre & set(level.split_regs))]
-    plan += [("split", level.cover[reg_c], reg_c)
-             for reg_c in sorted(level.covered_regs)]
-
-    reports = [rep_pre]
-    execs = [exec_pre]
-    ledgers = [level.ledger]
-    splits_done = [dict()]
-    cur, led = exec_pre, level.ledger
-    for kind, pair_id, reg_b in plan:
-        if kind == "unite":
-            cur, led = unite_pair(cur, led, pair_id)
-            splits_done.append(splits_done[-1])
-        else:
-            cur, led = split_pair(cur, led, pair_id, level.cover_actions[reg_b])
-            done = dict(splits_done[-1])
-            done[reg_b] = pair_id
-            splits_done.append(done)
-        execs.append(cur)
-        ledgers.append(led)
-        reports.append(valency(spec, cur.final, t_units, m, depth, "reserving"))
-
-    def build_assembly(j, tag):
-        gamma_now = splits_done[j]
-        new_split_cover = {reg: level.cover[reg]
-                           for reg in level.split_regs if reg not in w_pre}
-        new_split_cover.update(gamma_now)
-        kept_cover = {reg: level.cover[reg]
-                      for reg in level.covered_regs if reg not in gamma_now}
-        kept_actions = {reg: level.cover_actions[reg] for reg in kept_cover}
-        return _Assembly(
-            case_tag=tag, exec_now=execs[j], ledger_now=ledgers[j],
-            reg=wp_action.reg, wp_unit=wp_unit, wp_action=wp_action,
-            new_split_cover=new_split_cover, kept_cover=kept_cover,
-            kept_actions=kept_actions,
-            match_regs=sorted(w_pre & set(level.split_regs)),
-            force_reg=True,
-            repair_regs=sorted(w_pre & set(level.split_regs)),
-        )
-
-    for j, rep in enumerate(reports):
-        cls = rep.classify()
-        if cls == "bivalent":
-            return _finish_bivalent(level, orient, t_ids, build_assembly(j, "2.1"),
-                                    rep, depth)
-        if cls == "unknown":
-            return Inconclusive(f"cleanup prefix {j}: valency unknown", depth)
-        if cls == "degenerate":
-            return Inconclusive(
-                f"cleanup prefix {j}: no reserving execution within depth", depth)
-
-    flip = _find_flip(reports, f"{sd}-univalent", f"{od}-univalent")
-    kind, o_pair, o_reg = plan[flip]
-    if kind == "unite":
-        o_action = level.ledger.pair(o_pair).split.action
-    else:
-        o_action = level.cover_actions[o_reg]
-    assembly = build_assembly(flip, "2.2")
-
-    def run_o(exec3, ledger3):
-        if kind == "unite":
-            return unite_pair(exec3, ledger3, o_pair)
-        return split_pair(exec3, ledger3, o_pair, o_action)
-
-    return _finish_switch(level, orient, t_ids, assembly, o_pair, o_action, run_o,
-                          flip_side=sd, depth=depth)
+    return _finish_switch(level, orient, t_ids, assembly(flip, "2"), plan[flip],
+                          flip_side=start, depth=depth)
 
 
 def _returned_decisions(config, ids, level) -> set:
@@ -591,11 +496,10 @@ def _match_scanned_coverers(level, orient, assembly) -> dict:
     still unwritten."""
     spec = level.exec.spec
     config = assembly.exec_now.final
-    p_units = level.units(orient.scanned_ids)
-    need = [reg for reg in assembly.match_regs if reg != assembly.reg or not assembly.force_reg]
-    pool = list(p_units)
+    need = sorted(assembly.touched | ({assembly.reg} if assembly.wp_done else set()))
+    pool = level.units(orient.scanned_ids)
     out = {}
-    if assembly.force_reg:
+    if not assembly.wp_done:
         writes = [a for a in spec.actions(config.proc(assembly.wp_unit[0]).state)
                   if isinstance(a, Write) and a.reg == assembly.reg]
         if assembly.wp_action not in writes:
@@ -620,7 +524,7 @@ def _repair_stale(level, assembly, marker: int):
     stale_by_reg = {}
     for pair_id in level.stale_ids():
         stale_by_reg[level.ledger.pair(pair_id).split.reg] = pair_id
-    for reg in assembly.repair_regs:
+    for reg in sorted(assembly.touched):
         pair_id = stale_by_reg.get(reg)
         if pair_id is None:
             continue
@@ -637,10 +541,8 @@ def _repair_stale(level, assembly, marker: int):
                 "is recorded as overwritten")
         before = exec_.final
         exec_ = insert_step(exec_, idx, pair.clone, pair.split.action)
-        from dataclasses import replace as _replace
-        ledger = ledger.with_pair(_replace(pair, split=None))
+        ledger = ledger.with_pair(replace(pair, split=None))
         others = [pid_ for pid_ in range(len(before.procs)) if pid_ != pair.clone]
-        from .execution import indistinguishable
         if not indistinguishable(before, exec_.final, others):
             raise EngineError("stale repair was visible beyond the repaired clone")
     return exec_, ledger
@@ -687,17 +589,17 @@ def _finish_bivalent(level, orient, t_ids, assembly: _Assembly, rep, depth):
         spec, exec_.final, t_units, list(w0.members), list(w1.members), w0, w1, m, depth)
 
     return _build_level(level, assembly, exec_, ledger, matched,
-                        p_units, q_units, w0, w1, depth)
+                        p_units, q_units, w0, w1)
 
 
-def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_pair, o_action,
-                   run_o, flip_side: int, depth):
+def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side: int,
+                   depth):
     """The scan was univalent throughout: duplicate the pair behind the flip
-    step twice, let one duplicate fire it while the other covers, and compose
-    witnesses so both decisions stay reachable at the new level."""
+    step `o_step` twice, let one duplicate fire it while the other covers, and
+    compose witnesses so both decisions stay reachable at the new level."""
     spec = level.exec.spec
     m = level.m
-    sd = orient.sd
+    _, o_pair, o_action = o_step
     matched = _match_scanned_coverers(level, orient, assembly)
     marker = len(level.exec.steps)
     exec_, ledger = _repair_stale(level, assembly, marker=marker)
@@ -720,7 +622,7 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_pair, o_action,
 
     # one step further it is univalent the other way; a duplicate replays that
     # step while its twin keeps the register covered
-    exec_o, ledger_o = run_o(exec_, ledger)
+    exec_o, _ = _advance(exec_, ledger, o_step)
     xi_moves, cut = reserving_search(spec, exec_o.final, f_units, m, depth, 1 - flip_side)
     if xi_moves is None:
         if cut:
@@ -739,23 +641,21 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_pair, o_action,
     if w0.decision != 0 or w1.decision != 1:
         raise EngineError("switch witnesses carry wrong decisions")
     return _build_level(level, assembly, exec_, ledger, matched,
-                        p_units, q_units, w0, w1, depth)
+                        p_units, q_units, w0, w1)
 
 
-def _build_level(level, assembly, exec_, ledger, matched, p_units, q_units,
-                 w0, w1, depth):
-    cover = {}
-    cover_actions = {}
-    for reg, pair_id in assembly.new_split_cover.items():
-        cover[reg] = pair_id
-    for reg, pair_id in assembly.kept_cover.items():
-        cover[reg] = pair_id
-        cover_actions[reg] = assembly.kept_actions[reg]
+def _build_level(level, assembly, exec_, ledger, matched, p_units, q_units, w0, w1):
+    # fresh splits: the level's untouched ones and the ones the scan made;
+    # covered: the level's unsplit coverers and the scanned side's matches
+    fresh = [reg for reg in level.split_regs if reg not in assembly.touched]
+    cover = {reg: level.cover[reg] for reg in fresh + list(assembly.split_now)}
+    split_regs = tuple(sorted(cover))
+    cover_actions = {reg: level.cover_actions[reg] for reg in level.covered_regs
+                     if reg not in assembly.split_now}
+    cover.update((reg, level.cover[reg]) for reg in cover_actions)
     for reg, (unit, action) in matched.items():
         cover[reg] = ledger.pair_of(unit[0]).pair_id
         cover_actions[reg] = action
-
-    split_regs = tuple(sorted(assembly.new_split_cover))
     covered_regs = tuple(sorted(set(cover) - set(split_regs)))
 
     def ids_of(units):
@@ -779,10 +679,7 @@ def corollary_finish(level: LinearLevel):
     register of the covered sets has been written in one execution."""
     if level.r != level.m:
         raise ValueError(f"finishing requires r == m, have r={level.r}, m={level.m}")
-    exec_, ledger = level.exec, level.ledger
-    for reg in sorted(level.covered_regs):
-        exec_, ledger = split_pair(exec_, ledger, level.cover[reg],
-                                   level.cover_actions[reg])
+    exec_, _ = gamma_c(level)
     return exec_, len(exec_.written_registers())
 
 

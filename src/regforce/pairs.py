@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .model import EngineError, Read, Write
-from .execution import Execution, add_process, mirror_history
+from .execution import Execution, add_process, indistinguishable, mirror_history
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,6 @@ def duplicate_pair(exec_: Execution, ledger: PairLedger, pair_id: int, budget: i
     else:
         exec_ = mirror_history(exec_, member, len(history), [np.leader, np.clone])
     others = [pid for pid in range(len(before.procs)) if pid not in (np.leader, np.clone)]
-    from .execution import indistinguishable
     if not indistinguishable(before, exec_.final, others):
         raise EngineError("duplicate insertion visible to other processes")
     got = exec_.final.proc(np.leader)

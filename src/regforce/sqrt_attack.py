@@ -23,7 +23,14 @@ from .model import (
     canonicalize,
     initial_configuration,
 )
-from .execution import Execution, Step, add_process, indistinguishable, mirror_history
+from .execution import (
+    Execution,
+    Step,
+    add_process,
+    indistinguishable,
+    mirror_history,
+    restricted_replay,
+)
 from .reports import Inconclusive, SqrtChainCertificate, ViolationReport
 from .valency import InconclusiveError, Witness, solo_search, solo_terminating, valency
 
@@ -74,15 +81,6 @@ def check_level(level: SqrtLevel) -> None:
         )
 
 
-def _restricted_validity_trace(spec, input_bit: int, witness: Witness) -> Execution:
-    """Replay a solo run inside the system holding only same-input processes:
-    there its decision must equal that input, so a different return is a
-    validity breach outright."""
-    solo = Execution.start(spec, initial_configuration(spec, [input_bit]))
-    steps = [Step(0, s.action, s.outcome) for s in witness.steps]
-    return solo.extend_steps(steps)
-
-
 def sqrt_base(spec, depth: int) -> Union[SqrtLevel, ViolationReport, Inconclusive]:
     exec_ = Execution.start(spec, initial_configuration(spec, [0, 1]))
     witnesses = {}
@@ -97,9 +95,9 @@ def sqrt_base(spec, depth: int) -> Union[SqrtLevel, ViolationReport, Inconclusiv
             return Inconclusive(f"solo search for pid {pid} hit depth {depth}", depth)
         # no run returns the own input: either nothing terminates (stuck) or
         # every terminating run returns the other value, which is a validity
-        # breach in the restricted same-input system
+        # breach in the system of pid alone, whose input is `want`
         if other.proven:
-            trace = _restricted_validity_trace(spec, want, other.witness)
+            trace = restricted_replay(exec_, [pid], other.witness.steps)
             return ViolationReport(
                 kind="validity",
                 trace=trace,

@@ -20,10 +20,13 @@ from .model import (
     Read,
     Return,
     Write,
+    format_algorithm,
     initial_configuration,
     load_algorithm,
+    step_with_outcome,
 )
 from .execution import Execution, Step
+from .oracle import replay_violation
 from .pairs import PairLedger
 from .reports import (
     Inconclusive,
@@ -68,8 +71,6 @@ def execution_lines(exec_: Execution, roles=None, start: int = 0) -> list:
     roles = roles or {}
     lines = []
     config = exec_.initial
-    from .model import step_with_outcome
-
     for i, step in enumerate(exec_.steps):
         after, _ = step_with_outcome(exec_.spec, config, step.pid, step.action)
         if i >= start:
@@ -83,8 +84,6 @@ def header_record(spec: AlgorithmSpec, initial: Optional[Configuration],
                   ledger: Optional[PairLedger] = None, extra: Optional[dict] = None) -> str:
     """The opening record; a file without an execution (`initial` None)
     names no inputs."""
-    from .model import format_algorithm
-
     rec = {
         "record": "header",
         "spec": spec.name,
@@ -237,6 +236,14 @@ def _parse_lines(text: str) -> list:
     return records
 
 
+def _split_header(text: str) -> tuple:
+    """(header record, the records after it)."""
+    records = _parse_lines(text)
+    if not records or records[0].get("record") != "header":
+        raise ReplayError("missing header record")
+    return records[0], records[1:]
+
+
 def _inputs(record: dict, where: str) -> list:
     """The record's `inputs`, checked to be a nonempty list of bits."""
     inputs = record.get("inputs")
@@ -244,6 +251,20 @@ def _inputs(record: dict, where: str) -> list:
             or any(type(b) is not int or b not in (0, 1) for b in inputs):
         raise ReplayError(f"{where}: inputs is not a nonempty list of bits")
     return inputs
+
+
+def _count(record: dict, field: str, where: str) -> int:
+    value = record.get(field)
+    if type(value) is not int or value < 0:
+        raise ReplayError(f"{where}: {field} is not a nonnegative integer")
+    return value
+
+
+def _registers(record: dict, field: str, where: str) -> list:
+    value = record.get(field)
+    if not isinstance(value, list) or any(type(reg) is not int for reg in value):
+        raise ReplayError(f"{where}: {field} is not a list of registers")
+    return value
 
 
 def _steps_from_records(spec, records, pids: int):
@@ -279,14 +300,10 @@ def _steps_from_records(spec, records, pids: int):
 def replay_file(text: str) -> dict:
     """Re-execute a serialized certificate or report; raises ReplayError on
     any divergence.  Returns a summary dict."""
-    records = _parse_lines(text)
-    if not records or records[0].get("record") != "header":
-        raise ReplayError("missing header record")
-    header = records[0]
+    header, body = _split_header(text)
     if not isinstance(header.get("algorithm_text"), str):
         raise ReplayError("header: algorithm_text is not a string")
     spec = load_algorithm(header["algorithm_text"])
-    body = records[1:]
 
     if any(r.get("record") == "violation" for r in body):
         return _replay_violation_records(spec, header, body)
@@ -297,7 +314,23 @@ def replay_file(text: str) -> dict:
     raise ReplayError("unrecognized file contents")
 
 
-def _section_steps(spec, records):
+def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
+    """The first trace of a file, replayed for `spec`: a violation's main
+    trace, or the first level execution of a certificate (levels carry their
+    own inputs); `at` keeps only its first steps."""
+    header, body = _split_header(text)
+    meta, steps = next(((m, s) for m, s in _section_steps(body) if s), (None, []))
+    if (meta or {}).get("inputs"):
+        inputs = _inputs(meta, "first trace")
+    else:
+        inputs = _inputs(header, "header")
+    initial = initial_configuration(spec, inputs)
+    steps = steps if at is None else steps[:at]
+    return Execution.from_steps(
+        spec, initial, _steps_from_records(spec, steps, len(initial.procs)))
+
+
+def _section_steps(records):
     """Split flat records into (meta, step-record-list) sections."""
     sections = []
     current_meta, current = None, []
@@ -314,9 +347,7 @@ def _section_steps(spec, records):
 
 
 def _replay_violation_records(spec, header, body):
-    from .oracle import replay_violation
-
-    sections = _section_steps(spec, body)
+    sections = _section_steps(body)
     vio = next(meta for meta, _ in sections if meta and meta["record"] == "violation")
     main_steps = next(steps for meta, steps in sections
                       if meta and meta["record"] == "violation")
@@ -341,7 +372,7 @@ def _replay_violation_records(spec, header, body):
 
 
 def _replay_certificate_records(spec, header, body):
-    sections = _section_steps(spec, body)
+    sections = _section_steps(body)
     levels = 0
     checked_witnesses = 0
     exec_ = None
@@ -350,19 +381,22 @@ def _replay_certificate_records(spec, header, body):
             continue
         if meta["record"] == "level":
             levels += 1
-            initial = initial_configuration(spec, _inputs(meta, f"level {levels}"))
+            where = f"level {levels}"
+            initial = initial_configuration(spec, _inputs(meta, where))
             exec_ = Execution.from_steps(spec, initial,
                                          _steps_from_records(spec, steps, len(initial.procs)))
+            r = _count(meta, "r", where)
             if header.get("attack") == "sqrt":
-                want = (meta["r"] - 1) * meta["r"] // 2 + 2
-                if meta["budget"] != want or len(initial.procs) != want:
-                    raise ReplayError(f"level {meta['r']}: budget mismatch")
-            written = exec_.written_registers()
-            if not set(meta.get("R", meta.get("R_s", []) + meta.get("R_c", []))) \
-                    <= set(range(spec.register_count)):
+                want = (r - 1) * r // 2 + 2
+                if _count(meta, "budget", where) != want or len(initial.procs) != want:
+                    raise ReplayError(f"level {r}: budget mismatch")
+                regs = _registers(meta, "R", where)
+            else:
+                regs = _registers(meta, "R_s", where) + _registers(meta, "R_c", where)
+            if not set(regs) <= set(range(spec.register_count)):
                 raise ReplayError("level register set out of range")
-            if header.get("attack") == "sqrt" and not set(meta["R"]) <= written:
-                raise ReplayError(f"level {meta['r']}: R not fully written")
+            if header.get("attack") == "sqrt" and not set(regs) <= exec_.written_registers():
+                raise ReplayError(f"level {r}: R not fully written")
         elif meta["record"] == "witness":
             if exec_ is None:
                 raise ReplayError("witness before any level")
@@ -377,7 +411,8 @@ def _replay_certificate_records(spec, header, body):
                 raise ReplayError("closing section before any level")
             closed = exec_.extend_steps(
                 _steps_from_records(spec, steps, len(exec_.initial.procs)))
-            if len(closed.written_registers()) != meta["registers_written"]:
+            if len(closed.written_registers()) != _count(meta, "registers_written",
+                                                         "closing block write"):
                 raise ReplayError("closing block write register count mismatch")
     if levels == 0 or checked_witnesses < 2 * levels:
         raise ReplayError("certificate is missing levels or witnesses")

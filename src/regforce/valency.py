@@ -498,13 +498,6 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
     return ValencyReport(zero=tris[0], one=tris[1], mode=mode, units=units, m=m, depth=depth)
 
 
-def require_known(report: ValencyReport, what: str) -> str:
-    cls = report.classify()
-    if cls == "unknown":
-        raise InconclusiveError(f"valency of {what} unknown at depth {report.depth}")
-    return cls
-
-
 # -- the constructive reserving procedure -----------------------------------
 
 @dataclass

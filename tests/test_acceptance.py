@@ -118,8 +118,11 @@ def test_criterion_2_violation_soundness(tmp_path):
     for name, r_target in (("of-race-3", 1), ("of-race-5", 1), ("of-race-5", 2)):
         spec = zoo.get_zoo(name)
         n = (r_target - 1) * r_target // 2 + 2
-        verdict = oracle_check(spec, [0] + [1] * (n - 1), depth=40)
+        # two-process sweeps close the reachable space; the three-process
+        # of-race-5 sweep is truncated at depth 40, a bounded check only
+        verdict = oracle_check(spec, [0] + [1] * (n - 1), depth=100 if n == 2 else 40)
         assert verdict.agreement == "ok" and verdict.validity == "ok"
+        assert n > 2 or not verdict.truncated
         out = sqrt_run(spec, r_target, 64)
         if isinstance(out, ViolationReport):
             false_positive = True

@@ -88,6 +88,31 @@ def test_attack_linear_chain(tmp_path):
     assert replay.returncode == 0
 
 
+# (exit code, SHA-256 of the JSON list [stdout, stderr, --out file text]) of
+# `attack linear zoo:<name> --m <m>`: the scan may be restructured, its
+# verdicts, reasons and certificates may not change
+ATTACK_LINEAR_PINS = {
+    ("claim-commit", 1): (3, "f45ddededd8de28b216dc0b7f32a7534cde28a4e0c3e29d70d5fd3ce47f72295"),
+    ("claim-commit", 2): (0, "c6e1aa20499b57d0d92e2d07bcbeea18fa63b7576c095d2ba12d5ed7a2cba613"),
+    ("claim-commit", 3): (2, "a3fa5e727b9fcf2b5ce488de883da09ef19fcd6bbd60db18abaf74f747476f61"),
+    ("one-register-flag", 1): (0, "f10f0e826175df80a96c3de4f065fde5041ab8e170971f9fa70a55a1b86b1165"),
+    ("one-register-flag", 2): (2, "9cdb138bb448b325dfd7ee0a18cb83684e7cb72f751efae2351aae6dca8ea80f"),
+    ("of-race-3", 1): (3, "0ae33f1d54a3cc85e3c900efe16409fa553c30833de80b1cac4646e9594d2438"),
+    ("constant-decider", 1): (2, "ae957e4075d1c40262b20e4be3adfc39450dc5bb38619393660952649cdb1107"),
+    ("trivial-decider", 1): (2, "899f73be85bc3a181c9c5645bcf625a08f3acb8479a01c15094080055abe1ce6"),
+    ("spin-reader", 1): (2, "b6b4a9c59d064cfebcd9a092c3a7b3757d3464feae79307bee90af0b52c29ace"),
+}
+
+
+def test_attack_linear_outputs_are_pinned(tmp_path):
+    for (name, m), (code, digest) in ATTACK_LINEAR_PINS.items():
+        target = tmp_path / f"{name}-{m}.jsonl"
+        out = run_cli("attack", "linear", f"zoo:{name}", "--m", str(m), "--out", str(target))
+        blob = json.dumps([out.stdout, out.stderr, target.read_text()])
+        assert (out.returncode, hashlib.sha256(blob.encode()).hexdigest()) \
+            == (code, digest), (name, m, out.stderr)
+
+
 def test_attack_linear_inconclusive_exits_three():
     out = run_cli("attack", "linear", "zoo:of-race-3", "--m", "1")
     assert out.returncode == 3
@@ -108,28 +133,54 @@ def test_inconclusive_out_file_replays(tmp_path):
 def test_parse_error_exits_one(tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("algorithm x\nwhat even is this\n")
-    out = run_cli("check", str(bad))
-    assert out.returncode == 1
-    assert "error" in out.stderr
+    # an inconclusive run's file holds no trace; a header's inputs are no bits
+    empty, mistyped = tmp_path / "empty.jsonl", tmp_path / "mistyped.jsonl"
+    assert run_cli("attack", "linear", "zoo:of-race-3", "--m", "1",
+                   "--out", str(empty)).returncode == 3
+    assert run_cli("check", "zoo:trivial-decider", "--out", str(mistyped)).returncode == 2
+    records = [json.loads(line) for line in mistyped.read_text().splitlines()]
+    records[0]["inputs"] = "01"
+    mistyped.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    cases = [["check", str(bad)]]
+    cases += [["check", "zoo:of-race-3", "--inputs", bits] for bits in ("2", "", "0a")]
+    cases += [["valency", "zoo:of-race-3", "--inputs", bits] for bits in ("2", "", "0a")]
+    cases += [["valency", "zoo:of-race-3", "--set", pids] for pids in ("0,9", "0,a", "-1")]
+    cases += [["attack", "sqrt", "zoo:of-race-3", "--target-r", "-1"]]
+    cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
+    for args in cases:
+        out = run_cli(*args)
+        assert out.returncode == 1, args
+        assert "error" in out.stderr and "Traceback" not in out.stderr, args
 
 
 def test_replay_of_a_non_object_record_exits_one(tmp_path):
     bad = tmp_path / "bad.jsonl"
-    report = tmp_path / "report.jsonl"
-    assert run_cli("check", "zoo:trivial-decider", "--inputs", "01",
-                   "--out", str(report)).returncode == 2
-    records = [json.loads(line) for line in report.read_text().splitlines()]
+    files = {}
+    for name, code, args in (
+            ("report", 2, ("check", "zoo:trivial-decider", "--inputs", "01")),
+            ("sqrt", 0, ("attack", "sqrt", "zoo:of-race-3", "--target-r", "1")),
+            ("linear", 0, ("attack", "linear", "zoo:one-register-flag", "--m", "1"))):
+        target = tmp_path / f"{name}.jsonl"
+        assert run_cli(*args, "--out", str(target)).returncode == code
+        files[name] = [json.loads(line) for line in target.read_text().splitlines()]
 
-    def mistyped(index, field, value):
-        edited = [dict(rec) for rec in records]
-        edited[index][field] = value
+    def mistyped(name, record, field, value):
+        # the first `record` record of the file gets `field` = `value`
+        edited = [dict(rec) for rec in files[name]]
+        next(rec for rec in edited if rec["record"] == record)[field] = value
         return "".join(json.dumps(rec) + "\n" for rec in edited)
 
     # a record that is no object, a header whose algorithm text is no string,
     # header inputs that are no list of bits, and a step whose pid is no pid
     cases = ["[1]\n", '{"record":"header","algorithm_text":5}\n']
-    cases += [mistyped(0, "inputs", value) for value in ("01", [0, 7], None)]
-    cases += [mistyped(2, "pid", value) for value in ("a", 2)]
+    cases += [mistyped("report", "header", "inputs", value) for value in ("01", [0, 7], None)]
+    cases += [mistyped("report", "step", "pid", value) for value in ("a", 2)]
+    # certificate levels whose counts or register lists are mistyped
+    cases += [mistyped("sqrt", "level", field, value) for field, value in
+              (("r", "x"), ("r", None), ("budget", "2"), ("R", 5), ("R", [[0]]))]
+    cases += [mistyped("linear", "level", field, value) for field, value in
+              (("r", -1), ("R_s", 5), ("R_c", [None]))]
+    cases += [mistyped("linear", "closing-block-write", "registers_written", "1")]
     for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))

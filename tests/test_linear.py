@@ -6,15 +6,16 @@ from regforce.model import Write, enabled_actions, initial_configuration
 from regforce.oracle import replay_violation
 from regforce.pairs import PairLedger, pair_step, split_pair
 from regforce.reports import Inconclusive, LinearChainCertificate, ViolationReport
+from regforce import linear_attack
 from regforce.linear_attack import (
     LinearLevel,
     _Assembly,
-    _Orientation,
     _find_flip,
     _finish_switch,
+    _orient_and_split,
     _repair_stale,
-    _resolve_orientation,
-    check_alpha_outside,
+    _scan,
+    _step_oriented,
     corollary_finish,
     expected_pairs,
     gamma_c,
@@ -25,7 +26,7 @@ from regforce.linear_attack import (
     verify_properties,
 )
 from regforce.model import ContradictionError
-from regforce.valency import is_reserving
+from regforce.valency import Tri, ValencyReport, is_reserving
 
 
 def test_base_level_counts_m1(flag):
@@ -182,45 +183,41 @@ def test_find_flip_locates_first_adjacent_change():
         _find_flip(reports[:2], "1-univalent", "0-univalent")
 
 
+def _claim_commit_level_one():
+    """The mirrored level-1 state of the two-stage flag at m=2: (level, pool
+    ids, orientation, index of the scanned witness's first outside write)."""
+    spec = zoo.get_zoo("claim-commit")
+    level0 = linear_base(spec, m=2, depth=64)
+    level1 = linear_step(level0, depth=64)
+    assert level1.covered_regs == (0,) and level1.split_regs == ()
+    t_ids = level1.pool_ids()
+    orient, split_at = _orient_and_split(level1, t_ids, 64)
+    assert orient.sd == 1  # the covering write pins the pool toward 0
+    # the scanned 1-witness claims the covered register and is poised to
+    # commit: its first outside write targets the commit register
+    assert orient.scanned.moves[split_at][1] == Write(1, "1", "DONE1")
+    return level1, t_ids, orient, split_at
+
+
 def test_finish_switch_builds_a_verified_level():
     """Drive the duplication/composition finisher directly on a real level
     state: the mirrored level-1 scan of the two-stage flag, pinned at the
     prefix where the covering block write flips the pool's reachable value."""
-    spec = zoo.get_zoo("claim-commit")
-    level0 = linear_base(spec, m=2, depth=64)
-    level1 = linear_step(level0, depth=64)
-    assert level1.covered_regs == (0,)
-    t_ids = level1.pool_ids()
-    orient = _resolve_orientation(level1, t_ids, 64)
-    assert orient.sd == 1  # the covering write pins the pool toward 0
-
-    # the scanned 1-witness claims the covered register and is poised to
-    # commit: its first outside write targets the commit register
-    out = check_alpha_outside(level1, depth=64)
-    pre_moves, wp_unit, wp_action, _post = out
-    assert wp_action.reg == 1
+    level1, t_ids, orient, split_at = _claim_commit_level_one()
+    wp_unit, wp_action = orient.scanned.moves[split_at]
     exec_now = level1.exec
-    for unit, action in pre_moves:
+    for unit, action in orient.scanned.moves[:split_at]:
         exec_now = exec_now.extend(unit[0], action).extend(unit[1], action)
 
     # treat the covering block write as the flip step o: one step beyond the
     # prefix the pool is univalent the other way
-    o_pair = level1.cover[0]
-    o_action = level1.cover_actions[0]
+    o_step = ("split", level1.cover[0], level1.cover_actions[0])
     assembly = _Assembly(
         case_tag="2.2", exec_now=exec_now, ledger_now=level1.ledger,
-        reg=wp_action.reg, wp_unit=wp_unit, wp_action=wp_action,
-        new_split_cover={}, kept_cover={0: o_pair},
-        kept_actions={0: o_action}, match_regs=[], force_reg=True,
-        repair_regs=[],
+        wp_unit=wp_unit, wp_action=wp_action,
+        touched=frozenset(), wp_done=False, split_now=(),
     )
-
-    def run_o(exec3, ledger3):
-        from regforce.pairs import split_pair as sp
-        return sp(exec3, ledger3, o_pair, o_action)
-
-    new = _finish_switch(level1, orient, t_ids, assembly, o_pair, o_action,
-                         run_o, flip_side=1, depth=64)
+    new = _finish_switch(level1, orient, t_ids, assembly, o_step, flip_side=1, depth=64)
     assert isinstance(new, LinearLevel)
     assert new.r == 2 and new.case_tag == "2.2"
     assert len(new.pair_ids) == expected_pairs(2, 2) == 20
@@ -228,6 +225,82 @@ def test_finish_switch_builds_a_verified_level():
     assert len(new.q_ids) == 2 + 1  # the univalent side
     assert len(new.p_ids) == 2 + 3  # spare units plus the two duplicates
     assert all(ok for _, ok, _ in verify_properties(new))
+
+
+def _report(label, units=(), m=2, depth=64, mode="reserving"):
+    zero, one = {"0-univalent": ("proven", "refuted"),
+                 "1-univalent": ("refuted", "proven")}[label]
+    return ValencyReport(Tri(zero), Tri(one), mode, tuple(units), m, depth)
+
+
+def _scripted_valency(monkeypatch, labels):
+    """Make the scan's valency queries answer `labels` in order; returns the
+    list of labels not yet asked for."""
+    queue = list(labels)
+
+    def scripted(spec, config, units, m, depth, mode):
+        return _report(queue.pop(0), units, m, depth, mode)
+
+    monkeypatch.setattr(linear_attack, "valency", scripted)
+    return queue
+
+
+def test_scripted_flips_reach_the_switch_finisher(monkeypatch):
+    """No zoo subject reaches the X.2 branches, so script the pool's valency
+    along real scans and check what the flip hands to `_finish_switch`."""
+    level1, t_ids, orient, split_at = _claim_commit_level_one()
+    moves = orient.scanned.moves
+    captured = []
+    monkeypatch.setattr(linear_attack, "_finish_switch",
+                        lambda *args, **kwargs: captured.append((args, kwargs)) or "switch")
+
+    def run_pairs(upto):
+        exec_ = level1.exec
+        for unit, action in moves[:upto]:
+            exec_ = exec_.extend(unit[0], action).extend(unit[1], action)
+        return exec_
+
+    def pair_id(unit):
+        return level1.ledger.pair_of(unit[0]).pair_id
+
+    # case 1: the pool can still return 0 after the prefix; the poised write
+    # flips it to 1, so the witness tail's first step is the flip step
+    left = _scripted_valency(monkeypatch, ["0-univalent", "1-univalent", "1-univalent"])
+    assert _step_oriented(level1, orient, split_at, t_ids, 64) == "switch"
+    (_, _, _, assembly, o_step), kwargs = captured.pop()
+    assert left == [] and assembly.case_tag == "1.2"
+    assert o_step == ("pair", pair_id(moves[split_at][0]), moves[split_at][1])
+    assert kwargs["flip_side"] == 0 and not assembly.wp_done
+    assert assembly.exec_now == run_pairs(split_at)
+
+    # a pair plan from the first claim on: the flip at prefix 2 is the other
+    # unit's claim, after the poised write was taken
+    plan = [("pair", pair_id(unit), action) for unit, action in moves[3:]]
+    _scripted_valency(monkeypatch, ["0-univalent"] * 2 + ["1-univalent"] * 4)
+    assert _scan(level1, orient, t_ids, 3, run_pairs(3), _report("0-univalent"), plan,
+                 "1", "pair-step", 0, 64) == "switch"
+    (_, _, _, assembly, o_step), kwargs = captured.pop()
+    assert assembly.case_tag == "1.2" and o_step == plan[2]
+    assert isinstance(o_step[2], Write) and o_step[2].value == "1"
+    assert kwargs["flip_side"] == 0 and assembly.wp_done
+    assert assembly.exec_now == run_pairs(5)
+
+    # the same plan flipping across a read: the pool cannot tell the sides apart
+    _scripted_valency(monkeypatch, ["0-univalent"] + ["1-univalent"] * 5)
+    with pytest.raises(ContradictionError, match="cannot observe"):
+        _scan(level1, orient, t_ids, 3, run_pairs(3), _report("0-univalent"), plan,
+              "1", "pair-step", 0, 64)
+    assert captured == []
+
+    # case 2: the pool is 1-univalent after the prefix; the cleanup plan is the
+    # one covering write, which flips it to 0
+    _scripted_valency(monkeypatch, ["1-univalent", "0-univalent"])
+    assert _step_oriented(level1, orient, split_at, t_ids, 64) == "switch"
+    (_, _, _, assembly, o_step), kwargs = captured.pop()
+    assert assembly.case_tag == "2.2"
+    assert o_step == ("split", level1.cover[0], level1.cover_actions[0])
+    assert kwargs["flip_side"] == 1 and not assembly.wp_done
+    assert assembly.split_now == () and assembly.exec_now == run_pairs(split_at)
 
 
 # -- stale repair ---------------------------------------------------------------
@@ -252,10 +325,9 @@ def test_stale_repair_unites_colliding_pair(flag):
     # the extension overwrites r0 again via the third pair's lockstep write
     ext, led = pair_step(exec_, ledger, 2, writes[2])
     assembly = _Assembly(
-        case_tag="1.1", exec_now=ext, ledger_now=led, reg=0,
+        case_tag="1.1", exec_now=ext, ledger_now=led,
         wp_unit=(4, 5), wp_action=writes[2],
-        new_split_cover={}, kept_cover={}, kept_actions={},
-        match_regs=[0], force_reg=False, repair_regs=[0],
+        touched=frozenset({0}), wp_done=True, split_now=(),
     )
     before = ext.final
     repaired, led2 = _repair_stale(level, assembly, marker)
@@ -268,10 +340,9 @@ def test_stale_repair_unites_colliding_pair(flag):
     assert indistinguishable(before, repaired.final, others)
     # no collision: nothing inserted
     assembly2 = _Assembly(
-        case_tag="1.1", exec_now=ext, ledger_now=led, reg=0,
+        case_tag="1.1", exec_now=ext, ledger_now=led,
         wp_unit=(4, 5), wp_action=writes[2],
-        new_split_cover={}, kept_cover={}, kept_actions={},
-        match_regs=[], force_reg=False, repair_regs=[],
+        touched=frozenset(), wp_done=True, split_now=(),
     )
     same, _ = _repair_stale(level, assembly2, marker)
     assert same.steps == ext.steps
@@ -324,7 +395,7 @@ def test_gamma_s_restores_the_level_contents(flag):
 
 def test_check_alpha_outside_confined_witness(trivial):
     level = linear_base(trivial, m=1, depth=8)
-    out = check_alpha_outside(level, depth=8)
+    out = _orient_and_split(level, level.pool_ids(), depth=8)
     assert isinstance(out, ViolationReport) and out.kind == "agreement"
     ok, detail = replay_violation(out)
     assert ok, detail
@@ -332,10 +403,10 @@ def test_check_alpha_outside_confined_witness(trivial):
 
 def test_check_alpha_outside_reports_first_outside_write(flag):
     level = linear_base(flag, m=1, depth=32)
-    out = check_alpha_outside(level, depth=32)
-    pre_moves, wp_unit, wp_action, post_moves = out
+    orient, split_at = _orient_and_split(level, level.pool_ids(), depth=32)
+    wp_unit, wp_action = orient.scanned.moves[split_at]
     assert wp_action.reg == 0  # first write lands outside the empty set
-    assert all(not isinstance(a, Write) for _, a in pre_moves)
+    assert all(not isinstance(a, Write) for _, a in orient.scanned.moves[:split_at])
     assert wp_unit in [level.unit(i) for i in level.p_ids]
 
 

@@ -40,14 +40,15 @@ def test_broken_intents_reverified_by_oracle(name, inputs, expect):
 
 
 @pytest.mark.parametrize("name,inputs,depth", [
-    ("of-race-3", [0, 1], 40),
-    ("of-race-3", [0, 0], 40),
-    ("of-race-3", [1, 1], 40),
-    ("of-race-5", [0, 1], 25),
+    ("of-race-3", [0, 1], 60),
+    ("of-race-3", [0, 0], 60),
+    ("of-race-3", [1, 1], 60),
+    ("of-race-5", [0, 1], 100),
 ])
 def test_intended_correct_entries_certify_at_documented_scale(name, inputs, depth):
+    # the sweep closes the reachable space, so `ok` certifies every execution
     verdict = oracle_check(zoo.get_zoo(name), inputs, depth=depth)
-    assert verdict.ok
+    assert verdict.ok and not verdict.truncated
 
 
 def test_of_race_generator_parameter_sweep():
