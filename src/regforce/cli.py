@@ -227,6 +227,9 @@ def _cmd_zoo(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # a negative search budget would read as "no run exists"
+        if getattr(args, "depth", 0) < 0:
+            raise UsageError(f"--depth must be nonnegative, got {args.depth}")
         if args.command == "check":
             code = _cmd_check(args)
         elif args.command == "attack":

@@ -19,7 +19,6 @@ from .model import (
     Proc,
     Read,
     Write,
-    enabled_actions,
     initial_configuration,
     step_with_outcome,
 )
@@ -138,36 +137,6 @@ def add_process(exec_: Execution, input_bit: int):
     final = Configuration(exec_.final.registers, exec_.final.procs + (entry,))
     pid = len(initial.procs) - 1
     return Execution(exec_.spec, initial, exec_.steps, final), pid
-
-
-def block_write(exec_: Execution, writers: Sequence) -> Execution:
-    """One write per (pid, register[, value]) entry; registers pairwise distinct.
-
-    Each pid must be poised to write its register; with nondeterministic
-    choice the first matching enabled write (declaration order) is taken,
-    or the unique one matching the given value.
-    """
-    regs = [w[1] for w in writers]
-    if len(set(regs)) != len(regs):
-        raise ValueError(f"duplicate registers in block write: {sorted(regs)}")
-    out = exec_
-    for entry in writers:
-        pid, reg = entry[0], entry[1]
-        want_value = entry[2] if len(entry) > 2 else None
-        action = poised_write(out, pid, reg, want_value)
-        if action is None:
-            raise ValueError(f"pid {pid} does not cover r{reg}" +
-                             (f" with value {want_value!r}" if want_value else ""))
-        out = out.extend(pid, action)
-    return out
-
-
-def poised_write(exec_: Execution, pid: int, reg: int, value: Optional[str] = None):
-    for action in enabled_actions(exec_.spec, exec_.final, pid):
-        if isinstance(action, Write) and action.reg == reg:
-            if value is None or action.value == value:
-                return action
-    return None
 
 
 def indistinguishable(c1: Configuration, c2: Configuration, who: Iterable[int]) -> bool:

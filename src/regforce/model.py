@@ -84,9 +84,6 @@ class AlgorithmSpec:
         except KeyError:
             raise EngineError(f"undefined state {state!r}") from None
 
-    def action_index(self, state: str, action: Action) -> int:
-        return self.actions(state).index(action)
-
     @functools.cached_property
     def tables(self) -> "SpecTables":
         """The integer form the exhaustive searches run on, compiled on
@@ -193,10 +190,6 @@ def step_with_outcome(spec: AlgorithmSpec, config: Configuration, pid: int, acti
         return Configuration(tuple(regs), tuple(procs)), None
     procs[pid] = Proc(p.input, p.state, action.decision)
     return Configuration(config.registers, tuple(procs)), None
-
-
-def apply_step(spec: AlgorithmSpec, config: Configuration, pid: int, action: Action) -> Configuration:
-    return step_with_outcome(spec, config, pid, action)[0]
 
 
 def proc_key(p: Proc) -> tuple:

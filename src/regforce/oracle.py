@@ -315,7 +315,7 @@ def replay_violation(report: ViolationReport) -> tuple:
     if report.kind == "solo-termination":
         if not report.stuck_pids:
             return False, "no stuck process identified"
-        depth = report.depth or 64
+        depth = 64 if report.depth is None else report.depth
         for pid in report.stuck_pids:
             search = _Search(replayed.spec, [(pid,)], None, coverage=False)
             if not unit_active(replayed.final, (pid,)):

@@ -353,6 +353,7 @@ def _replay_violation_records(spec, header, body):
                       if meta and meta["record"] == "violation")
     counter = [(meta, steps) for meta, steps in sections
                if meta and meta["record"] == "counter"]
+    depth = None if vio.get("depth") is None else _count(vio, "depth", "violation")
     initial = initial_configuration(spec, _inputs(header, "header"))
     pids = len(initial.procs)
     trace = Execution.from_steps(spec, initial, _steps_from_records(spec, main_steps, pids))
@@ -363,7 +364,7 @@ def _replay_violation_records(spec, header, body):
     report = ViolationReport(
         kind=vio["kind"], trace=trace, evidence=vio.get("evidence") or {},
         counter_trace=counter_trace, prefix_len=vio.get("prefix_len"),
-        stuck_pids=tuple(vio.get("stuck_pids") or ()), depth=vio.get("depth"),
+        stuck_pids=tuple(vio.get("stuck_pids") or ()), depth=depth,
     )
     confirmed, detail = replay_violation(report)
     if not confirmed:

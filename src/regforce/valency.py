@@ -13,17 +13,44 @@ moves in lockstep and counts as a single process.
 The reserving and solo DFS (`_Search`) runs on the integer tables a spec
 compiles on first use (`AlgorithmSpec.tables`), not on `Configuration`s.  Its
 state is a list of unit state ids, the register contents and a bitmask of the
-registers written so far.  The memo key `(state ids, registers, written)`
-maps one to one onto (state names, registers, written set), so memo hits,
-cutoffs and the first witness found are those of the same search over the
-dataclass model.  A pair is checked in sync once, at the root.  It cannot
-diverge afterwards: the clone repeats the leader's action on the register
-contents the leader left, so a read sees the value the leader saw and a write
-stores the value the leader stored, and both land in the same state.  The
-coverage test matches the written registers to the units' cover bitmasks and
-is memoised on (sorted masks, written).  Witness steps are built afterwards by
+registers written so far.  The exact memo key `(state ids, registers,
+written)` maps one to one onto (state names, registers, written set); a node
+is entered at most once per budget, and a revisit with no larger budget is
+pruned.  A pair is checked in sync once, at the root.  It cannot diverge
+afterwards: the clone repeats the leader's action on the register contents
+the leader left, so a read sees the value the leader saw and a write stores
+the value the leader stored, and both land in the same state.  The coverage
+test matches the written registers to the units' cover bitmasks and is
+memoised on (sorted masks, written).  Witness steps are built afterwards by
 the model's own step semantics (`materialize`), which re-checks every pair's
 lockstep outcome.
+
+A search over more than one unit also prunes by symmetry.  Units are
+anonymous: a unit's moves (its table row) and its cover mask depend only on
+its state, and a pair moves as one process.  The goal (a return of the target
+decision after which the other units still cover the written registers) and
+the coverage test on every move depend only on the registers, the written set
+and the multiset of unit states, so they are invariant under permuting the
+units.  Permuting the units of a node permutes its runs: a run of at most b
+moves exists from a node iff one exists from every node of its symmetry class
+`(sorted state ids, registers, written)`.
+
+A node whose exploration failed with budget b found no run except through
+nodes that were still open, and every node its search skipped was open or had
+failed with at least its budget.  So a class memo written only on failure may
+prune a later node of that class with budget at most b: whether a run exists
+is unchanged, and a search that finds none without hitting its depth bound
+still proves that none exists at any depth.  Open nodes stay exact-keyed.
+Pruning a node because an isomorphic ancestor is still on the stack skips
+runs the unpruned search finds first, and so changes the witness.  Solo
+searches have one unit and no symmetry, so they keep no class memo.
+
+The argument does not fix which run is found first.  Nor does it fix the
+cutoff flag of a search that finds no run: the class memo can prune every
+node that would hit the depth bound, and then answers "refuted" (soundly)
+where the exact-keyed search answers "unknown".  `tests/test_search_kernel.py`
+checks the witness and the cutoff flag against the exact-keyed dataclass
+reference.
 """
 
 from __future__ import annotations
@@ -182,10 +209,15 @@ class _Search:
         self.target = target
         self.coverage = coverage
         self.memo: dict = {}
+        # symmetry class -> the largest budget its exploration failed at; a
+        # single unit has no symmetry, so its search keeps no class memo
+        self.failed: Optional[dict] = {} if len(self.units) > 1 else None
         self.matchable: dict = {}  # (sorted cover masks, written) -> bool
         self.cutoff = False
 
     def run(self, config: Configuration, depth: int):
+        if depth < 0:
+            raise ValueError(f"negative depth {depth}")
         members = [pid for unit in self.units for pid in unit]
         if len(set(members)) != len(members):
             raise ValueError(f"units {self.units} overlap")
@@ -213,6 +245,11 @@ class _Search:
         key = (tuple(states), regs, written)
         if self.memo.get(key, -1) >= budget:
             return None
+        failed = self.failed
+        if failed is not None:
+            cls = (tuple(sorted(states)), regs, written)
+            if failed.get(cls, -1) >= budget:
+                return None
         self.memo[key] = budget
         if budget <= 0:
             # every unit is active at every node (a return ends the search)
@@ -250,6 +287,8 @@ class _Search:
                     found.append((units[i], action))
                     return found
                 states[i] = s
+        if failed is not None:
+            failed[cls] = budget
         return None
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from regforce import zoo
 from regforce.execution import Execution
-from regforce.model import enabled_actions, initial_configuration
+from regforce.model import Write, enabled_actions, initial_configuration
 
 # no zoo state can both write and return, or holds more than one action; here
 # a returning unit may be the only one covering a written register, and every
@@ -52,3 +52,24 @@ def random_execution(spec, inputs, rng: random.Random, steps: int) -> Execution:
         action = rng.choice(enabled_actions(spec, exec_.final, pid))
         exec_ = exec_.extend(pid, action)
     return exec_
+
+
+def block_write(exec_: Execution, writers) -> Execution:
+    """One write per (pid, register[, value]) entry; registers pairwise distinct.
+
+    Each pid must be poised to write its register; with nondeterministic
+    choice the first matching enabled write (declaration order) is taken,
+    or the unique one matching the given value.
+    """
+    regs = [w[1] for w in writers]
+    if len(set(regs)) != len(regs):
+        raise ValueError(f"duplicate registers in block write: {sorted(regs)}")
+    out = exec_
+    for pid, reg, *value in writers:
+        action = next((a for a in enabled_actions(out.spec, out.final, pid)
+                       if isinstance(a, Write) and a.reg == reg
+                       and (not value or a.value == value[0])), None)
+        if action is None:
+            raise ValueError(f"pid {pid} does not cover r{reg}")
+        out = out.extend(pid, action)
+    return out

@@ -13,7 +13,7 @@ import zlib
 from collections import deque
 
 from regforce import zoo
-from regforce.execution import Execution, add_process, block_write, indistinguishable, mirror_history
+from regforce.execution import Execution, add_process, indistinguishable, mirror_history
 from regforce.linear_attack import linear_run, verify_properties
 from regforce.model import (
     Write,
@@ -28,6 +28,8 @@ from regforce.pairs import PairLedger, pair_step, split_pair, unite_pair
 from regforce.reports import LinearChainCertificate, ViolationReport
 from regforce.sqrt_attack import sqrt_run
 from regforce.valency import construct_reserving, is_reserving, valency
+
+from conftest import block_write
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

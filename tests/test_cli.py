@@ -98,6 +98,7 @@ ATTACK_LINEAR_PINS = {
     ("one-register-flag", 1): (0, "f10f0e826175df80a96c3de4f065fde5041ab8e170971f9fa70a55a1b86b1165"),
     ("one-register-flag", 2): (2, "9cdb138bb448b325dfd7ee0a18cb83684e7cb72f751efae2351aae6dca8ea80f"),
     ("of-race-3", 1): (3, "0ae33f1d54a3cc85e3c900efe16409fa553c30833de80b1cac4646e9594d2438"),
+    ("of-race-3", 3): (0, "4e5b0b48f1938cce58525e35b18663d677853654b5561aaf54f3cd1c76195b5b"),
     ("constant-decider", 1): (2, "ae957e4075d1c40262b20e4be3adfc39450dc5bb38619393660952649cdb1107"),
     ("trivial-decider", 1): (2, "899f73be85bc3a181c9c5645bcf625a08f3acb8479a01c15094080055abe1ce6"),
     ("spin-reader", 1): (2, "b6b4a9c59d064cfebcd9a092c3a7b3757d3464feae79307bee90af0b52c29ace"),
@@ -146,6 +147,9 @@ def test_parse_error_exits_one(tmp_path):
     cases += [["valency", "zoo:of-race-3", "--inputs", bits] for bits in ("2", "", "0a")]
     cases += [["valency", "zoo:of-race-3", "--set", pids] for pids in ("0,9", "0,a", "-1")]
     cases += [["attack", "sqrt", "zoo:of-race-3", "--target-r", "-1"]]
+    cases += [[*command, "--depth", "-1"] for command in (
+        ["check", "zoo:of-race-3"], ["attack", "sqrt", "zoo:of-race-3", "--target-r", "1"],
+        ["attack", "linear", "zoo:of-race-3", "--m", "1"], ["valency", "zoo:of-race-3"])]
     cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
     for args in cases:
         out = run_cli(*args)
@@ -187,6 +191,24 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
         assert out.returncode == 1
         assert out.stderr.startswith("replay error:")
         assert "Traceback" not in out.stderr
+
+
+def test_replay_checks_the_stored_search_depth(tmp_path):
+    # spin-reader never returns: its report holds at depth 64, not at depth 0
+    report = tmp_path / "stuck.jsonl"
+    assert run_cli("check", "zoo:spin-reader", "--out", str(report)).returncode == 2
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    vio = next(rec for rec in records if rec["record"] == "violation")
+    assert (vio["kind"], vio["depth"]) == ("solo-termination", 64)
+    assert run_cli("replay", str(report)).returncode == 0
+    for depth, error in ((-1, "depth is not a nonnegative integer"),
+                         ("5", "depth is not a nonnegative integer"),
+                         (0, "search hit the depth bound")):
+        vio["depth"] = depth
+        report.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = run_cli("replay", str(report))
+        assert out.returncode == 1, depth
+        assert out.stderr.startswith("replay error:") and error in out.stderr, depth
 
 
 def test_valency_query():

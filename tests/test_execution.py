@@ -6,7 +6,6 @@ from regforce.execution import (
     Execution,
     Step,
     add_process,
-    block_write,
     indistinguishable,
     insert_step,
     mirror_history,
@@ -19,7 +18,7 @@ from regforce.model import (
     enabled_actions,
     initial_configuration,
 )
-from conftest import random_execution
+from conftest import block_write, random_execution
 
 
 def start(spec, inputs):

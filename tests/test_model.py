@@ -9,12 +9,12 @@ from regforce.model import (
     Return,
     SpecError,
     Write,
-    apply_step,
     canonicalize,
     enabled_actions,
     format_algorithm,
     initial_configuration,
     load_algorithm,
+    step_with_outcome,
 )
 
 TRIVIAL = zoo.TRIVIAL_DECIDER
@@ -166,7 +166,7 @@ def test_enabled_actions_empty_iff_returned():
     spec = load_algorithm(TRIVIAL)
     config = initial_configuration(spec, [0])
     assert enabled_actions(spec, config, 0) == (Return(0),)
-    done = apply_step(spec, config, 0, Return(0))
+    done = step_with_outcome(spec, config, 0, Return(0))[0]
     assert enabled_actions(spec, done, 0) == ()
     with pytest.raises(ValueError):
         enabled_actions(spec, config, 5)
@@ -177,7 +177,7 @@ def test_apply_step_read_of_bottom_follows_bottom_branch():
     config = initial_configuration(spec, [0])
     read = enabled_actions(spec, config, 0)[0]
     assert isinstance(read, Read)
-    after = apply_step(spec, config, 0, read)
+    after = step_with_outcome(spec, config, 0, read)[0]
     assert after.procs[0].state == "PUT0"
     assert after.registers == config.registers
 
@@ -185,10 +185,10 @@ def test_apply_step_read_of_bottom_follows_bottom_branch():
 def test_apply_step_write_updates_register():
     spec = zoo.get_zoo("one-register-flag")
     config = initial_configuration(spec, [1])
-    config = apply_step(spec, config, 0, enabled_actions(spec, config, 0)[0])
+    config = step_with_outcome(spec, config, 0, enabled_actions(spec, config, 0)[0])[0]
     write = enabled_actions(spec, config, 0)[0]
     assert isinstance(write, Write)
-    after = apply_step(spec, config, 0, write)
+    after = step_with_outcome(spec, config, 0, write)[0]
     assert after.registers == ("1",)
 
 
@@ -196,8 +196,8 @@ def test_same_state_processes_move_identically():
     spec = zoo.get_zoo("of-race-3")
     config = initial_configuration(spec, [0, 0])
     action = enabled_actions(spec, config, 0)[0]
-    a = apply_step(spec, config, 0, action)
-    b = apply_step(spec, config, 1, action)
+    a = step_with_outcome(spec, config, 0, action)[0]
+    b = step_with_outcome(spec, config, 1, action)[0]
     assert a.procs[0].state == b.procs[1].state
 
 
@@ -205,7 +205,7 @@ def test_apply_step_rejects_non_enabled_action():
     spec = load_algorithm(TRIVIAL)
     config = initial_configuration(spec, [0])
     with pytest.raises(ValueError):
-        apply_step(spec, config, 0, Return(1))
+        step_with_outcome(spec, config, 0, Return(1))
 
 
 def test_canonicalize_is_pid_permutation_invariant():
@@ -218,12 +218,12 @@ def test_canonicalize_is_pid_permutation_invariant():
 def test_canonicalize_sees_registers_and_decisions():
     spec = zoo.get_zoo("one-register-flag")
     base = initial_configuration(spec, [0, 1])
-    stepped = apply_step(spec, base, 0, enabled_actions(spec, base, 0)[0])
+    stepped = step_with_outcome(spec, base, 0, enabled_actions(spec, base, 0)[0])[0]
     assert canonicalize(base) != canonicalize(stepped)
 
     trivial = load_algorithm(TRIVIAL)
     c = initial_configuration(trivial, [0])
-    returned = apply_step(trivial, c, 0, Return(0))
+    returned = step_with_outcome(trivial, c, 0, Return(0))[0]
     assert canonicalize(c) != canonicalize(returned)
 
 
@@ -235,6 +235,6 @@ def test_replay_determinism_same_steps_same_result():
         a1 = enabled_actions(spec, c1, pid)[0]
         a2 = enabled_actions(spec, c2, pid)[0]
         assert a1 == a2
-        c1 = apply_step(spec, c1, pid, a1)
-        c2 = apply_step(spec, c2, pid, a2)
+        c1 = step_with_outcome(spec, c1, pid, a1)[0]
+        c2 = step_with_outcome(spec, c2, pid, a2)[0]
     assert c1 == c2

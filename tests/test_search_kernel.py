@@ -1,11 +1,24 @@
 """The packed search kernel against the dataclass reference search.
 
-Both must return identical `(moves, cutoff)` on every input: the memo key of
-the kernel is a bijection of the reference's, so even the witness found first
-and the cutoff flag agree.  The single any-decision DFS of `solo_terminating`
-must agree with the reference's two single-decision searches.
+The kernel's exact memo key is a bijection of the reference's.  A multi-unit
+kernel search also prunes a node whose symmetry class (sorted unit states,
+registers, written set) already failed with at least its budget.  By the
+argument in the `valency` docstring that keeps whether a run exists, but not
+by itself which run is found first or the cutoff flag of a search that finds
+none, so:
+- on every case of `_cases()` both return identical `(moves, cutoff)`;
+- permuting which unit holds which state keeps whether a run exists, and a
+  "refuted" answer holds for every permutation (the cutoff flag depends on
+  the visit order, in the reference too);
+- hand-made specs fail if the class key drops the registers or the written
+  set, and a guard fails if the class pruning is removed;
+- where the kernel answers "refuted" and the reference "unknown", the
+  oracle confirms the refutation.
+The single any-decision DFS of `solo_terminating` must agree with the
+reference's two single-decision searches.
 """
 
+import dataclasses
 import itertools
 import random
 import zlib
@@ -13,7 +26,8 @@ import zlib
 import pytest
 
 from regforce import zoo
-from regforce.model import initial_configuration, load_algorithm
+from regforce.model import Configuration, Proc, initial_configuration, load_algorithm
+from regforce.oracle import oracle_valency
 from regforce.valency import (
     InconclusiveError,
     _Search,
@@ -84,11 +98,127 @@ def test_kernel_matches_reference_on_every_zoo_spec():
     assert all(outcomes.values()), outcomes
 
 
+def _permuted(config, units, order):
+    """`config` with unit `units[i]` moved to the state of `units[order[i]]`."""
+    procs = list(config.procs)
+    for unit, source in zip(units, order):
+        state = config.proc(units[source][0]).state
+        for pid in unit:
+            procs[pid] = dataclasses.replace(procs[pid], state=state)
+    return Configuration(config.registers, tuple(procs))
+
+
+def test_outcome_is_the_same_for_every_permutation_of_unit_states():
+    outcomes = {"found": 0, "refuted": 0}
+    for spec, config, active in _cases():
+        if len(active) < 2:
+            continue
+        orders = list(itertools.permutations(range(len(active))))
+        for target in (0, 1, None):
+            for coverage in (False, True):
+                for depth in DEPTHS:
+                    runs = [_Search(spec, active, target, coverage).run(
+                        _permuted(config, active, order), depth) for order in orders]
+                    found = {moves is not None for moves, _ in runs}
+                    assert len(found) == 1, (spec.name, config, active, target, coverage, depth)
+                    # the cutoff flag depends on the visit order, in the
+                    # reference too; "refuted" must hold for every permutation
+                    if not any(found) and not all(cut for _, cut in runs):
+                        assert all(_Search(spec, active, target, coverage).run(
+                            _permuted(config, active, order), 2 * max(DEPTHS))[0] is None
+                            for order in orders), (spec.name, config, active, target, depth)
+                        outcomes["refuted"] += 1
+                    outcomes["found"] += any(found)
+    assert all(outcomes.values()), outcomes
+
+
+def test_class_memo_prunes_multi_unit_searches_only():
+    # with exact keys alone the kernel enters exactly the reference's nodes
+    kernel_nodes = reference_nodes = 0
+    for spec, config, active in _cases():
+        assert _Search(spec, active[:1], None, True).failed is None
+        if len(active) < 2:
+            continue
+        for target in (0, 1, None):
+            for coverage in (False, True):
+                for depth in DEPTHS:
+                    reference = ReferenceSearch(spec, active, target, coverage, m=None)
+                    kernel = _Search(spec, active, target, coverage)
+                    assert kernel.run(config, depth) == reference.run(config, depth)
+                    kernel_nodes += len(kernel.memo)
+                    reference_nodes += len(reference.memo)
+    assert kernel_nodes < reference_nodes, (kernel_nodes, reference_nodes)
+
+
+# two units, S and the idler X; S reaches T twice, and only the second T wins:
+# with the registers (or the written set) left out of the class key, the
+# first T's failure would prune the second
+REGISTERS_IN_CLASS_KEY = """\
+algorithm registers-in-class-key
+values 1 2
+registers 1
+input 0 -> S
+input 1 -> X
+state S: write r0 := 1 -> T
+state S: write r0 := 2 -> T
+state T: read r0 ? { 2 -> Z ; * -> L }
+state Z: return 0
+state L: return 1
+state X: read r0 ? { * -> X }
+"""
+# r0 already holds 1; after S writes it nobody covers it, so T may not return
+WRITTEN_IN_CLASS_KEY = """\
+algorithm written-in-class-key
+values 1
+registers 1
+input 0 -> S
+input 1 -> X
+state S: write r0 := 1 -> T
+state S: read r0 ? { * -> T }
+state T: return 0
+state T: write r0 := 1 -> L
+state L: return 1
+state X: read r0 ? { * -> X }
+"""
+
+
+def test_class_key_keeps_registers_and_written_set():
+    for text, registers, coverage in ((REGISTERS_IN_CLASS_KEY, ("_",), False),
+                                      (WRITTEN_IN_CLASS_KEY, ("1",), True)):
+        spec = load_algorithm(text)
+        config = Configuration(registers, (Proc(0, "S"), Proc(1, "X")))
+        for depth in (3, 8):
+            moves, _ = _both(spec, config, [(0,), (1,)], 0, coverage, depth)
+            # the run takes S's second action, to the T that wins
+            assert moves[0] == ((0,), spec.actions("S")[1]), (spec.name, moves)
+
+
+def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
+    # found by a wider sweep than `_cases()`: on these claim-commit states the
+    # exact-keyed search hits its depth bound, while the class memo prunes
+    # every node that would and proves no 0-run exists; the oracle agrees
+    spec = zoo.get_zoo("claim-commit")
+    for states, units, depth in (
+            (("CHK1", "CHK1", "CHK1", "CHK1", "CHK1"), [(0, 1), (2, 3), (4,)], 5),
+            (("CHK1", "CHK1", "LOOK0", "LOOK1"), [(0,), (1,), (2,), (3,)], 8)):
+        config = Configuration(("1", "_"), tuple(Proc(pid % 2, state)
+                                                 for pid, state in enumerate(states)))
+        assert ReferenceSearch(spec, units, 0, True, m=None).run(config, depth) == (None, True)
+        assert _Search(spec, units, 0, True).run(config, depth) == (None, False)
+        assert not oracle_valency(spec, config, units, "reserving", m=len(units) - 1)[0]
+
+
+def test_negative_depth_is_refused():
+    spec, config, active = next(_cases())
+    with pytest.raises(ValueError, match="negative depth"):
+        _Search(spec, active, None, True).run(config, -1)
+
+
 def _replay(spec, config, moves):
     """(the (unit, action index) key of each move, the steps) of a solo run."""
     keys, steps = [], []
     for unit, action in moves:
-        keys.append((unit, spec.action_index(unit_state(config, unit)[0], action)))
+        keys.append((unit, spec.actions(unit_state(config, unit)[0]).index(action)))
         config, s = _apply_move(spec, config, unit, action)
         steps.extend(s)
     return tuple(keys), tuple(steps)
