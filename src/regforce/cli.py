@@ -162,8 +162,7 @@ def _cmd_attack(args) -> int:
               f"registers written={outcome.registers_written}", file=sys.stderr)
         return OK
     if isinstance(outcome, ViolationReport):
-        ledger = getattr(outcome, "ledger", None)
-        _emit(traceio.violation_lines(outcome, ledger), args.out)
+        _emit(traceio.violation_lines(outcome), args.out)
         print(f"violation: {outcome.kind}", file=sys.stderr)
         return VIOLATION
     print(f"inconclusive: {outcome.reason}", file=sys.stderr)
@@ -227,9 +226,11 @@ def _cmd_zoo(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # a negative search budget would read as "no run exists"
+        # a negative search budget or m would read as "no run exists"
         if getattr(args, "depth", 0) < 0:
             raise UsageError(f"--depth must be nonnegative, got {args.depth}")
+        if (getattr(args, "m", None) or 0) < 0:
+            raise UsageError(f"--m must be nonnegative, got {args.m}")
         if args.command == "check":
             code = _cmd_check(args)
         elif args.command == "attack":

@@ -1,10 +1,13 @@
 """Executions: step sequences with recorded read outcomes, replay validation,
 block writes, written-register accounting, and trace surgery.
 
-Executions are immutable values; every operation returns a new one.  Any
-surgery (inserting shadow steps, uniting a stale pair mid-trace) rebuilds the
-step list and is revalidated by a full replay - replay is the single source
-of truth.
+Executions are immutable values; every operation returns a new one.  One
+loop steps a trace: `Execution.extend_steps`.  `from_steps` is that loop run
+from the initial configuration and `extend` is it run for one step, so every
+disabled action or diverging read surfaces as an `EngineError` naming the
+absolute step index.  Any surgery (inserting shadow steps, uniting a stale
+pair mid-trace) rebuilds the step list and is revalidated by a full replay -
+replay is the single source of truth.
 """
 
 from __future__ import annotations
@@ -57,29 +60,27 @@ class Execution:
     @classmethod
     def from_steps(cls, spec: AlgorithmSpec, initial: Configuration, steps: Iterable[Step]) -> "Execution":
         """Replay steps from scratch, checking enabledness and read outcomes."""
-        config = initial
-        out = []
-        for i, step in enumerate(steps):
-            config, outcome = _apply_checked(spec, config, step, i)
-            out.append(Step(step.pid, step.action, outcome))
-        return cls(spec, initial, tuple(out), config)
+        return cls.start(spec, initial).extend_steps(steps)
 
     def extend(self, pid: int, action) -> "Execution":
-        config, outcome = step_with_outcome(self.spec, self.final, pid, action)
-        step = Step(pid, action, outcome)
-        return Execution(self.spec, self.initial, self.steps + (step,), config)
+        return self.extend_steps((Step(pid, action),))
 
     def extend_steps(self, steps: Iterable[Step]) -> "Execution":
-        """Append recorded steps, insisting their outcomes reproduce exactly."""
-        exec_ = self
-        for step in steps:
-            exec_ = exec_.extend(step.pid, step.action)
-            got = exec_.steps[-1]
-            if step.outcome is not None and got.outcome != step.outcome:
+        """Append steps, checking that each is enabled and that each recorded
+        read outcome reproduces; errors name the absolute step index."""
+        config = self.final
+        out = []
+        for i, step in enumerate(steps, start=len(self.steps)):
+            try:
+                config, outcome = step_with_outcome(self.spec, config, step.pid, step.action)
+            except ValueError as e:
+                raise EngineError(f"replay failed at step {i}: {e}") from None
+            if step.outcome is not None and outcome != step.outcome:
                 raise EngineError(
-                    f"replay divergence: pid {step.pid} read {got.outcome!r}, recorded {step.outcome!r}"
+                    f"replay divergence at step {i}: read {outcome!r}, recorded {step.outcome!r}"
                 )
-        return exec_
+            out.append(Step(step.pid, step.action, outcome))
+        return Execution(self.spec, self.initial, self.steps + tuple(out), config)
 
     def written_registers(self, start: int = 0, end: Optional[int] = None) -> frozenset:
         """W(e) over steps[start:end]."""
@@ -112,18 +113,6 @@ class Execution:
 
     def __len__(self):
         return len(self.steps)
-
-
-def _apply_checked(spec, config, step: Step, index: int):
-    try:
-        config, outcome = step_with_outcome(spec, config, step.pid, step.action)
-    except ValueError as e:
-        raise EngineError(f"replay failed at step {index}: {e}") from None
-    if step.outcome is not None and outcome != step.outcome:
-        raise EngineError(
-            f"replay divergence at step {index}: read {outcome!r}, recorded {step.outcome!r}"
-        )
-    return config, outcome
 
 
 def add_process(exec_: Execution, input_bit: int):

@@ -696,7 +696,7 @@ def linear_run(spec, m: int, depth: int):
             levels.append(outcome)
         final, count = corollary_finish(levels[-1])
         return LinearChainCertificate(
-            spec_name=spec.name, m=m, levels=levels, depth=depth,
+            m=m, levels=levels, depth=depth,
             final=final, registers_written=count,
         )
     except InconclusiveError as e:

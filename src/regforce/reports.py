@@ -31,14 +31,12 @@ class ViolationReport:
 
 @dataclass
 class SqrtChainCertificate:
-    spec_name: str
     levels: list  # of SqrtLevel
     depth: int
 
 
 @dataclass
 class LinearChainCertificate:
-    spec_name: str
     m: int
     levels: list  # of LinearLevel
     depth: int

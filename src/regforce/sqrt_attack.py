@@ -159,7 +159,6 @@ def _first_outside_write(witness: Witness, regs) -> Optional[int]:
 
 
 def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport, Inconclusive]:
-    spec = level.exec.spec
     regs = set(level.regs)
     alpha, beta = level.w0, level.w1
     p, q = level.pid0, level.pid1
@@ -211,39 +210,34 @@ def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport,
     classes = []
     for i, prefix in enumerate(prefixes):
         cand = prefix.extend(wp.pid, wp.action)
-        found, info = _distinct_bivalency(spec, cand.final, depth)
-        if found is not None:
-            w0, w1 = found
-            new = SqrtLevel(
-                r=level.r + 1,
-                exec=cand,
-                regs=tuple(sorted(regs | {wp.action.reg})),
-                w0=w0, w1=w1,
-            )
-            check_level(new)
+        new, info = _next_level(level, cand, wp.action.reg, depth)
+        if new is not None:
             return new
         cls, report = info
         if cls in ("unknown", "degenerate"):
             return Inconclusive(f"candidate {i}: valency {cls} at depth {depth}", depth)
         classes.append((cand, report))
 
-    final_cand = prefixes[-1]
-    found, info = _distinct_bivalency(spec, final_cand.final, depth)
-    if found is not None:
-        w0, w1 = found
-        new = SqrtLevel(
-            r=level.r + 1,
-            exec=final_cand,
-            regs=tuple(sorted(regs | {wq.action.reg})),
-            w0=w0, w1=w1,
-        )
-        check_level(new)
+    new, info = _next_level(level, prefixes[-1], wq.action.reg, depth)
+    if new is not None:
         return new
     cls_final, _ = info
     if cls_final in ("unknown", "degenerate"):
         return Inconclusive(f"full-restore candidate: valency {cls_final}", depth)
 
     return _switching_point(level, classes, cls_final, b_seq, wp, depth)
+
+
+def _next_level(level: SqrtLevel, exec_, reg: int, depth: int) -> tuple:
+    """(level r + 1 at exec_, which adds `reg` to R, or None; the valency
+    information) by whether exec_ ends bivalent with distinct witnesses."""
+    found, info = _distinct_bivalency(exec_.spec, exec_.final, depth)
+    if found is None:
+        return None, info
+    new = SqrtLevel(r=level.r + 1, exec=exec_, regs=tuple(sorted(set(level.regs) | {reg})),
+                    w0=found[0], w1=found[1])
+    check_level(new)
+    return new, info
 
 
 def _switching_point(level, classes, cls_final, b_seq, wp, depth):
@@ -330,6 +324,6 @@ def sqrt_run(spec, r_target: int, depth: int):
             if not isinstance(outcome, SqrtLevel):
                 return outcome
             levels.append(outcome)
-        return SqrtChainCertificate(spec_name=spec.name, levels=levels, depth=depth)
+        return SqrtChainCertificate(levels=levels, depth=depth)
     except InconclusiveError as e:
         return Inconclusive(str(e), depth)

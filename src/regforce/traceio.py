@@ -7,10 +7,17 @@ state_after, role}; reads carry their observed value in `outcome`, writes
 the written value in `val`, returns the decision in `val`.  All keys are
 sorted and no timestamps exist anywhere, so identical runs serialize to
 identical bytes.
+
+After the header a file is a run of sections: one non-step record (a
+violation, counter, level, witness, closing block write or inconclusive
+marker) and the step records that follow it.  Replay parses the file one
+section at a time, dispatches on the first record after the header, and
+steps every trace through `Execution.extend_steps`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -23,7 +30,6 @@ from .model import (
     format_algorithm,
     initial_configuration,
     load_algorithm,
-    step_with_outcome,
 )
 from .execution import Execution, Step
 from .oracle import replay_violation
@@ -41,8 +47,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _step_record(i: int, step: Step, config: Configuration, after: Configuration,
-                 role: str) -> dict:
+def _step_record(i: int, step: Step, before: str, role: str) -> dict:
     action = step.action
     rec = {
         "record": "step",
@@ -52,7 +57,7 @@ def _step_record(i: int, step: Step, config: Configuration, after: Configuration
         "reg": getattr(action, "reg", None),
         "val": None,
         "outcome": step.outcome,
-        "state_before": config.proc(step.pid).state,
+        "state_before": before,
         "state_after": None,
         "role": role,
     }
@@ -60,24 +65,30 @@ def _step_record(i: int, step: Step, config: Configuration, after: Configuration
         rec["val"] = action.value
         rec["state_after"] = action.next_state
     elif isinstance(action, Read):
-        rec["state_after"] = after.proc(step.pid).state
+        rec["state_after"] = action.target(step.outcome)
     else:
         rec["val"] = action.decision
     return rec
 
 
-def execution_lines(exec_: Execution, roles=None, start: int = 0) -> list:
-    """Step records for exec_.steps[start:], replayed for state annotations."""
+def execution_lines(exec_: Execution, roles=None, first_index: int = 0) -> list:
+    """Step records for exec_.steps, numbered from `first_index`.  The steps
+    were validated when exec_ was built, so each process's states are read
+    off its actions and recorded outcomes."""
     roles = roles or {}
+    states = [p.state for p in exec_.initial.procs]
     lines = []
-    config = exec_.initial
-    for i, step in enumerate(exec_.steps):
-        after, _ = step_with_outcome(exec_.spec, config, step.pid, step.action)
-        if i >= start:
-            lines.append(_dump(_step_record(
-                i, step, config, after, roles.get(step.pid, "solo"))))
-        config = after
+    for i, step in enumerate(exec_.steps, start=first_index):
+        rec = _step_record(i, step, states[step.pid], roles.get(step.pid, "solo"))
+        if rec["state_after"] is not None:
+            states[step.pid] = rec["state_after"]
+        lines.append(_dump(rec))
     return lines
+
+
+def _tail(exec_: Execution, steps) -> Execution:
+    """`steps` validated as an execution that starts at exec_'s end."""
+    return Execution.start(exec_.spec, exec_.final).extend_steps(steps)
 
 
 def header_record(spec: AlgorithmSpec, initial: Optional[Configuration],
@@ -105,8 +116,7 @@ def witness_lines(witness: Witness, exec_: Execution, roles=None) -> list:
         "P": pids,
         "depth": len(witness.moves),
     })
-    extended = exec_.extend_steps(witness.steps)
-    return [wrapper] + execution_lines(extended, roles, start=len(exec_.steps))
+    return [wrapper] + execution_lines(_tail(exec_, witness.steps), roles, len(exec_.steps))
 
 
 def _roles(ledger: Optional[PairLedger]) -> dict:
@@ -121,9 +131,8 @@ def _roles(ledger: Optional[PairLedger]) -> dict:
 
 # -- violation reports --------------------------------------------------------
 
-def violation_lines(report: ViolationReport, ledger: Optional[PairLedger] = None) -> list:
-    roles = _roles(ledger)
-    lines = [header_record(report.trace.spec, report.trace.initial, ledger)]
+def violation_lines(report: ViolationReport) -> list:
+    lines = [header_record(report.trace.spec, report.trace.initial)]
     lines.append(_dump({
         "record": "violation",
         "kind": report.kind,
@@ -132,10 +141,10 @@ def violation_lines(report: ViolationReport, ledger: Optional[PairLedger] = None
         "depth": report.depth,
         "prefix_len": report.prefix_len,
     }))
-    lines.extend(execution_lines(report.trace, roles))
+    lines.extend(execution_lines(report.trace))
     if report.counter_trace is not None:
         lines.append(_dump({"record": "counter", "prefix_len": report.prefix_len}))
-        lines.extend(execution_lines(report.counter_trace, roles))
+        lines.extend(execution_lines(report.counter_trace))
     return lines
 
 
@@ -195,8 +204,8 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
     if cert.final is not None:
         lines.append(_dump({"record": "closing-block-write",
                             "registers_written": cert.registers_written}))
-        lines.extend(execution_lines(cert.final, _roles(top.ledger),
-                                     start=len(top.exec.steps)))
+        closing = _tail(top.exec, cert.final.steps[len(top.exec.steps):])
+        lines.extend(execution_lines(closing, _roles(top.ledger), len(top.exec.steps)))
     return lines
 
 
@@ -220,28 +229,38 @@ class ReplayError(Exception):
     pass
 
 
-def _parse_lines(text: str) -> list:
-    records = []
-    for i, line in enumerate(text.splitlines(), start=1):
+def _sections(text: str):
+    """Yield (record, its step records) for each section of a file, parsing
+    one section at a time; step records before the first record get None."""
+    meta, steps = None, []
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as e:
-            raise ReplayError(f"line {i}: not a JSON record ({e})") from None
+            raise ReplayError(f"line {n}: not a JSON record ({e})") from None
         if not isinstance(record, dict):
-            raise ReplayError(f"line {i}: not a JSON object")
-        records.append(record)
-    return records
+            raise ReplayError(f"line {n}: not a JSON object")
+        if record.get("record") != "step":
+            if meta is not None or steps:
+                yield meta, steps
+            meta, steps = record, []
+        else:
+            steps.append(record)
+    if meta is not None or steps:
+        yield meta, steps
 
 
-def _split_header(text: str) -> tuple:
-    """(header record, the records after it)."""
-    records = _parse_lines(text)
-    if not records or records[0].get("record") != "header":
+def _header(sections) -> dict:
+    """The opening record, which no step record may follow."""
+    header, steps = next(sections, (None, []))
+    if header is None or header.get("record") != "header":
         raise ReplayError("missing header record")
-    return records[0], records[1:]
+    if steps:
+        raise ReplayError("step records directly after the header")
+    return header
 
 
 def _inputs(record: dict, where: str) -> list:
@@ -297,20 +316,30 @@ def _steps_from_records(spec, records, pids: int):
     return steps
 
 
+def _pids(record: dict, field: str, where: str, count: int) -> tuple:
+    value = record.get(field)
+    if not isinstance(value, list) \
+            or any(type(pid) is not int or not 0 <= pid < count for pid in value):
+        raise ReplayError(f"{where}: {field} is not a list of pids below {count}")
+    return tuple(value)
+
+
 def replay_file(text: str) -> dict:
     """Re-execute a serialized certificate or report; raises ReplayError on
     any divergence.  Returns a summary dict."""
-    header, body = _split_header(text)
+    sections = _sections(text)
+    header = _header(sections)
     if not isinstance(header.get("algorithm_text"), str):
         raise ReplayError("header: algorithm_text is not a string")
     spec = load_algorithm(header["algorithm_text"])
-
-    if any(r.get("record") == "violation" for r in body):
-        return _replay_violation_records(spec, header, body)
-    if any(r.get("record") == "level" for r in body):
-        return _replay_certificate_records(spec, header, body)
-    if body and body[0].get("record") == "inconclusive":
-        return {"kind": "inconclusive", "reason": body[0]["reason"]}
+    first, steps = next(sections, ({}, []))
+    kind = first.get("record")
+    if kind == "violation":
+        return _replay_violation(spec, header, first, steps, sections)
+    if kind == "level":
+        return _replay_certificate(spec, header, itertools.chain([(first, steps)], sections))
+    if kind == "inconclusive":
+        return {"kind": "inconclusive", "reason": first["reason"]}
     raise ReplayError("unrecognized file contents")
 
 
@@ -318,8 +347,9 @@ def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
     """The first trace of a file, replayed for `spec`: a violation's main
     trace, or the first level execution of a certificate (levels carry their
     own inputs); `at` keeps only its first steps."""
-    header, body = _split_header(text)
-    meta, steps = next(((m, s) for m, s in _section_steps(body) if s), (None, []))
+    sections = _sections(text)
+    header = _header(sections)
+    meta, steps = next(((m, s) for m, s in sections if s), (None, []))
     if (meta or {}).get("inputs"):
         inputs = _inputs(meta, "first trace")
     else:
@@ -330,57 +360,42 @@ def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
         spec, initial, _steps_from_records(spec, steps, len(initial.procs)))
 
 
-def _section_steps(records):
-    """Split flat records into (meta, step-record-list) sections."""
-    sections = []
-    current_meta, current = None, []
-    for rec in records:
-        if rec.get("record") == "step":
-            current.append(rec)
-        else:
-            if current_meta is not None or current:
-                sections.append((current_meta, current))
-            current_meta, current = rec, []
-    if current_meta is not None or current:
-        sections.append((current_meta, current))
-    return sections
-
-
-def _replay_violation_records(spec, header, body):
-    sections = _section_steps(body)
-    vio = next(meta for meta, _ in sections if meta and meta["record"] == "violation")
-    main_steps = next(steps for meta, steps in sections
-                      if meta and meta["record"] == "violation")
-    counter = [(meta, steps) for meta, steps in sections
-               if meta and meta["record"] == "counter"]
+def _replay_violation(spec, header, vio, steps, sections):
+    """A report: its violation section holds the trace, and one optional
+    counter section the counter trace."""
+    counter, counter_steps = next(sections, (None, []))
+    if (counter is not None and counter.get("record") != "counter") \
+            or next(sections, None) is not None:
+        raise ReplayError("a report holds one trace and at most one counter trace")
     depth = None if vio.get("depth") is None else _count(vio, "depth", "violation")
+    prefix_len = None if vio.get("prefix_len") is None \
+        else _count(vio, "prefix_len", "violation")
     initial = initial_configuration(spec, _inputs(header, "header"))
     pids = len(initial.procs)
-    trace = Execution.from_steps(spec, initial, _steps_from_records(spec, main_steps, pids))
+    trace = Execution.from_steps(spec, initial, _steps_from_records(spec, steps, pids))
     counter_trace = None
-    if counter:
+    if counter is not None:
         counter_trace = Execution.from_steps(
-            spec, initial, _steps_from_records(spec, counter[0][1], pids))
+            spec, initial, _steps_from_records(spec, counter_steps, pids))
     report = ViolationReport(
-        kind=vio["kind"], trace=trace, evidence=vio.get("evidence") or {},
-        counter_trace=counter_trace, prefix_len=vio.get("prefix_len"),
-        stuck_pids=tuple(vio.get("stuck_pids") or ()), depth=depth,
+        kind=vio.get("kind"), trace=trace, evidence=vio.get("evidence") or {},
+        counter_trace=counter_trace, prefix_len=prefix_len,
+        stuck_pids=_pids(vio, "stuck_pids", "violation", pids), depth=depth,
     )
     confirmed, detail = replay_violation(report)
     if not confirmed:
         raise ReplayError(f"violation not confirmed: {detail}")
-    return {"kind": "violation", "category": vio["kind"], "detail": detail}
+    return {"kind": "violation", "category": report.kind, "detail": detail}
 
 
-def _replay_certificate_records(spec, header, body):
-    sections = _section_steps(body)
+def _replay_certificate(spec, header, sections):
+    """A chain certificate, replayed one section at a time: each level's
+    execution, then the witnesses and closing block write that extend it."""
     levels = 0
     checked_witnesses = 0
-    exec_ = None
     for meta, steps in sections:
-        if meta is None:
-            continue
-        if meta["record"] == "level":
+        kind = meta.get("record")
+        if kind == "level":
             levels += 1
             where = f"level {levels}"
             initial = initial_configuration(spec, _inputs(meta, where))
@@ -398,23 +413,20 @@ def _replay_certificate_records(spec, header, body):
                 raise ReplayError("level register set out of range")
             if header.get("attack") == "sqrt" and not set(regs) <= exec_.written_registers():
                 raise ReplayError(f"level {r}: R not fully written")
-        elif meta["record"] == "witness":
-            if exec_ is None:
-                raise ReplayError("witness before any level")
-            extended = exec_.extend_steps(
-                _steps_from_records(spec, steps, len(exec_.initial.procs)))
+            continue
+        if kind not in ("witness", "closing-block-write"):
+            raise ReplayError(f"unexpected {kind!r} record in a certificate")
+        if not steps:
+            raise ReplayError(f"{kind} section holds no steps")
+        extended = exec_.extend_steps(_steps_from_records(spec, steps, len(exec_.initial.procs)))
+        if kind == "witness":
             last = extended.steps[-1]
-            if not isinstance(last.action, Return) or last.action.decision != meta["decision"]:
+            if not isinstance(last.action, Return) or last.action.decision != meta.get("decision"):
                 raise ReplayError("witness does not end with the claimed return")
             checked_witnesses += 1
-        elif meta["record"] == "closing-block-write":
-            if exec_ is None:
-                raise ReplayError("closing section before any level")
-            closed = exec_.extend_steps(
-                _steps_from_records(spec, steps, len(exec_.initial.procs)))
-            if len(closed.written_registers()) != _count(meta, "registers_written",
-                                                         "closing block write"):
-                raise ReplayError("closing block write register count mismatch")
+        elif len(extended.written_registers()) != _count(meta, "registers_written",
+                                                          "closing block write"):
+            raise ReplayError("closing block write register count mismatch")
     if levels == 0 or checked_witnesses < 2 * levels:
         raise ReplayError("certificate is missing levels or witnesses")
     return {"kind": "certificate", "attack": header.get("attack"),

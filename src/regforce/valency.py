@@ -386,6 +386,8 @@ def reserving_search(spec, config, units, m, depth, target) -> tuple:
     """(moves or None, cutoff) for Res(config, units) ending with `target`
     (any return when target is None)."""
     units = [_as_unit(u) for u in units]
+    if m < 0:
+        raise ValueError(f"negative m {m}")
     if len(units) < m + 1:
         raise ValueError(f"need at least m+1={m + 1} units, got {len(units)}")
     search = _Search(spec, units, target, coverage=True)
@@ -520,6 +522,8 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
                     break
             tris[d] = _tri(witness, cutoff, depth)
     elif mode == "reserving":
+        if m < 0:
+            raise ValueError(f"negative m {m}")
         active = [u for u in units if unit_active(config, u)]
         for d in (0, 1):
             witness = None

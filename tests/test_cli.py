@@ -150,6 +150,8 @@ def test_parse_error_exits_one(tmp_path):
     cases += [[*command, "--depth", "-1"] for command in (
         ["check", "zoo:of-race-3"], ["attack", "sqrt", "zoo:of-race-3", "--target-r", "1"],
         ["attack", "linear", "zoo:of-race-3", "--m", "1"], ["valency", "zoo:of-race-3"])]
+    cases += [["attack", "linear", "zoo:of-race-3", "--m", "-1"],
+              ["valency", "zoo:of-race-3", "--mode", "reserving", "--m", "-1"]]
     cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
     for args in cases:
         out = run_cli(*args)

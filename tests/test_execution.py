@@ -63,6 +63,15 @@ def test_replay_validates_outcomes(flag):
         Execution.from_steps(flag, exec_.initial, tampered)
 
 
+def test_extend_steps_names_the_absolute_index_of_a_disabled_action(flag):
+    exec_ = walk_to_put(walk_to_put(start(flag, [0, 1]), 0), 1)
+    write = enabled_actions(flag, exec_.final, 0)[0]
+    # the second write is step 1 of the extension but step 3 of the trace
+    steps = [Step(0, write), Step(0, write)]
+    with pytest.raises(EngineError, match="at step 3: action .* not enabled"):
+        exec_.extend_steps(steps)
+
+
 def test_block_write_empty_is_identity(flag):
     exec_ = start(flag, [0, 1])
     assert block_write(exec_, []) == exec_

@@ -1,8 +1,9 @@
+import functools
 import json
 
 import pytest
 
-from regforce import traceio
+from regforce import cli, traceio
 from regforce.linear_attack import linear_run
 from regforce.oracle import oracle_check
 from regforce.reports import ViolationReport
@@ -73,3 +74,76 @@ def test_serialization_is_deterministic(race3):
     a = traceio.sqrt_certificate_lines(sqrt_run(race3, 1, depth=64))
     b = traceio.sqrt_certificate_lines(sqrt_run(race3, 1, depth=64))
     assert a == b
+
+
+def test_replay_rejects_stepless_sections_stray_records_and_bad_stuck_pids(race3, flag, trivial):
+    sqrt = [json.loads(line) for line in traceio.sqrt_certificate_lines(sqrt_run(race3, 1, depth=64))]
+    linear = [json.loads(line) for line in
+              traceio.linear_certificate_lines(linear_run(flag, m=1, depth=32))]
+    report = [json.loads(line) for line in traceio.violation_lines(sqrt_run(trivial, 1, depth=8))]
+
+    def text(records):
+        return "".join(json.dumps(rec) + "\n" for rec in records)
+
+    def stepless(records, kind):
+        # the first `kind` section loses its step records
+        start = next(i for i, rec in enumerate(records) if rec["record"] == kind) + 1
+        end = start
+        while end < len(records) and records[end]["record"] == "step":
+            end += 1
+        return text(records[:start] + records[end:])
+
+    def edited(records, kind, field, value):
+        i = next(i for i, rec in enumerate(records) if rec["record"] == kind)
+        return text(records[:i] + [dict(records[i], **{field: value})] + records[i + 1:])
+
+    cases = [stepless(sqrt, "witness"), stepless(linear, "closing-block-write"),
+             edited(sqrt, "witness", "record", "remark")]
+    cases += [edited(report, "violation", "stuck_pids", value)
+              for value in (99, -1, True, [2], [True], ["0"])]
+    for case in cases:
+        with pytest.raises(traceio.ReplayError):
+            traceio.replay_file(case)
+
+
+def _single_field_edits(records):
+    """Files that differ from `records` in one field of one record: the first
+    record of each kind and every step of the first witness, with each field
+    set to each of a few mistyped or out-of-range values; each of those
+    steps also gets another process's pid."""
+    firsts = {}
+    for i, rec in enumerate(records):
+        firsts.setdefault(rec["record"], i)
+    targets = sorted(firsts.values())
+    i = firsts.get("witness", len(records)) + 1
+    while i < len(records) and records[i]["record"] == "step":
+        targets.append(i)
+        i += 1
+    pids = len(records[0]["inputs"])
+    for i in targets:
+        edits = [(field, value) for field in records[i]
+                 for value in (None, -1, 99, "x", [])]
+        if records[i]["record"] == "step":
+            edits.append(("pid", (records[i]["pid"] + 1) % pids))
+        for field, value in edits:
+            edited = list(records)
+            edited[i] = dict(records[i], **{field: value})
+            yield "".join(json.dumps(rec) + "\n" for rec in edited)
+
+
+def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch):
+    # a certificate, a linear certificate with a closing block write, and an
+    # agreement report: every edit replays as confirmed or as an error.
+    # Building the argument parser costs as much as replaying a small file,
+    # so every call shares one.
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    emitted = tmp_path / "emitted.jsonl"
+    edited = tmp_path / "edited.jsonl"
+    for args, code in ((["attack", "sqrt", "zoo:of-race-3", "--target-r", "1"], 0),
+                       (["attack", "linear", "zoo:claim-commit", "--m", "2"], 0),
+                       (["check", "zoo:of-race-3", "--inputs", "011"], 2)):
+        assert cli.main([*args, "--out", str(emitted)]) == code
+        records = [json.loads(line) for line in emitted.read_text().splitlines()]
+        for text in _single_field_edits(records):
+            edited.write_text(text)
+            assert cli.main(["replay", str(edited)]) in (0, 1), text

@@ -46,6 +46,15 @@ def test_reserving_search_rejects_out_of_sync_and_overlapping_units(race3):
         reserving_search(race3, root, [(0, 1), (1, 2)], 1, 8, None)
 
 
+def test_negative_m_is_refused(race3):
+    # with m = -1 no subset has m + 1 units, which would read as "degenerate"
+    root = initial_configuration(race3, [0, 1])
+    with pytest.raises(ValueError, match="negative m"):
+        reserving_search(race3, root, [(0,), (1,)], -1, 8, None)
+    with pytest.raises(ValueError, match="negative m"):
+        valency(race3, root, [0, 1], -1, 8, "reserving")
+
+
 def test_of_race_solo_decision_equals_own_input(race3):
     config = initial_configuration(race3, [0, 1, 1])
     for pid in range(3):
