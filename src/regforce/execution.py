@@ -1,13 +1,14 @@
 """Executions: step sequences with recorded read outcomes, replay validation,
-block writes, written-register accounting, and trace surgery.
+written-register accounting, and trace surgery.
 
 Executions are immutable values; every operation returns a new one.  One
 loop steps a trace: `Execution.extend_steps`.  `from_steps` is that loop run
 from the initial configuration and `extend` is it run for one step, so every
 disabled action or diverging read surfaces as an `EngineError` naming the
-absolute step index.  Any surgery (inserting shadow steps, uniting a stale
-pair mid-trace) rebuilds the step list and is revalidated by a full replay -
-replay is the single source of truth.
+absolute step index.  Each surgery (inserting shadow steps, uniting a stale
+pair mid-trace) rebuilds the step list and is one full replay, which also
+checks that no process that gained no step can tell the difference - replay
+is the single source of truth.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ class Execution:
         replayed = Execution.from_steps(self.spec, self.initial, self.steps)
         if replayed.final != self.final:
             raise EngineError("stored final differs from replayed final")
-        for a, b in zip(replayed.steps, self.steps):
+        for i, (a, b) in enumerate(zip(replayed.steps, self.steps)):
             if a != b:
-                raise EngineError(f"replay divergence at step {self.steps.index(b)}")
+                raise EngineError(f"replay divergence at step {i}")
         return self
 
     def __eq__(self, other):
@@ -107,12 +108,6 @@ class Execution:
             and self.initial == other.initial
             and self.steps == other.steps
         )
-
-    def __hash__(self):
-        return hash((self.initial, self.steps))
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def add_process(exec_: Execution, input_bit: int):
@@ -139,39 +134,49 @@ def indistinguishable(c1: Configuration, c2: Configuration, who: Iterable[int]) 
     return True
 
 
-def mirror_history(exec_: Execution, source: int, count: int, mirrors: Sequence[int],
-                   marker: Optional[int] = None):
-    """Insert shadow copies of the source's first `count` steps.
+def _rebuild(exec_: Execution, steps, movers) -> Execution:
+    """Replay a rebuilt step list from exec_'s start; the result must be
+    indistinguishable from exec_ to every process outside `movers`, the pids
+    that gained steps."""
+    rebuilt = Execution.from_steps(exec_.spec, exec_.initial, steps)
+    others = [pid for pid in range(len(exec_.initial.procs)) if pid not in movers]
+    if not indistinguishable(exec_.final, rebuilt.final, others):
+        raise EngineError("trace surgery was visible to a process that gained no step")
+    return rebuilt
 
-    Each mirror pid repeats the source's action immediately after it (mirrors
-    in the given order), so reads observe the same value and writes rewrite
-    the same one; the result is indistinguishable to everyone else.  Mirrors
-    must exist in the initial configuration with the source's input and no
-    steps of their own.  Returns the rebuilt execution (full replay is the
-    validation) and, when `marker` is a step index, its shifted position.
+
+def mirror_history(exec_: Execution, shadows: Sequence[tuple]) -> Execution:
+    """Insert shadow copies of processes' first steps, in one rebuild.
+
+    `shadows` holds (source, count, mirror) triples: the mirror repeats the
+    source's first `count` actions, each immediately after the source's step
+    (one source's mirrors in list order), so reads observe the same value and
+    writes rewrite the same one.  Mirrors must exist in the initial
+    configuration with their source's input and no steps of their own.
     """
-    src_proc = exec_.initial.proc(source)
-    for m in mirrors:
-        p = exec_.initial.proc(m)
-        if p.input != src_proc.input or p != Proc(p.input, exec_.spec.inputs[p.input]):
-            raise EngineError(f"mirror pid {m} is not a fresh process of input {src_proc.input}")
-        if exec_.steps_of(m):
-            raise EngineError(f"mirror pid {m} has already taken steps")
+    stepped = {s.pid for s in exec_.steps}
+    by_source = {}
+    for source, count, mirror in shadows:
+        want = exec_.initial.proc(source).input
+        p = exec_.initial.proc(mirror)
+        if p.input != want or p != Proc(p.input, exec_.spec.inputs[p.input]):
+            raise EngineError(f"mirror pid {mirror} is not a fresh process of input {want}")
+        if mirror in stepped:
+            raise EngineError(f"mirror pid {mirror} already has steps")
+        by_source.setdefault(source, []).append((count, mirror))
+    copied = dict.fromkeys(by_source, 0)
     new_steps = []
-    new_marker = marker
-    copied = 0
-    for i, step in enumerate(exec_.steps):
+    for step in exec_.steps:
         new_steps.append(step)
-        if step.pid == source and copied < count:
-            for m in mirrors:
-                new_steps.append(Step(m, step.action, step.outcome))
-            if marker is not None and i < marker:
-                new_marker += len(mirrors)
-            copied += 1
-    if copied < count:
-        raise EngineError(f"source pid {source} has only {copied} steps, wanted {count}")
-    rebuilt = Execution.from_steps(exec_.spec, exec_.initial, new_steps)
-    return (rebuilt, new_marker) if marker is not None else rebuilt
+        if step.pid in copied:
+            ordinal = copied[step.pid]
+            copied[step.pid] += 1
+            new_steps.extend(Step(mirror, step.action, step.outcome)
+                             for count, mirror in by_source[step.pid] if ordinal < count)
+    for source, count, _ in shadows:
+        if copied[source] < count:
+            raise EngineError(f"source pid {source} has only {copied[source]} steps, wanted {count}")
+    return _rebuild(exec_, new_steps, {mirror for _, _, mirror in shadows})
 
 
 def restricted_replay(exec_: Execution, pids: Iterable[int], steps) -> Execution:
@@ -186,6 +191,6 @@ def restricted_replay(exec_: Execution, pids: Iterable[int], steps) -> Execution
 
 
 def insert_step(exec_: Execution, index: int, pid: int, action) -> Execution:
-    """Splice a single step into the trace; revalidated by full replay."""
+    """Splice a single step into the trace, visible to `pid` alone."""
     steps = exec_.steps[:index] + (Step(pid, action),) + exec_.steps[index:]
-    return Execution.from_steps(exec_.spec, exec_.initial, steps)
+    return _rebuild(exec_, steps, {pid})

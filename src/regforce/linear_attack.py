@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from .model import ContradictionError, EngineError, Write, initial_configuration
-from .execution import Execution, indistinguishable, insert_step, restricted_replay
+from .execution import Execution, insert_step, restricted_replay
 from .pairs import (
     PairLedger,
     duplicate_pair,
@@ -539,12 +539,8 @@ def _repair_stale(level, assembly, marker: int):
             raise EngineError(
                 f"repair found no write to r{reg} in the extension although it "
                 "is recorded as overwritten")
-        before = exec_.final
         exec_ = insert_step(exec_, idx, pair.clone, pair.split.action)
         ledger = ledger.with_pair(replace(pair, split=None))
-        others = [pid_ for pid_ in range(len(before.procs)) if pid_ != pair.clone]
-        if not indistinguishable(before, exec_.final, others):
-            raise EngineError("stale repair was visible beyond the repaired clone")
     return exec_, ledger
 
 
@@ -601,11 +597,10 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side:
     m = level.m
     _, o_pair, o_action = o_step
     matched = _match_scanned_coverers(level, orient, assembly)
-    marker = len(level.exec.steps)
-    exec_, ledger = _repair_stale(level, assembly, marker=marker)
+    exec_, ledger = _repair_stale(level, assembly, marker=len(level.exec.steps))
     budget = len(level.pair_ids) + 2
-    exec_, ledger, dup1, marker = duplicate_pair(exec_, ledger, o_pair, budget, marker)
-    exec_, ledger, dup2, marker = duplicate_pair(exec_, ledger, o_pair, budget, marker)
+    exec_, ledger, dup1 = duplicate_pair(exec_, ledger, o_pair, budget)
+    exec_, ledger, dup2 = duplicate_pair(exec_, ledger, o_pair, budget)
     dup_units = [ledger.pair(dup1).members, ledger.pair(dup2).members]
 
     active_t = [i for i in t_ids

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .model import EngineError, Read, Write
-from .execution import Execution, add_process, indistinguishable, mirror_history
+from .execution import Execution, add_process, mirror_history
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,7 @@ def unite_pair(exec_: Execution, ledger: PairLedger, pair_id: int):
     return exec_, ledger
 
 
-def duplicate_pair(exec_: Execution, ledger: PairLedger, pair_id: int, budget: int,
-                   marker: Optional[int] = None):
+def duplicate_pair(exec_: Execution, ledger: PairLedger, pair_id: int, budget: int):
     """Create a new pair in the source pair's current state.
 
     Realized by replaying the source's action/outcome history with fresh pids
@@ -161,19 +160,10 @@ def duplicate_pair(exec_: Execution, ledger: PairLedger, pair_id: int, budget: i
     input_bit = exec_.initial.proc(member).input
     exec_, ledger, new_id = new_pair(exec_, ledger, input_bit)
     np = ledger.pair(new_id)
-    history = exec_.steps_of(member)
-    before = exec_.final
-    if marker is not None:
-        exec_, marker = mirror_history(exec_, member, len(history), [np.leader, np.clone], marker)
-    else:
-        exec_ = mirror_history(exec_, member, len(history), [np.leader, np.clone])
-    others = [pid for pid in range(len(before.procs)) if pid not in (np.leader, np.clone)]
-    if not indistinguishable(before, exec_.final, others):
-        raise EngineError("duplicate insertion visible to other processes")
+    count = len(exec_.steps_of(member))
+    exec_ = mirror_history(exec_, [(member, count, np.leader), (member, count, np.clone)])
     got = exec_.final.proc(np.leader)
     want = exec_.final.proc(member)
     if (got.state, got.decided) != (want.state, want.decided):
         raise EngineError("duplicate pair did not land in the source state")
-    if marker is not None:
-        return exec_, ledger, new_id, marker
     return exec_, ledger, new_id

@@ -27,7 +27,6 @@ from .execution import (
     Execution,
     Step,
     add_process,
-    indistinguishable,
     mirror_history,
     restricted_replay,
 )
@@ -165,19 +164,14 @@ def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport,
 
     # clone the last writer of every register in R up to covering it, poised
     # to rewrite the value the register holds now
-    targets = [(reg,) + _last_writer(level.exec, reg) for reg in sorted(regs)]
     exec_ = level.exec
-    before = exec_.final
-    original = range(len(before.procs))
-    coverers = []
-    for reg, writer, ordinal, action in targets:
+    shadows, gamma = [], []
+    for reg in sorted(regs):
+        writer, ordinal, action = _last_writer(level.exec, reg)
         exec_, clone = add_process(exec_, exec_.initial.proc(writer).input)
-        exec_ = mirror_history(exec_, writer, ordinal, [clone])
-        coverers.append((clone, action))
-    if not indistinguishable(before, exec_.final, original):
-        raise EngineError("clone insertion was visible to the original processes")
-
-    gamma = [Step(clone, action) for clone, action in coverers]
+        shadows.append((writer, ordinal, clone))
+        gamma.append(Step(clone, action))
+    exec_ = mirror_history(exec_, shadows)
 
     # a returning run confined to R lets the block write erase it: the other
     # witness still runs, and the combined trace decides both values

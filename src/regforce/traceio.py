@@ -286,21 +286,28 @@ def _registers(record: dict, field: str, where: str) -> list:
     return value
 
 
-def _steps_from_records(spec, records, pids: int):
-    """Steps of a system of `pids` processes from their records."""
+def _steps_from_records(spec, records, pids: int, first: int = 0):
+    """Steps of a system of `pids` processes from their records, which must
+    be numbered from `first`."""
     steps = []
-    for rec in records:
+    for i, rec in enumerate(records, start=first):
+        if type(rec.get("i")) is not int or rec["i"] != i:
+            raise ReplayError(f"step {i}: i is {rec.get('i')!r}, not its index {i}")
         kind = rec["kind"]
         state = rec["state_before"]
         pid = rec["pid"]
+        outcome = rec.get("outcome")
         if type(pid) is not int or not 0 <= pid < pids:
-            raise ReplayError(f"step {rec['i']}: pid {pid!r} is not one of {pids} pids")
+            raise ReplayError(f"step {i}: pid {pid!r} is not one of {pids} pids")
         if not isinstance(state, str):
-            raise ReplayError(f"step {rec['i']}: state_before is not a string")
+            raise ReplayError(f"step {i}: state_before is not a string")
+        # a read records the value it saw; nothing else records an outcome
+        if type(outcome) is not (str if kind == "read" else type(None)):
+            raise ReplayError(f"step {i}: outcome {outcome!r} does not fit a {kind} step")
         action = None
         for a in spec.actions(state):
             if kind == "read" and isinstance(a, Read) and a.reg == rec["reg"] \
-                    and a.target(rec["outcome"]) == rec["state_after"]:
+                    and a.target(outcome) == rec["state_after"]:
                 action = a
                 break
             if kind == "write" and isinstance(a, Write) and a.reg == rec["reg"] \
@@ -311,8 +318,8 @@ def _steps_from_records(spec, records, pids: int):
                 action = a
                 break
         if action is None:
-            raise ReplayError(f"step {rec['i']}: no matching action in state {state!r}")
-        steps.append(Step(pid, action, rec.get("outcome")))
+            raise ReplayError(f"step {i}: no matching action in state {state!r}")
+        steps.append(Step(pid, action, outcome))
     return steps
 
 
@@ -418,7 +425,8 @@ def _replay_certificate(spec, header, sections):
             raise ReplayError(f"unexpected {kind!r} record in a certificate")
         if not steps:
             raise ReplayError(f"{kind} section holds no steps")
-        extended = exec_.extend_steps(_steps_from_records(spec, steps, len(exec_.initial.procs)))
+        extended = exec_.extend_steps(_steps_from_records(
+            spec, steps, len(exec_.initial.procs), len(exec_.steps)))
         if kind == "witness":
             last = extended.steps[-1]
             if not isinstance(last.action, Return) or last.action.decision != meta.get("decision"):

@@ -314,7 +314,7 @@ def test_criterion_6_structural_invariants():
         cut = rng.randrange(1, len(exec_.steps_of(src)) + 1)
         before = exec_.final
         grown, clone = add_process(exec_, exec_.initial.proc(src).input)
-        mirrored = mirror_history(grown, src, cut, [clone])
+        mirrored = mirror_history(grown, [(src, cut, clone)])
         assert indistinguishable(before, mirrored.final, range(3))
         n += 1
     counts["clone-invisibility"] = n

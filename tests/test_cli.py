@@ -114,6 +114,28 @@ def test_attack_linear_outputs_are_pinned(tmp_path):
             == (code, digest), (name, m, out.stderr)
 
 
+ATTACK_SQRT_PINS = {
+    ("of-race-3", 1): (0, "acfa3399afbc735224805f6b613b5cb2d36f5d265498db2b5df4cab34bbe2413"),
+    ("of-race-3", 2): (0, "0a5909b19b405dbecd12ffac44ee104ef0588f226b6e15c2742a0b96c93b3874"),
+    ("of-race-3", 3): (0, "233ec6362aa5c7956a6f58a8b24beb450e1d954d5ac3dac7cda80f4364fa8780"),
+    ("of-race-5", 3): (0, "790979bef06b00f3aad54fb1628d1b07e0caffc90e942499031f330baae2c618"),
+    ("one-register-flag", 3): (2, "c749d9bde59bbb2a556c30bafe79155f269b36501c53645867ba22aedfd9e2d8"),
+    ("claim-commit", 3): (2, "12dadce1cd792b5125d5225382dff8239157ca22339accab48b7c5c9634139df"),
+    ("trivial-decider", 3): (2, "4c492b1c4aa5eff23832fc021fcceeed8ba439dd729874014207bfaa6a474658"),
+    ("constant-decider", 3): (2, "f645f51f81975cc0aa31699b068a7d5a7e1dd4812d5a52c7b83cb8486968c0c7"),
+    ("spin-reader", 3): (2, "295729d3068fc92c77b6b608d6458545ed971263f4806fa3da61d961a9fbc4ef"),
+}
+
+
+def test_attack_sqrt_outputs_are_pinned(tmp_path):
+    for (name, r), (code, digest) in ATTACK_SQRT_PINS.items():
+        target = tmp_path / f"{name}-{r}.jsonl"
+        out = run_cli("attack", "sqrt", f"zoo:{name}", "--target-r", str(r), "--out", str(target))
+        blob = json.dumps([out.stdout, out.stderr, target.read_text()])
+        assert (out.returncode, hashlib.sha256(blob.encode()).hexdigest()) \
+            == (code, digest), (name, r, out.stderr)
+
+
 def test_attack_linear_inconclusive_exits_three():
     out = run_cli("attack", "linear", "zoo:of-race-3", "--m", "1")
     assert out.returncode == 3
@@ -170,10 +192,11 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
         assert run_cli(*args, "--out", str(target)).returncode == code
         files[name] = [json.loads(line) for line in target.read_text().splitlines()]
 
-    def mistyped(name, record, field, value):
-        # the first `record` record of the file gets `field` = `value`
+    def mistyped(name, record, field, value, where=lambda rec: True, nth=0):
+        # the `nth` `record` record of the file that passes `where` gets
+        # `field` = `value`
         edited = [dict(rec) for rec in files[name]]
-        next(rec for rec in edited if rec["record"] == record)[field] = value
+        [rec for rec in edited if rec["record"] == record and where(rec)][nth][field] = value
         return "".join(json.dumps(rec) + "\n" for rec in edited)
 
     # a record that is no object, a header whose algorithm text is no string,
@@ -187,6 +210,17 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
     cases += [mistyped("linear", "level", field, value) for field, value in
               (("r", -1), ("R_s", 5), ("R_c", [None]))]
     cases += [mistyped("linear", "closing-block-write", "registers_written", "1")]
+    # a read's outcome is the value it saw, and no other step has one; an
+    # `sk*` read of `_` takes its `*` branch, which a null outcome takes too
+    cases += [mistyped("sqrt", "step", "outcome", None,
+                       lambda rec: rec["state_before"].startswith("sk") and rec["outcome"] == "_"),
+              mistyped("sqrt", "step", "outcome", "0", lambda rec: rec["kind"] == "write"),
+              mistyped("report", "step", "outcome", "0")]
+    # step numbers: a trace counts from 0, its witnesses and closing block
+    # write from the end of their level's trace
+    cases += [mistyped("report", "step", "i", 1), mistyped("sqrt", "step", "i", 99),
+              mistyped("linear", "step", "i", 0, lambda rec: rec["pid"] == 8),
+              mistyped("linear", "step", "i", 0, nth=-1)]
     for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))

@@ -143,7 +143,7 @@ def test_mirror_history_inserts_adjacent_identical_steps(race3):
     exec_ = random_execution(race3, [0, 1], random.Random(5), 16)
     count = len(exec_.steps_of(0))
     grown, clone = add_process(exec_, 0)
-    mirrored = mirror_history(grown, 0, count, [clone])
+    mirrored = mirror_history(grown, [(0, count, clone)])
     own, copies = mirrored.steps_of(0), mirrored.steps_of(clone)
     assert [s.action for s in copies] == [s.action for s in own[:count]]
     assert [s.outcome for s in copies] == [s.outcome for s in own[:count]]
@@ -154,7 +154,44 @@ def test_mirror_history_inserts_adjacent_identical_steps(race3):
 def test_mirror_history_requires_fresh_mirror(race3):
     exec_ = random_execution(race3, [0, 1], random.Random(5), 10)
     with pytest.raises(EngineError):
-        mirror_history(exec_, 0, 1, [1])
+        mirror_history(exec_, [(0, 1, 1)])
+
+
+def test_batched_mirror_history_equals_sequential_calls(race3):
+    exec_ = random_execution(race3, [0, 1], random.Random(5), 16)
+    counts = [len(exec_.steps_of(0)), len(exec_.steps_of(1)) - 1]
+    assert min(counts) > 0
+    grown, clone0 = add_process(exec_, 0)
+    grown, clone1 = add_process(grown, 1)
+    one_by_one = mirror_history(grown, [(0, counts[0], clone0)])
+    one_by_one = mirror_history(one_by_one, [(1, counts[1], clone1)])
+    batched = mirror_history(grown, [(1, counts[1], clone1), (0, counts[0], clone0)])
+    assert batched == one_by_one and batched.final == one_by_one.final
+
+
+def test_mirrors_of_one_source_follow_it_in_list_order(race3):
+    exec_ = random_execution(race3, [0, 1], random.Random(5), 16)
+    count = len(exec_.steps_of(0))
+    assert count > 1
+    grown, short = add_process(exec_, 0)
+    grown, full = add_process(grown, 0)
+    mirrored = mirror_history(grown, [(0, count, full), (0, 1, short)])
+    first = next(i for i, s in enumerate(mirrored.steps) if s.pid == 0)
+    assert [s.pid for s in mirrored.steps[first:first + 3]] == [0, full, short]
+    assert len(mirrored.steps_of(full)) == count and len(mirrored.steps_of(short)) == 1
+    # each mirror sits right after the source's step it copies
+    for i, step in enumerate(mirrored.steps):
+        if step.pid == full:
+            assert mirrored.steps[i - 1].pid == 0
+    with pytest.raises(EngineError, match="wanted"):
+        mirror_history(grown, [(0, count + 1, full)])
+
+
+def test_surgery_visible_to_a_stepless_process_is_refused(flag):
+    exec_ = walk_to_put(walk_to_put(start(flag, [0, 0]), 0), 1)
+    # a write that nothing overwrites leaves r0 set for pid 0 to see
+    with pytest.raises(EngineError, match="visible"):
+        insert_step(exec_, len(exec_.steps), 1, enabled_actions(flag, exec_.final, 1)[0])
 
 
 def test_insert_step_replays(flag):
