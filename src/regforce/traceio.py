@@ -286,9 +286,10 @@ def _registers(record: dict, field: str, where: str) -> list:
     return value
 
 
-def _steps_from_records(spec, records, pids: int, first: int = 0):
+def _steps_from_records(spec, records, pids: int, first: int = 0, roles=None):
     """Steps of a system of `pids` processes from their records, which must
-    be numbered from `first`."""
+    be numbered from `first`.  Given `roles` (pid -> "leader" | "clone"),
+    each step's role must be its pid's, or "solo" for a pid in no pair."""
     steps = []
     for i, rec in enumerate(records, start=first):
         if type(rec.get("i")) is not int or rec["i"] != i:
@@ -299,6 +300,9 @@ def _steps_from_records(spec, records, pids: int, first: int = 0):
         outcome = rec.get("outcome")
         if type(pid) is not int or not 0 <= pid < pids:
             raise ReplayError(f"step {i}: pid {pid!r} is not one of {pids} pids")
+        if roles is not None and rec.get("role") != roles.get(pid, "solo"):
+            raise ReplayError(f"step {i}: role {rec.get('role')!r} is not pid {pid}'s "
+                              f"{roles.get(pid, 'solo')!r}")
         if not isinstance(state, str):
             raise ReplayError(f"step {i}: state_before is not a string")
         # a read records the value it saw; nothing else records an outcome
@@ -331,6 +335,36 @@ def _pids(record: dict, field: str, where: str, count: int) -> tuple:
     return tuple(value)
 
 
+def _pair_roles(record: dict, where: str, count: int) -> dict:
+    """pid -> "leader" | "clone" from a level's `pairs`, a list of
+    [leader, clone] pid pairs in which no pid appears twice."""
+    pairs = record.get("pairs")
+    if not isinstance(pairs, list) \
+            or any(not isinstance(pair, list) or len(pair) != 2 for pair in pairs):
+        raise ReplayError(f"{where}: pairs is not a list of [leader, clone] pairs")
+    pids = [pid for pair in pairs for pid in pair]
+    if any(type(pid) is not int or not 0 <= pid < count for pid in pids) \
+            or len(set(pids)) != len(pids):
+        raise ReplayError(f"{where}: pairs is not made of distinct pids below {count}")
+    return {pid: ("leader", "clone")[n % 2] for n, pid in enumerate(pids)}
+
+
+def _witness_pids(meta: dict, steps, where: str, count: int, kind: str) -> tuple:
+    """A witness record's `P`, checked against its kind and its steps: a
+    sorted list of distinct pids that make every step; a solo witness names
+    one pid, and its `depth` is its step count."""
+    if meta.get("kind") != kind:
+        raise ReplayError(f"{where}: kind {meta.get('kind')!r} is not {kind!r}")
+    pids = _pids(meta, "P", where, count)
+    if list(pids) != sorted(set(pids)):
+        raise ReplayError(f"{where}: P is not sorted and distinct")
+    if any(rec.get("pid") not in pids for rec in steps):
+        raise ReplayError(f"{where}: a step is by a pid outside P")
+    if kind == "solo" and (len(pids) != 1 or _count(meta, "depth", where) != len(steps)):
+        raise ReplayError(f"{where}: a solo witness is one pid's run of `depth` steps")
+    return pids
+
+
 def replay_file(text: str) -> dict:
     """Re-execute a serialized certificate or report; raises ReplayError on
     any divergence.  Returns a summary dict."""
@@ -352,15 +386,19 @@ def replay_file(text: str) -> dict:
 
 def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
     """The first trace of a file, replayed for `spec`: a violation's main
-    trace, or the first level execution of a certificate (levels carry their
-    own inputs); `at` keeps only its first steps."""
+    trace under the header's inputs, or a certificate's first level
+    execution under that level's own inputs, even when it holds no steps;
+    `at` keeps only its first steps."""
     sections = _sections(text)
     header = _header(sections)
-    meta, steps = next(((m, s) for m, s in sections if s), (None, []))
-    if (meta or {}).get("inputs"):
-        inputs = _inputs(meta, "first trace")
-    else:
+    meta, steps = next(sections, ({}, []))
+    kind = meta.get("record")
+    if kind == "level":
+        inputs = _inputs(meta, "level 1")
+    elif kind == "violation":
         inputs = _inputs(header, "header")
+    else:
+        raise ReplayError("the file holds no level or violation trace")
     initial = initial_configuration(spec, inputs)
     steps = steps if at is None else steps[:at]
     return Execution.from_steps(
@@ -379,11 +417,12 @@ def _replay_violation(spec, header, vio, steps, sections):
         else _count(vio, "prefix_len", "violation")
     initial = initial_configuration(spec, _inputs(header, "header"))
     pids = len(initial.procs)
-    trace = Execution.from_steps(spec, initial, _steps_from_records(spec, steps, pids))
+    # a report records every step as "solo"
+    trace = Execution.from_steps(spec, initial, _steps_from_records(spec, steps, pids, roles={}))
     counter_trace = None
     if counter is not None:
         counter_trace = Execution.from_steps(
-            spec, initial, _steps_from_records(spec, counter_steps, pids))
+            spec, initial, _steps_from_records(spec, counter_steps, pids, roles={}))
     report = ViolationReport(
         kind=vio.get("kind"), trace=trace, evidence=vio.get("evidence") or {},
         counter_trace=counter_trace, prefix_len=prefix_len,
@@ -397,7 +436,10 @@ def _replay_violation(spec, header, vio, steps, sections):
 
 def _replay_certificate(spec, header, sections):
     """A chain certificate, replayed one section at a time: each level's
-    execution, then the witnesses and closing block write that extend it."""
+    execution, then the witnesses and closing block write that extend it.
+    A sqrt level's witnesses are solo runs of two distinct pids; a linear
+    level's are reserving, and its `pairs` give every step's role."""
+    sqrt = header.get("attack") == "sqrt"
     levels = 0
     checked_witnesses = 0
     for meta, steps in sections:
@@ -406,27 +448,36 @@ def _replay_certificate(spec, header, sections):
             levels += 1
             where = f"level {levels}"
             initial = initial_configuration(spec, _inputs(meta, where))
+            count = len(initial.procs)
+            roles = {} if sqrt else _pair_roles(meta, where, count)
             exec_ = Execution.from_steps(spec, initial,
-                                         _steps_from_records(spec, steps, len(initial.procs)))
+                                         _steps_from_records(spec, steps, count, roles=roles))
+            witness_pids = set()
             r = _count(meta, "r", where)
-            if header.get("attack") == "sqrt":
+            if sqrt:
                 want = (r - 1) * r // 2 + 2
-                if _count(meta, "budget", where) != want or len(initial.procs) != want:
+                if _count(meta, "budget", where) != want or count != want:
                     raise ReplayError(f"level {r}: budget mismatch")
                 regs = _registers(meta, "R", where)
             else:
                 regs = _registers(meta, "R_s", where) + _registers(meta, "R_c", where)
             if not set(regs) <= set(range(spec.register_count)):
                 raise ReplayError("level register set out of range")
-            if header.get("attack") == "sqrt" and not set(regs) <= exec_.written_registers():
+            if sqrt and not set(regs) <= exec_.written_registers():
                 raise ReplayError(f"level {r}: R not fully written")
             continue
         if kind not in ("witness", "closing-block-write"):
             raise ReplayError(f"unexpected {kind!r} record in a certificate")
         if not steps:
             raise ReplayError(f"{kind} section holds no steps")
+        if kind == "witness":
+            pids = _witness_pids(meta, steps, f"{where} witness", count,
+                                 "solo" if sqrt else "reserving")
+            if sqrt and witness_pids & set(pids):
+                raise ReplayError(f"{where}: both witnesses are runs of pid {pids[0]}")
+            witness_pids.update(pids)
         extended = exec_.extend_steps(_steps_from_records(
-            spec, steps, len(exec_.initial.procs), len(exec_.steps)))
+            spec, steps, count, len(exec_.steps), roles))
         if kind == "witness":
             last = extended.steps[-1]
             if not isinstance(last.action, Return) or last.action.decision != meta.get("decision"):

@@ -45,6 +45,19 @@ Pruning a node because an isomorphic ancestor is still on the stack skips
 runs the unpruned search finds first, and so changes the witness.  Solo
 searches have one unit and no symmetry, so they keep no class memo.
 
+Solo searches are shared across queries instead.  A single-unit `_Search`
+keeps no class memo and uses no coverage test; it reads only the unit's state
+id, the registers and the spec's tables, and starts from an empty written set.
+So its result, the actions of the least run (or none) and the cutoff flag, is
+a function of (state, registers, target, depth) alone: not of the unit's pids,
+nor of whether it is one process or a pair, since a pair moves as one.
+`_solo_run` keeps that result in the spec's `solo` memo and, on a hit, binds
+the stored actions to the queried unit and builds the witness through
+`materialize` as on a miss, so the model's step semantics still re-check every
+step and every pair's lockstep on the real configuration, and every
+certificate, report and verdict is the same as without the memo.  The oracle
+runs its own `_Search`es and never reads this memo.
+
 The argument does not fix which run is found first.  Nor does it fix the
 cutoff flag of a search that finds no run: the class memo can prune every
 node that would hit the depth bound, and then answers "refuted" (soundly)
@@ -342,13 +355,20 @@ def _tri(witness: Optional[Witness], cutoff: bool, depth: int) -> Tri:
 def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
     """(least terminating solo run of `unit` returning `target`, or any
     decision when target is None, as a Witness or None; cutoff).  A unit that
-    already returned has no run and hits no cutoff."""
+    already returned has no run and hits no cutoff.  The search result is
+    shared through the spec's `solo` memo (see the module docstring)."""
     if not unit_active(config, unit):
         return None, False
-    moves, cut = _Search(spec, [unit], target, coverage=False).run(config, depth)
-    if moves is None:
+    key = (config.proc(unit[0]).state, config.registers, target, depth)
+    memo = spec.memos["solo"]
+    hit = memo.get(key)
+    if hit is None:
+        moves, cut = _Search(spec, [unit], target, coverage=False).run(config, depth)
+        hit = memo[key] = (None if moves is None else tuple(a for _, a in moves), cut)
+    actions, cut = hit
+    if actions is None:
         return None, cut
-    return _witness(spec, config, moves, [unit], "solo"), cut
+    return _witness(spec, config, [(unit, a) for a in actions], [unit], "solo"), cut
 
 
 @dataclass(frozen=True)

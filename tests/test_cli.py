@@ -221,6 +221,29 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
     cases += [mistyped("report", "step", "i", 1), mistyped("sqrt", "step", "i", 99),
               mistyped("linear", "step", "i", 0, lambda rec: rec["pid"] == 8),
               mistyped("linear", "step", "i", 0, nth=-1)]
+    # a witness's kind is its attack's; its P is a sorted list of distinct
+    # pids of the level that makes every step; a solo witness is one pid's
+    # run of `depth` steps
+    cases += [mistyped("sqrt", "witness", "kind", "reserving"),
+              mistyped("linear", "witness", "kind", "solo"),
+              mistyped("linear", "witness", "P", [1, 0, 2, 3]),
+              mistyped("linear", "witness", "P", [0, 0, 1, 2, 3]),
+              mistyped("sqrt", "witness", "P", [0, 2]),
+              mistyped("linear", "witness", "P", [0, 1]),
+              mistyped("sqrt", "witness", "P", [0, 1]),
+              mistyped("sqrt", "witness", "depth", 5)]
+    # a sqrt level's two witnesses are runs of distinct pids: here its
+    # second witness is a copy of its first
+    sqrt = files["sqrt"]
+    first, second, level = [n for n, rec in enumerate(sqrt) if rec["record"] != "step"][2:5]
+    cases += ["".join(json.dumps(rec) + "\n" for rec in
+                      sqrt[:second] + sqrt[first:second] + sqrt[level:])]
+    # a step's role is its pid's in the level's pairs, and "solo" outside them
+    cases += [mistyped("sqrt", "step", "role", "leader"),
+              mistyped("report", "step", "role", "clone"),
+              mistyped("linear", "step", "role", "clone", lambda rec: rec["role"] == "leader"),
+              mistyped("linear", "step", "role", "solo", nth=-1),
+              mistyped("linear", "level", "pairs", 3)]
     for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))
@@ -267,6 +290,18 @@ def test_valency_at_trace_position(tmp_path):
                   "--at", "0", "--set", "0,1", "--mode", "solo")
     assert out.returncode == 0
     assert '"classification": "bivalent"' in out.stdout
+
+
+def test_valency_trace_reads_a_certificate_s_first_level(tmp_path):
+    # an r = 2 sqrt certificate's level 0 is two processes that took no step,
+    # not its first witness's run in the top level's three-process system
+    target = tmp_path / "c.jsonl"
+    assert run_cli("attack", "sqrt", "zoo:of-race-3", "--target-r", "2",
+                   "--out", str(target)).returncode == 0
+    out = run_cli("valency", "zoo:of-race-3", "--trace", str(target))
+    assert out.returncode == 0
+    result = json.loads(out.stdout)
+    assert (result["set"], result["classification"]) == ([0, 1], "bivalent")
 
 
 def test_zoo_list_and_show():

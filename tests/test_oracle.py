@@ -34,6 +34,9 @@ def test_of_race_three_clean_and_closed_at_n2(race3):
     verdict = oracle_check(race3, [0, 1], depth=60)
     assert verdict.ok
     assert not verdict.truncated
+    # the oracle's solo checks run their own searches, not the adversaries'
+    # solo memo
+    assert "solo" not in race3.memos
 
 
 def test_oracle_valency_mixed_start_bivalent(race3):
@@ -116,6 +119,7 @@ def test_replay_violation_solo_termination():
                              stuck_pids=(0,), depth=32)
     ok, detail = replay_violation(report)
     assert ok, detail
+    assert "solo" not in spin.memos
     # a terminating algorithm is denied
     flag = zoo.get_zoo("one-register-flag")
     exec2 = Execution.start(flag, initial_configuration(flag, [0, 1]))

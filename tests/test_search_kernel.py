@@ -15,7 +15,8 @@ none, so:
 - where the kernel answers "refuted" and the reference "unknown", the
   oracle confirms the refutation.
 The single any-decision DFS of `solo_terminating` must agree with the
-reference's two single-decision searches.
+reference's two single-decision searches, and a solo run served by the spec's
+solo memo must equal a fresh search's, bound to the queried unit.
 """
 
 import dataclasses
@@ -33,6 +34,8 @@ from regforce.valency import (
     _Search,
     _apply_move,
     _matchable,
+    _solo_run,
+    _witness,
     solo_terminating,
     unit_active,
     unit_state,
@@ -247,6 +250,45 @@ def test_solo_terminating_is_the_least_of_both_reference_decisions():
                     (spec.name, config, unit, depth)
                 outcomes["found"] += 1
     assert all(outcomes.values()), outcomes
+
+
+def test_solo_memo_answers_as_a_fresh_search():
+    # every unit is queried once to fill the memo and once more to read it;
+    # both answers must be the fresh search's witness and cutoff flag
+    hits = 0
+    for spec, config, active in _cases():
+        queries = [(unit, target, depth) for unit in active
+                   for target in (0, 1, None) for depth in DEPTHS]
+        for _ in range(2):
+            for unit, target, depth in queries:
+                key = (config.proc(unit[0]).state, config.registers, target, depth)
+                hits += key in spec.memos["solo"]
+                moves, cut = _Search(spec, [unit], target, coverage=False).run(config, depth)
+                want = None if moves is None else _witness(spec, config, moves, [unit], "solo")
+                assert _solo_run(spec, config, unit, target, depth) == (want, cut), \
+                    (spec.name, config, unit, target, depth)
+    assert hits
+
+
+def test_solo_memo_binds_a_pair_s_run_to_a_single_pid():
+    inputs, _ = LAYOUTS["pairs"]
+    pair, single = (0, 1), (4,)  # both start in input 0's state
+    for first, second in ((pair, single), (single, pair)):
+        spec = zoo.get_zoo("of-race-3")
+        config = initial_configuration(spec, inputs)
+        for target in (0, 1, None):
+            a, _ = _solo_run(spec, config, first, target, 64)
+            entries = len(spec.memos["solo"])
+            b, _ = _solo_run(spec, config, second, target, 64)
+            # the first query filled the memo and the second is served by it
+            assert len(spec.memos["solo"]) == entries > 0
+            if target == 1:
+                assert a is None and b is None
+                continue
+            assert [action for _, action in a.moves] == [action for _, action in b.moves]
+            for w, unit in ((a, first), (b, second)):
+                assert w.members == (unit,) and {u for u, _ in w.moves} == {unit}
+                assert [s.pid for s in w.steps] == [pid for _ in w.moves for pid in unit]
 
 
 def test_matchable_agrees_with_brute_force():

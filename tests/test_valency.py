@@ -8,6 +8,7 @@ from regforce.model import EngineError, Return, Write, enabled_actions, initial_
 from regforce.oracle import oracle_valency
 from regforce.valency import (
     InconclusiveError,
+    _Search,
     compose_prefix,
     construct_reserving,
     disjoint_witnesses,
@@ -53,6 +54,22 @@ def test_negative_m_is_refused(race3):
         reserving_search(race3, root, [(0,), (1,)], -1, 8, None)
     with pytest.raises(ValueError, match="negative m"):
         valency(race3, root, [0, 1], -1, 8, "reserving")
+
+
+def test_solo_valency_searches_once_per_state(race3, monkeypatch):
+    # three units in one state: target 0 is proven by the first unit, target
+    # 1 is refuted for each of them, yet each target is searched only once
+    searched = []
+    run = _Search.run
+
+    def counting(self, config, depth):
+        searched.append(self.target)
+        return run(self, config, depth)
+
+    monkeypatch.setattr(_Search, "run", counting)
+    report = valency(race3, initial_configuration(race3, [0, 0, 0]), [0, 1, 2], None, 64, "solo")
+    assert report.classify() == "0-univalent"
+    assert searched == [0, 1]
 
 
 def test_of_race_solo_decision_equals_own_input(race3):
