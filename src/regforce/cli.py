@@ -167,7 +167,8 @@ def _cmd_attack(args) -> int:
         return VIOLATION
     print(f"inconclusive: {outcome.reason}", file=sys.stderr)
     if args.out:
-        traceio.write_lines(args.out, traceio.inconclusive_lines(spec, outcome))
+        lines = traceio.inconclusive_lines(spec, outcome.reason, args.depth)
+        traceio.write_lines(args.out, lines)
     return INCONCLUSIVE
 
 

@@ -37,7 +37,6 @@ from .pairs import (
 )
 from .reports import Inconclusive, LinearChainCertificate, ViolationReport
 from .valency import (
-    InconclusiveError,
     Witness,
     compose_prefix,
     construct_reserving,
@@ -193,7 +192,21 @@ def assert_properties(level: LinearLevel) -> LinearLevel:
     return level
 
 
-def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport, Inconclusive]:
+def _breach_report(exec_: Execution, e: Inconclusive, depth: int) -> ViolationReport:
+    """The solo-termination breach `construct_reserving` proved from the end
+    of exec_: the unit it names is stuck after the breach's moves.  Any other
+    inconclusive result is raised on."""
+    if e.breach is None:
+        raise e
+    moves, unit = e.breach
+    trace = exec_.extend_steps(materialize(exec_.spec, exec_.final, moves))
+    return ViolationReport(
+        kind="solo-termination", trace=trace, stuck_pids=tuple(unit),
+        depth=depth, evidence={"note": str(e)},
+    )
+
+
+def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport]:
     n_pairs = expected_pairs(m, 0)
     n_zero = (n_pairs + 1) // 2
     inputs = []
@@ -212,15 +225,8 @@ def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport,
         units = [ledger.pair(i).members for i in ids]
         try:
             built = construct_reserving(spec, exec_.final, units, m, depth)
-        except InconclusiveError as e:
-            if e.breach is not None:
-                moves, unit = e.breach
-                partial = exec_.extend_steps(materialize(spec, exec_.final, moves))
-                return ViolationReport(
-                    kind="solo-termination", trace=partial, stuck_pids=tuple(unit),
-                    depth=depth, evidence={"note": str(e)},
-                )
-            return Inconclusive(str(e), depth)
+        except Inconclusive as e:
+            return _breach_report(exec_, e, depth)
         w = built.witness
         if w.decision != want:
             # every process in these units holds input `want`; replayed in the
@@ -288,21 +294,18 @@ def _resolve_orientation(level: LinearLevel, t_ids, depth):
 
 def _orient_and_split(level: LinearLevel, t_ids, depth):
     """(orientation, index of the scanned witness's first write outside the
-    covered set), or what ends the level instead: the ViolationReport realized
-    when no such write exists, or an Inconclusive marker when the orientation
-    cannot be decided."""
+    covered set), or the ViolationReport realized when no such write exists;
+    raises Inconclusive when the orientation cannot be decided."""
     orient = _resolve_orientation(level, t_ids, depth)
     if orient is None:
-        return Inconclusive(
-            f"valency after the covering block write unknown at depth {depth}", depth)
-    regs = set(level.regs)
-    for i, (_, action) in enumerate(orient.scanned.moves):
-        if isinstance(action, Write) and action.reg not in regs:
-            return orient, i
-    return _confined_witness_violation(level, orient)
+        raise Inconclusive(f"valency after the covering block write unknown at depth {depth}")
+    split_at = orient.scanned.first_write_outside(level.regs)
+    if split_at is None:
+        return _confined_witness_violation(level, orient)
+    return orient, split_at
 
 
-def linear_step(level: LinearLevel, depth: int) -> Union[LinearLevel, ViolationReport, Inconclusive]:
+def linear_step(level: LinearLevel, depth: int) -> Union[LinearLevel, ViolationReport]:
     t_ids = level.pool_ids()
     if len(t_ids) < 3 * level.m + 2:
         raise EngineError(f"|T|={len(t_ids)} < 3m+2; budget bookkeeping broken")
@@ -310,16 +313,7 @@ def linear_step(level: LinearLevel, depth: int) -> Union[LinearLevel, ViolationR
     if not isinstance(found, tuple):
         return found
     orient, split_at = found
-    try:
-        return _step_oriented(level, orient, split_at, t_ids, depth)
-    except InconclusiveError as e:
-        if e.breach is not None:
-            _, unit = e.breach
-            return ViolationReport(
-                kind="solo-termination", trace=level.exec, stuck_pids=tuple(unit),
-                depth=depth, evidence={"note": str(e)},
-            )
-        return Inconclusive(str(e), depth)
+    return _step_oriented(level, orient, split_at, t_ids, depth)
 
 
 def _steps_for_moves(witness: Witness, upto_move: int) -> tuple:
@@ -358,8 +352,7 @@ def _step_oriented(level, orient, split_at, t_ids, depth):
                  for reg in sorted(level.covered_regs)]
         return _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan,
                      "2", "cleanup", sd, depth)
-    return Inconclusive(
-        f"valency after the confined witness prefix unknown at depth {depth}", depth)
+    raise Inconclusive(f"valency after the confined witness prefix unknown at depth {depth}")
 
 
 def _confined_witness_violation(level, orient):
@@ -451,10 +444,9 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
         if cls == "bivalent":
             return _finish_bivalent(level, orient, t_ids, assembly(j, "1"), rep, depth)
         if cls == "unknown":
-            return Inconclusive(f"{word} prefix {j}: valency unknown", depth)
+            raise Inconclusive(f"{word} prefix {j}: valency unknown")
         if cls == "degenerate":
-            return Inconclusive(
-                f"{word} prefix {j}: no reserving execution within depth", depth)
+            raise Inconclusive(f"{word} prefix {j}: no reserving execution within depth")
 
     flip = _find_flip(reports, f"{start}-univalent", f"{1 - start}-univalent")
     if not isinstance(plan[flip][2], Write):
@@ -517,10 +509,11 @@ def _match_scanned_coverers(level, orient, assembly) -> dict:
     return out
 
 
-def _repair_stale(level, assembly, marker: int):
+def _repair_stale(level, assembly):
     """Unite colliding stale pairs by inserting each old clone's write right
     before an existing write to the same register inside the extension."""
     exec_, ledger = assembly.exec_now, assembly.ledger_now
+    marker = len(level.exec.steps)
     stale_by_reg = {}
     for pair_id in level.stale_ids():
         stale_by_reg[level.ledger.pair(pair_id).split.reg] = pair_id
@@ -559,19 +552,19 @@ def _search_side(spec, exec_, units, m, depth, want) -> Witness:
     if moves is not None:
         return _validated_witness(spec, exec_, units, moves, m, want)
     if cut:
-        raise InconclusiveError(f"side witness search hit depth {depth}")
+        raise Inconclusive(f"side witness search hit depth {depth}")
     other, cut2 = reserving_search(spec, exec_.final, units, m, depth, 1 - want)
     if other is not None:
         raise ContradictionError(
             f"univalent candidate produced a {1 - want}-returning execution")
-    raise InconclusiveError("no reserving execution at all for the chosen side set")
+    raise Inconclusive("no reserving execution at all for the chosen side set")
 
 
 def _finish_bivalent(level, orient, t_ids, assembly: _Assembly, rep, depth):
     spec = level.exec.spec
     m = level.m
     matched = _match_scanned_coverers(level, orient, assembly)
-    exec_, ledger = _repair_stale(level, assembly, marker=len(level.exec.steps))
+    exec_, ledger = _repair_stale(level, assembly)
     for _ in range(2):
         exec_, ledger, _new = new_pair(exec_, ledger, 0)
 
@@ -581,8 +574,11 @@ def _finish_bivalent(level, orient, t_ids, assembly: _Assembly, rep, depth):
     exec_.extend_steps(w0.steps)
     exec_.extend_steps(w1.steps)
     t_units = [level.unit(i) for i in t_ids]
-    p_units, q_units, w0, w1 = disjoint_witnesses(
-        spec, exec_.final, t_units, list(w0.members), list(w1.members), w0, w1, m, depth)
+    try:
+        p_units, q_units, w0, w1 = disjoint_witnesses(
+            spec, exec_.final, t_units, list(w0.members), list(w1.members), w0, w1, m, depth)
+    except Inconclusive as e:
+        return _breach_report(exec_, e, depth)
 
     return _build_level(level, assembly, exec_, ledger, matched,
                         p_units, q_units, w0, w1)
@@ -597,7 +593,7 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side:
     m = level.m
     _, o_pair, o_action = o_step
     matched = _match_scanned_coverers(level, orient, assembly)
-    exec_, ledger = _repair_stale(level, assembly, marker=len(level.exec.steps))
+    exec_, ledger = _repair_stale(level, assembly)
     budget = len(level.pair_ids) + 2
     exec_, ledger, dup1 = duplicate_pair(exec_, ledger, o_pair, budget)
     exec_, ledger, dup2 = duplicate_pair(exec_, ledger, o_pair, budget)
@@ -621,8 +617,8 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side:
     xi_moves, cut = reserving_search(spec, exec_o.final, f_units, m, depth, 1 - flip_side)
     if xi_moves is None:
         if cut:
-            raise InconclusiveError(f"switch witness search hit depth {depth}")
-        raise InconclusiveError("no reserving execution beyond the flip step")
+            raise Inconclusive(f"switch witness search hit depth {depth}")
+        raise Inconclusive("no reserving execution beyond the flip step")
     xi = make_witness(spec, exec_o.final, list(xi_moves), f_units, "reserving")
     composed = compose_prefix(spec, exec_.final, dup_units[0], o_action,
                               dup_units[1], xi, m)
@@ -694,5 +690,5 @@ def linear_run(spec, m: int, depth: int):
             m=m, levels=levels, depth=depth,
             final=final, registers_written=count,
         )
-    except InconclusiveError as e:
-        return Inconclusive(str(e), depth)
+    except Inconclusive as e:
+        return e

@@ -8,6 +8,7 @@ category, and re-confirms violation reports produced elsewhere.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -172,8 +173,12 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     return verdict
 
 
+# states one `oracle_valency` reachability search may visit before it gives up
+VALENCY_GUARD = 200_000
+
+
 def oracle_valency(spec: AlgorithmSpec, config: Configuration, units, mode: str,
-                   m: Optional[int] = None, guard: int = 200_000) -> dict:
+                   m: Optional[int] = None) -> dict:
     """Exact decision-reachability classification, used to validate the
     valency searches.
 
@@ -181,8 +186,6 @@ def oracle_valency(spec: AlgorithmSpec, config: Configuration, units, mode: str,
     reachability with no depth bound, no memo tricks and a brute-force
     coverage test; a state-count guard trips instead of truncating.
     """
-    import itertools
-
     units = [(u,) if isinstance(u, int) else tuple(u) for u in units]
     reached = set()
 
@@ -199,7 +202,7 @@ def oracle_valency(spec: AlgorithmSpec, config: Configuration, units, mode: str,
         while queue:
             cfg, written = queue.popleft()
             visits += 1
-            if visits > guard:
+            if visits > VALENCY_GUARD:
                 raise EngineError("oracle valency guard tripped")
             for unit in start_units:
                 p = cfg.proc(unit[0])
@@ -245,8 +248,6 @@ def oracle_valency(spec: AlgorithmSpec, config: Configuration, units, mode: str,
 def _brute_cover(spec, cfg, units, written) -> bool:
     """Injective register -> covering-unit assignment, by trying every
     permutation of candidate units (both sides stay tiny)."""
-    import itertools
-
     regs = sorted(written)
     if not regs:
         return True

@@ -113,17 +113,11 @@ def pair_step(exec_: Execution, ledger: PairLedger, pair_id: int, action):
     return exec_, ledger
 
 
-def split_pair(exec_: Execution, ledger: PairLedger, pair_id: int, action: Optional[Write] = None):
+def split_pair(exec_: Execution, ledger: PairLedger, pair_id: int, action: Write):
     """Leader writes alone; the clone keeps covering the register."""
     p = ledger.pair(pair_id)
     if not p.united:
         raise ValueError(f"pair {pair_id} already split")
-    if action is None:
-        writes = [a for a in exec_.spec.actions(exec_.final.proc(p.leader).state)
-                  if isinstance(a, Write)]
-        if len(writes) != 1:
-            raise ValueError(f"pair {pair_id} has no unique pending write; pass one explicitly")
-        action = writes[0]
     if not isinstance(action, Write):
         raise ValueError("split requires a write action")
     exec_ = exec_.extend(p.leader, action)

@@ -44,7 +44,15 @@ class LinearChainCertificate:
     registers_written: Optional[int] = None
 
 
-@dataclass
-class Inconclusive:
-    reason: str
-    depth: Optional[int] = None
+class Inconclusive(Exception):
+    """A search hit its depth bound, or an assumption of the construction
+    failed to hold: the run cannot conclude either way.  It is raised where
+    the query runs; `sqrt_run` and `linear_run` return it as their outcome."""
+
+    def __init__(self, reason: str, breach=None):
+        super().__init__(reason)
+        self.reason = reason
+        # (moves, unit) when the search proved that `unit` has no terminating
+        # solo run after `moves`, counted from the search's start
+        # configuration: a solo-termination breach, not a mere cutoff
+        self.breach = breach

@@ -13,16 +13,9 @@ violation instead of an abort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
-from .model import (
-    ContradictionError,
-    EngineError,
-    Read,
-    Write,
-    canonicalize,
-    initial_configuration,
-)
+from .model import ContradictionError, EngineError, Read, Write, initial_configuration
 from .execution import (
     Execution,
     Step,
@@ -31,7 +24,7 @@ from .execution import (
     restricted_replay,
 )
 from .reports import Inconclusive, SqrtChainCertificate, ViolationReport
-from .valency import InconclusiveError, Witness, solo_search, solo_terminating, valency
+from .valency import Witness, solo_search, solo_terminating, valency
 
 
 @dataclass
@@ -80,7 +73,7 @@ def check_level(level: SqrtLevel) -> None:
         )
 
 
-def sqrt_base(spec, depth: int) -> Union[SqrtLevel, ViolationReport, Inconclusive]:
+def sqrt_base(spec, depth: int) -> Union[SqrtLevel, ViolationReport]:
     exec_ = Execution.start(spec, initial_configuration(spec, [0, 1]))
     witnesses = {}
     for pid, want in ((0, 0), (1, 1)):
@@ -91,7 +84,7 @@ def sqrt_base(spec, depth: int) -> Union[SqrtLevel, ViolationReport, Inconclusiv
             witnesses[want] = side.witness
             continue
         if side.status == "unknown":
-            return Inconclusive(f"solo search for pid {pid} hit depth {depth}", depth)
+            raise Inconclusive(f"solo search for pid {pid} hit depth {depth}")
         # no run returns the own input: either nothing terminates (stuck) or
         # every terminating run returns the other value, which is a validity
         # breach in the system of pid alone, whose input is `want`
@@ -135,7 +128,7 @@ def _distinct_bivalency(spec, config, depth):
         if w is None:
             continue
         return ((w, w1) if w.decision == 0 else (w0, w)), None
-    raise InconclusiveError(
+    raise Inconclusive(
         "bivalent configuration but no second process has a terminating solo run"
     )
 
@@ -150,14 +143,7 @@ def _last_writer(exec_: Execution, reg: int):
     raise EngineError(f"no write to r{reg} in the execution")
 
 
-def _first_outside_write(witness: Witness, regs) -> Optional[int]:
-    for i, step in enumerate(witness.steps):
-        if isinstance(step.action, Write) and step.action.reg not in regs:
-            return i
-    return None
-
-
-def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport, Inconclusive]:
+def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport]:
     regs = set(level.regs)
     alpha, beta = level.w0, level.w1
     p, q = level.pid0, level.pid1
@@ -174,15 +160,16 @@ def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport,
     exec_ = mirror_history(exec_, shadows)
 
     # a returning run confined to R lets the block write erase it: the other
-    # witness still runs, and the combined trace decides both values
-    ia = _first_outside_write(alpha, regs)
+    # witness still runs, and the combined trace decides both values; a solo
+    # witness moves one process, so its move indices are its step indices
+    ia = alpha.first_write_outside(regs)
     if ia is None:
         trace = exec_.extend_steps(alpha.steps).extend_steps(gamma).extend_steps(beta.steps)
         return ViolationReport(
             kind="agreement", trace=trace,
             evidence={"pids": [p, q], "decisions": [0, 1], "level": level.r},
         )
-    ib = _first_outside_write(beta, regs)
+    ib = beta.first_write_outside(regs)
     if ib is None:
         trace = exec_.extend_steps(beta.steps).extend_steps(gamma).extend_steps(alpha.steps)
         return ViolationReport(
@@ -209,7 +196,7 @@ def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport,
             return new
         cls, report = info
         if cls in ("unknown", "degenerate"):
-            return Inconclusive(f"candidate {i}: valency {cls} at depth {depth}", depth)
+            raise Inconclusive(f"candidate {i}: valency {cls} at depth {depth}")
         classes.append((cand, report))
 
     new, info = _next_level(level, prefixes[-1], wq.action.reg, depth)
@@ -217,7 +204,7 @@ def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport,
         return new
     cls_final, _ = info
     if cls_final in ("unknown", "degenerate"):
-        return Inconclusive(f"full-restore candidate: valency {cls_final}", depth)
+        raise Inconclusive(f"full-restore candidate: valency {cls_final}")
 
     return _switching_point(level, classes, cls_final, b_seq, wp, depth)
 
@@ -257,7 +244,7 @@ def _switching_point(level, classes, cls_final, b_seq, wp, depth):
         last_exec, _ = classes[-1]
         res = solo_search(spec, last_exec.final, p, depth)
         if res.cutoff:
-            return Inconclusive("terminating solo run search for the flip hit depth", depth)
+            raise Inconclusive("terminating solo run search for the flip hit depth")
         if not (res.zero.proven or res.one.proven):
             return ViolationReport(
                 kind="solo-termination", trace=last_exec, stuck_pids=(p,), depth=depth,
@@ -278,7 +265,7 @@ def _switching_point(level, classes, cls_final, b_seq, wp, depth):
     x_exec, x_report = classes[flip]
     y_exec, _ = classes[flip + 1]
     swapped = x_exec.extend(o.pid, o.action)
-    if canonicalize(swapped.final) != canonicalize(y_exec.final) or swapped.final != y_exec.final:
+    if swapped.final != y_exec.final:
         raise EngineError("write steps to distinct registers failed to commute")
     sigma = solo_terminating(spec, y_exec.final, o.pid, depth)
     if sigma is None:
@@ -319,5 +306,5 @@ def sqrt_run(spec, r_target: int, depth: int):
                 return outcome
             levels.append(outcome)
         return SqrtChainCertificate(levels=levels, depth=depth)
-    except InconclusiveError as e:
-        return Inconclusive(str(e), depth)
+    except Inconclusive as e:
+        return e

@@ -34,12 +34,7 @@ from .model import (
 from .execution import Execution, Step
 from .oracle import replay_violation
 from .pairs import PairLedger
-from .reports import (
-    Inconclusive,
-    LinearChainCertificate,
-    SqrtChainCertificate,
-    ViolationReport,
-)
+from .reports import LinearChainCertificate, SqrtChainCertificate, ViolationReport
 from .valency import Witness
 
 
@@ -209,12 +204,13 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
     return lines
 
 
-def inconclusive_lines(spec: AlgorithmSpec, marker: Inconclusive) -> list:
+def inconclusive_lines(spec: AlgorithmSpec, reason: str, depth: int) -> list:
+    """The file of a run that could not conclude within search depth `depth`."""
     return [header_record(spec, None), _dump({
         "record": "inconclusive",
         "spec": spec.name,
-        "reason": marker.reason,
-        "depth": marker.depth,
+        "reason": reason,
+        "depth": depth,
     })]
 
 
@@ -261,6 +257,14 @@ def _header(sections) -> dict:
     if steps:
         raise ReplayError("step records directly after the header")
     return header
+
+
+def _algorithm(header: dict) -> AlgorithmSpec:
+    """The spec of the header's `algorithm_text`."""
+    text = header.get("algorithm_text")
+    if not isinstance(text, str):
+        raise ReplayError("header: algorithm_text is not a string")
+    return load_algorithm(text)
 
 
 def _inputs(record: dict, where: str) -> list:
@@ -370,9 +374,7 @@ def replay_file(text: str) -> dict:
     any divergence.  Returns a summary dict."""
     sections = _sections(text)
     header = _header(sections)
-    if not isinstance(header.get("algorithm_text"), str):
-        raise ReplayError("header: algorithm_text is not a string")
-    spec = load_algorithm(header["algorithm_text"])
+    spec = _algorithm(header)
     first, steps = next(sections, ({}, []))
     kind = first.get("record")
     if kind == "violation":
@@ -385,12 +387,14 @@ def replay_file(text: str) -> dict:
 
 
 def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
-    """The first trace of a file, replayed for `spec`: a violation's main
-    trace under the header's inputs, or a certificate's first level
-    execution under that level's own inputs, even when it holds no steps;
-    `at` keeps only its first steps."""
+    """The first trace of a file, replayed for `spec`, which must be the
+    file's own algorithm: a violation's main trace under the header's
+    inputs, or a certificate's first level execution under that level's own
+    inputs, even when it holds no steps; `at` keeps only its first steps."""
     sections = _sections(text)
     header = _header(sections)
+    if _algorithm(header) != spec:
+        raise ReplayError(f"the file's algorithm is not {spec.name!r}")
     meta, steps = next(sections, ({}, []))
     kind = meta.get("record")
     if kind == "level":

@@ -83,18 +83,7 @@ from .model import (
     step_with_outcome,
 )
 from .execution import Step
-
-
-class InconclusiveError(Exception):
-    """A search hit its depth bound (or an assumption of the construction
-    failed to hold); the surrounding run cannot conclude either way."""
-
-    def __init__(self, reason: str, breach=None):
-        super().__init__(reason)
-        self.reason = reason
-        # (config, unit) when the search proved no terminating solo exists:
-        # that is a solo-termination breach, not a mere cutoff.
-        self.breach = breach
+from .reports import Inconclusive
 
 
 Unit = tuple  # (pid,) or (leader_pid, clone_pid)
@@ -111,6 +100,13 @@ class Witness:
     @property
     def decider(self) -> Unit:
         return self.moves[-1][0]
+
+    def first_write_outside(self, regs) -> Optional[int]:
+        """Index of the first move that writes a register not in `regs`."""
+        for i, (_, action) in enumerate(self.moves):
+            if isinstance(action, Write) and action.reg not in regs:
+                return i
+        return None
 
 
 @dataclass(frozen=True)
@@ -392,7 +388,7 @@ def solo_terminating(spec, config, unit, depth: int) -> Optional[Witness]:
     explore the same tree, so they hit a cutoff exactly when this does."""
     witness, cut = _solo_run(spec, config, _as_unit(unit), None, depth)
     if witness is None and cut:
-        raise InconclusiveError(f"no terminating solo run of {unit} within depth")
+        raise Inconclusive(f"no terminating solo run of {unit} within depth")
     return witness
 
 
@@ -468,41 +464,27 @@ def group_moves(units, steps) -> Optional[list]:
 
 # -- valency ----------------------------------------------------------------
 
-def _profile_key(config, units, m, depth, target):
-    states = tuple(sorted(config.proc(u[0]).state for u in units))
-    return (config.registers, states, m, depth, target)
-
-
 def _subset_search(spec, config, units, m, depth, target):
     """Reserving search memoized on the anonymity profile of the subset:
-    subsets whose members sit in the same multiset of states share results."""
-    units = sorted(units)
+    subsets whose members sit in the same multiset of states share results.
+    A found run is stored by each mover's position in the (state, unit)
+    order, and a hit binds those positions to the queried subset."""
+    profile = sorted([(config.proc(u[0]).state, u) for u in units])
+    key = (config.registers, tuple([state for state, _ in profile]), m, depth, target)
     memo = spec.memos["profile"]
-    key = _profile_key(config, units, m, depth, target)
     hit = memo.get(key)
     if hit is not None:
         tag, payload = hit
         if tag == "proven":
-            moves = _rebind_moves(config, payload, units)
-            return moves, False
+            return [(profile[pos][1], action) for pos, action in payload], False
         return None, tag == "unknown"
     moves, cut = reserving_search(spec, config, units, m, depth, target)
     if moves is not None:
-        order = _profile_order(config, units)
-        stored = tuple((order.index(u), a) for u, a in moves)
-        memo[key] = ("proven", stored)
+        position = {u: i for i, (_, u) in enumerate(profile)}
+        memo[key] = ("proven", tuple((position[u], a) for u, a in moves))
     else:
         memo[key] = ("unknown" if cut else "refuted", None)
     return moves, cut
-
-
-def _profile_order(config, units):
-    return sorted(units, key=lambda u: (config.proc(u[0]).state, u))
-
-
-def _rebind_moves(config, stored, units):
-    order = _profile_order(config, units)
-    return [(order[pos], action) for pos, action in stored]
 
 
 def valency(spec, config, units, m, depth, mode) -> ValencyReport:
@@ -588,31 +570,30 @@ def construct_reserving(spec, config, units, m, depth) -> ReservingConstruction:
     cfg = config
     pending: dict = {}
 
-    def probe(unit):
+    def advance(unit, covered) -> bool:
+        """Run `unit`'s least terminating solo run up to its first write
+        outside `covered` and record that write as pending; True when the
+        whole run, its return included, stays inside."""
+        nonlocal cfg
         w = solo_terminating(spec, cfg, unit, depth)
         if w is None:
-            raise InconclusiveError(
+            raise Inconclusive(
                 f"unit {unit} has no terminating solo run (solo-termination breach)",
                 breach=(tuple(moves), unit),
             )
-        return w
-
-    def take(unit, ms):
-        nonlocal cfg
-        for _, action in ms:
-            cfg2, _ = _apply_move(spec, cfg, unit, action)
+        cut = w.first_write_outside(covered)
+        for _, action in w.moves[:cut]:
+            cfg, _ = _apply_move(spec, cfg, unit, action)
             moves.append((unit, action))
-            cfg = cfg2
+        if cut is None:
+            return True
+        pending[unit] = w.moves[cut][1]
+        return False
 
     # stage 1: read-only prefixes
     for unit in units:
-        w = probe(unit)
-        cut = next((i for i, (_, a) in enumerate(w.moves) if isinstance(a, Write)), None)
-        if cut is None:
-            take(unit, w.moves)
+        if advance(unit, ()):
             return _finish(spec, config, moves, units, 0)
-        take(unit, w.moves[:cut])
-        pending[unit] = w.moves[cut][1]
 
     iterations = 0
     while True:
@@ -621,30 +602,19 @@ def construct_reserving(spec, config, units, m, depth) -> ReservingConstruction:
             covered.setdefault(pending[u].reg, []).append(u)
         shared = sorted(regs for regs, us in covered.items() if len(us) >= 2)
         if not shared:
-            raise InconclusiveError(
+            raise Inconclusive(
                 "no two units cover a common register; the register budget m "
                 "does not bound this algorithm"
             )
         reg_set = frozenset(covered)
         unit = min(covered[shared[0]])
         if iterations >= m:
-            raise InconclusiveError(
+            raise Inconclusive(
                 f"covered registers kept growing past m={m}; budget assumption broken"
             )
         iterations += 1
-        w = probe(unit)
-        cut = next(
-            (i for i, (_, a) in enumerate(w.moves)
-             if isinstance(a, Write) and a.reg not in reg_set),
-            None,
-        )
-        if cut is None:
-            take(unit, w.moves)
+        if advance(unit, reg_set):
             return _finish(spec, config, moves, units, iterations)
-        take(unit, w.moves[:cut])
-        pending[unit] = w.moves[cut][1]
-        if pending[unit].reg in reg_set:
-            raise EngineError("stage-2 advance stopped inside the covered set")
 
 
 def _finish(spec, config, moves, units, iterations) -> ReservingConstruction:

@@ -136,9 +136,10 @@ _ENTRIES = [
     ZooEntry(
         "of-race-5",
         "intended-correct",
-        "certified at n <= 3, depth 40 (bounded: ~60k canonical states, "
-        "clean through 1.6M states at depth 120); two lurking writers "
-        "corrupt at most two of five slots and the majority survives",
+        "certified at n = 2: the reachable space closes untruncated by depth "
+        "100, all ok; at n = 3 the depth-40 sweep is clean but truncated, so "
+        "`check` exits 3; two lurking writers corrupt at most two of five "
+        "slots and the majority survives",
     ),
 ]
 

@@ -89,8 +89,9 @@ def test_attack_linear_chain(tmp_path):
 
 
 # (exit code, SHA-256 of the JSON list [stdout, stderr, --out file text]) of
-# `attack linear zoo:<name> --m <m>`: the scan may be restructured, its
-# verdicts, reasons and certificates may not change
+# `attack linear zoo:<name> --m <m>`, with `--depth <depth>` when the key has
+# a third entry: the scan may be restructured, its verdicts, reasons and
+# certificates may not change
 ATTACK_LINEAR_PINS = {
     ("claim-commit", 1): (3, "f45ddededd8de28b216dc0b7f32a7534cde28a4e0c3e29d70d5fd3ce47f72295"),
     ("claim-commit", 2): (0, "c6e1aa20499b57d0d92e2d07bcbeea18fa63b7576c095d2ba12d5ed7a2cba613"),
@@ -102,16 +103,24 @@ ATTACK_LINEAR_PINS = {
     ("constant-decider", 1): (2, "ae957e4075d1c40262b20e4be3adfc39450dc5bb38619393660952649cdb1107"),
     ("trivial-decider", 1): (2, "899f73be85bc3a181c9c5645bcf625a08f3acb8479a01c15094080055abe1ce6"),
     ("spin-reader", 1): (2, "b6b4a9c59d064cfebcd9a092c3a7b3757d3464feae79307bee90af0b52c29ace"),
+    # the orientation query after the covering block write gives out
+    ("claim-commit", 2, 6): (3, "e5e6ec7e5e219bad8c21ed2fa36e9dca85e40bc7cf3cc9c22dddf4415a889b2b"),
 }
 
 
-def test_attack_linear_outputs_are_pinned(tmp_path):
-    for (name, m), (code, digest) in ATTACK_LINEAR_PINS.items():
-        target = tmp_path / f"{name}-{m}.jsonl"
-        out = run_cli("attack", "linear", f"zoo:{name}", "--m", str(m), "--out", str(target))
+def _attack_pinned(tmp_path, kind, option, pins):
+    for (name, value, *depth), (code, digest) in pins.items():
+        target = tmp_path / f"{name}-{value}.jsonl"
+        extra = ("--depth", str(depth[0])) if depth else ()
+        out = run_cli("attack", kind, f"zoo:{name}", option, str(value), *extra,
+                      "--out", str(target))
         blob = json.dumps([out.stdout, out.stderr, target.read_text()])
         assert (out.returncode, hashlib.sha256(blob.encode()).hexdigest()) \
-            == (code, digest), (name, m, out.stderr)
+            == (code, digest), (name, value, *depth, out.stderr)
+
+
+def test_attack_linear_outputs_are_pinned(tmp_path):
+    _attack_pinned(tmp_path, "linear", "--m", ATTACK_LINEAR_PINS)
 
 
 ATTACK_SQRT_PINS = {
@@ -124,16 +133,13 @@ ATTACK_SQRT_PINS = {
     ("trivial-decider", 3): (2, "4c492b1c4aa5eff23832fc021fcceeed8ba439dd729874014207bfaa6a474658"),
     ("constant-decider", 3): (2, "f645f51f81975cc0aa31699b068a7d5a7e1dd4812d5a52c7b83cb8486968c0c7"),
     ("spin-reader", 3): (2, "295729d3068fc92c77b6b608d6458545ed971263f4806fa3da61d961a9fbc4ef"),
+    # the base level's solo search for pid 0 gives out
+    ("of-race-3", 3, 21): (3, "973b1e902f9a9a11d6c04e7bee2db4f6bffa8559cbc91dc5a6552178186c2555"),
 }
 
 
 def test_attack_sqrt_outputs_are_pinned(tmp_path):
-    for (name, r), (code, digest) in ATTACK_SQRT_PINS.items():
-        target = tmp_path / f"{name}-{r}.jsonl"
-        out = run_cli("attack", "sqrt", f"zoo:{name}", "--target-r", str(r), "--out", str(target))
-        blob = json.dumps([out.stdout, out.stderr, target.read_text()])
-        assert (out.returncode, hashlib.sha256(blob.encode()).hexdigest()) \
-            == (code, digest), (name, r, out.stderr)
+    _attack_pinned(tmp_path, "sqrt", "--target-r", ATTACK_SQRT_PINS)
 
 
 def test_attack_linear_inconclusive_exits_three():
@@ -302,6 +308,18 @@ def test_valency_trace_reads_a_certificate_s_first_level(tmp_path):
     assert out.returncode == 0
     result = json.loads(out.stdout)
     assert (result["set"], result["classification"]) == ([0, 1], "bivalent")
+
+
+def test_valency_trace_must_be_the_named_algorithm(tmp_path):
+    # a claim-commit certificate replayed as of-race-3 is no of-race-3 trace
+    target = tmp_path / "l.jsonl"
+    assert run_cli("attack", "linear", "zoo:claim-commit", "--m", "2",
+                   "--out", str(target)).returncode == 0
+    out = run_cli("valency", "zoo:of-race-3", "--trace", str(target), "--at", "3")
+    assert out.returncode == 1
+    assert out.stderr.startswith("replay error:")
+    same = run_cli("valency", "zoo:claim-commit", "--trace", str(target), "--at", "3")
+    assert same.returncode == 0
 
 
 def test_zoo_list_and_show():

@@ -303,6 +303,32 @@ def test_scripted_flips_reach_the_switch_finisher(monkeypatch):
     assert assembly.split_now == () and assembly.exec_now == run_pairs(split_at)
 
 
+def test_breach_while_disentangling_is_reported_where_it_was_found(monkeypatch):
+    """A solo-termination breach met by `disjoint_witnesses` is reported on
+    the trace it searched from: the scan prefix, the stale repair and the two
+    idle pairs, not the level's trace.  Any other inconclusive result ends
+    the run as it is."""
+    spec = zoo.get_zoo("claim-commit")
+    seen = []
+
+    def scripted(breach):
+        def disjoint_witnesses(spec, config, all_units, *args):
+            seen.append((config, tuple(all_units[0])))
+            raise Inconclusive("scripted", breach=((), tuple(all_units[0])) if breach else None)
+        return disjoint_witnesses
+
+    monkeypatch.setattr(linear_attack, "disjoint_witnesses", scripted(True))
+    out = linear_run(spec, m=2, depth=64)
+    assert isinstance(out, ViolationReport) and out.kind == "solo-termination"
+    config, unit = seen.pop()
+    assert seen == [] and out.trace.final == config and out.stuck_pids == unit
+    assert len(config.procs) == expected_pairs(2, 1) * 2
+
+    monkeypatch.setattr(linear_attack, "disjoint_witnesses", scripted(False))
+    out = linear_run(spec, m=2, depth=64)
+    assert isinstance(out, Inconclusive) and out.reason == "scripted"
+
+
 # -- stale repair ---------------------------------------------------------------
 
 def test_stale_repair_unites_colliding_pair(flag):
@@ -321,7 +347,6 @@ def test_stale_repair_unites_colliding_pair(flag):
         split_regs=(0,), covered_regs=(), cover={0: 1}, cover_actions={},
         p_ids=(), q_ids=(), alpha=None, beta=None,
     )
-    marker = len(exec_.steps)
     # the extension overwrites r0 again via the third pair's lockstep write
     ext, led = pair_step(exec_, ledger, 2, writes[2])
     assembly = _Assembly(
@@ -330,7 +355,7 @@ def test_stale_repair_unites_colliding_pair(flag):
         touched=frozenset({0}), wp_done=True, split_now=(),
     )
     before = ext.final
-    repaired, led2 = _repair_stale(level, assembly, marker)
+    repaired, led2 = _repair_stale(level, assembly)
     # exactly one inserted step, the stale clone's pending write
     assert len(repaired.steps) == len(ext.steps) + 1
     assert led2.pair(0).united
@@ -344,7 +369,7 @@ def test_stale_repair_unites_colliding_pair(flag):
         wp_unit=(4, 5), wp_action=writes[2],
         touched=frozenset(), wp_done=True, split_now=(),
     )
-    same, _ = _repair_stale(level, assembly2, marker)
+    same, _ = _repair_stale(level, assembly2)
     assert same.steps == ext.steps
 
 

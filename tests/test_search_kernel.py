@@ -29,8 +29,8 @@ import pytest
 from regforce import zoo
 from regforce.model import Configuration, Proc, initial_configuration, load_algorithm
 from regforce.oracle import oracle_valency
+from regforce.reports import Inconclusive
 from regforce.valency import (
-    InconclusiveError,
     _Search,
     _apply_move,
     _matchable,
@@ -237,7 +237,7 @@ def test_solo_terminating_is_the_least_of_both_reference_decisions():
                 found = [moves for moves, _ in runs if moves is not None]
                 if not found:
                     if any(cut for _, cut in runs):
-                        with pytest.raises(InconclusiveError):
+                        with pytest.raises(Inconclusive):
                             solo_terminating(spec, config, unit, depth)
                         outcomes["cutoff"] += 1
                     else:

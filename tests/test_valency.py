@@ -6,8 +6,8 @@ from regforce import zoo
 from regforce.execution import Execution
 from regforce.model import EngineError, Return, Write, enabled_actions, initial_configuration
 from regforce.oracle import oracle_valency
+from regforce.reports import Inconclusive
 from regforce.valency import (
-    InconclusiveError,
     _Search,
     compose_prefix,
     construct_reserving,
@@ -161,7 +161,7 @@ def test_construct_reserving_iterations_bounded_by_m(race3):
 
 def test_construct_reserving_reports_budget_breach(race3):
     config = initial_configuration(race3, [0, 0])
-    with pytest.raises(InconclusiveError, match="budget|common register"):
+    with pytest.raises(Inconclusive, match="budget|common register"):
         construct_reserving(race3, config, [(0,), (1,)], m=1, depth=64)
 
 
