@@ -3,32 +3,21 @@
 This is the ground truth the adversaries are validated against: it explores
 every schedule and nondeterministic choice up to a depth bound with
 canonical-form deduplication, reports the first violating trace per
-category, and re-confirms violation reports produced elsewhere.
+category, and re-confirms violation reports produced elsewhere.  It shares
+only the model's step semantics with the adversaries: solo termination is
+decided by its own exact closure (`solo_returns`), not by their searches.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    READ,
-    WRITE,
-    AlgorithmSpec,
-    Configuration,
-    EngineError,
-    Proc,
-    Return,
-    Write,
-    initial_configuration,
-    step_with_outcome,
-)
+from .model import READ, RETURN, WRITE, AlgorithmSpec, EngineError, initial_configuration
 from .execution import Execution, Step
 from .reports import ViolationReport
-from .valency import _Search, unit_active
 
 
 @dataclass
@@ -49,7 +38,56 @@ class OracleVerdict:
 
 # decision by node code % 6: (status * 2 + input) -> None while active
 _DECIDED = (None, None, 0, 0, 1, 1)
-_MISS = object()
+
+
+def solo_returns(rows, memo: dict, sid: int, regs: tuple) -> bool:
+    """Whether a process in state id `sid` can still return when it runs
+    alone from registers `regs`, on the table rows `rows`: exact
+    reachability of a RETURN row, with no depth bound.
+
+    One process alone moves in a finite graph of `(state id, registers)`
+    nodes.  On a miss in `memo`, which maps such nodes to their answers,
+    this explores every node the process reaches alone, marks by a reverse
+    pass over the recorded predecessors each node from which a RETURN row is
+    reachable, and writes every explored node into `memo`.  A node already
+    in `memo` is not explored again: its answer is exact.
+    """
+    start = (sid, regs)
+    known = memo.get(start)
+    if known is not None:
+        return known
+    preds = {start: []}
+    returns = []  # explored nodes with a RETURN row or a returning successor
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        s, r = node
+        for kind, reg, arg, _ in rows[s]:
+            if kind == RETURN:
+                returns.append(node)
+                continue
+            if kind == READ:
+                succ = (arg[r[reg]], r)
+            else:
+                value, s2 = arg
+                succ = (s2, r[:reg] + (value,) + r[reg + 1:])
+            known = memo.get(succ)
+            if known is not None:
+                if known:
+                    returns.append(node)
+            elif succ in preds:
+                preds[succ].append(node)
+            else:
+                preds[succ] = [node]
+                stack.append(succ)
+    for node in preds:
+        memo[node] = False
+    while returns:
+        node = returns.pop()
+        if not memo[node]:
+            memo[node] = True
+            returns.extend(preds[node])
+    return memo[start]
 
 
 def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_000,
@@ -61,9 +99,10 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     the bound.  Children expand in (pid, action-index) order, making the
     first recorded trace per violation category deterministic (shortest,
     then lexicographically first).  Every explored configuration is also
-    checked for a terminating solo run of each active process.  `dedup=False`
-    explores the raw schedule tree instead; tiny instances must reach the
-    same verdicts either way.
+    checked for a terminating solo run of each active process; that check is
+    exact (`solo_returns`), so `truncated` comes only from the depth and
+    state bounds.  `dedup=False` explores the raw schedule tree instead; tiny
+    instances must reach the same verdicts either way.
 
     The sweep runs on the spec's integer tables (`AlgorithmSpec.tables`).  A
     node is the registers tuple plus one code per pid,
@@ -75,7 +114,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     """
     root = initial_configuration(spec, inputs)
     tables = spec.tables
-    rows, names = tables.rows, tuple(tables.ids)
+    rows = tables.rows
     width = max(map(len, rows))
     regs0 = root.registers
     codes0 = tuple(tables.ids[p.state] * 6 + p.input for p in root.procs)
@@ -101,16 +140,9 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
             steps.append(Step(pid, action, outcome))
         return tuple(steps)
 
-    # solo termination per (state, registers): exact reachability of a Return
+    # solo termination per (state id, registers), for every node any solo
+    # closure of this sweep explored
     solo_memo: dict = {}
-
-    def solo_ok(regs, codes, pid) -> Optional[bool]:
-        config = Configuration(regs, tuple(Proc(c & 1, names[c // 6], _DECIDED[c % 6])
-                                           for c in codes))
-        moves, cut = _Search(spec, [(pid,)], None, coverage=False).run(config, depth)
-        result = True if moves is not None else (None if cut else False)
-        solo_memo[(codes[pid] // 6, regs)] = result
-        return result
 
     verdict = OracleVerdict("ok", "ok", "ok")
     seen = {(regs0, tuple(sorted(codes0)))}
@@ -137,12 +169,11 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
         for pid, code in enumerate(codes):
             if code % 6 > 1:
                 continue  # returned
-            ok = solo_memo.get((code // 6, regs), _MISS)
-            if ok is _MISS:
-                ok = solo_ok(regs, codes, pid)
+            # the memo hit is read here, on the sweep's hot path
+            ok = solo_memo.get((code // 6, regs))
             if ok is None:
-                truncated = True
-            elif not ok and verdict.solo_termination == "ok":
+                ok = solo_returns(rows, solo_memo, code // 6, regs)
+            if not ok and verdict.solo_termination == "ok":
                 verdict.solo_termination = "stuck"
                 verdict.stuck = (path(node), pid)
             inp = code & 1
@@ -173,104 +204,12 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     return verdict
 
 
-# states one `oracle_valency` reachability search may visit before it gives up
-VALENCY_GUARD = 200_000
-
-
-def oracle_valency(spec: AlgorithmSpec, config: Configuration, units, mode: str,
-                   m: Optional[int] = None) -> dict:
-    """Exact decision-reachability classification, used to validate the
-    valency searches.
-
-    Deliberately independent of the search machinery: plain breadth-first
-    reachability with no depth bound, no memo tricks and a brute-force
-    coverage test; a state-count guard trips instead of truncating.
-    """
-    units = [(u,) if isinstance(u, int) else tuple(u) for u in units]
-    reached = set()
-
-    def bfs(start_units):
-        """Decisions reachable by runs of start_units from config; in solo
-        mode start_units is one process, in reserving mode an (m+1)-subset
-        with the coverage condition enforced after every move."""
-        coverage = mode == "reserving"
-        state0 = tuple(config.proc(u[0]).state for u in start_units)
-        seen = {(state0, config.registers, frozenset())}
-        queue = deque([(config, frozenset())])
-        found = set()
-        visits = 0
-        while queue:
-            cfg, written = queue.popleft()
-            visits += 1
-            if visits > VALENCY_GUARD:
-                raise EngineError("oracle valency guard tripped")
-            for unit in start_units:
-                p = cfg.proc(unit[0])
-                if p.decided is not None:
-                    continue
-                for action in spec.actions(p.state):
-                    nxt = cfg
-                    for pid in unit:
-                        nxt, _ = step_with_outcome(spec, nxt, pid, action)
-                    written2 = written
-                    if isinstance(action, Write):
-                        written2 = written | {action.reg}
-                    if coverage and not _brute_cover(spec, nxt, start_units, written2):
-                        continue
-                    if isinstance(action, Return):
-                        found.add(action.decision)
-                        continue
-                    key = (tuple(nxt.proc(u[0]).state for u in start_units),
-                           nxt.registers, written2)
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append((nxt, written2))
-        return found
-
-    if mode == "solo":
-        for unit in units:
-            if config.proc(unit[0]).decided is None:
-                reached |= bfs([unit])
-    elif mode == "reserving":
-        active = [u for u in units if config.proc(u[0]).decided is None]
-        for subset in itertools.combinations(sorted(active), (m or 0) + 1):
-            reached |= bfs(list(subset))
-            if reached == {0, 1}:
-                break
-    else:
-        raise EngineError(f"unknown mode {mode!r}")
-
-    cls = {frozenset(): "degenerate", frozenset({0}): "0-univalent",
-           frozenset({1}): "1-univalent", frozenset({0, 1}): "bivalent"}[frozenset(reached)]
-    return {0: 0 in reached, 1: 1 in reached, "class": cls}
-
-
-def _brute_cover(spec, cfg, units, written) -> bool:
-    """Injective register -> covering-unit assignment, by trying every
-    permutation of candidate units (both sides stay tiny)."""
-    regs = sorted(written)
-    if not regs:
-        return True
-    candidates = []
-    for reg in regs:
-        owners = []
-        for unit in units:
-            p = cfg.proc(unit[0])
-            if p.decided is not None:
-                continue
-            if any(isinstance(a, Write) and a.reg == reg for a in spec.actions(p.state)):
-                owners.append(unit)
-        if not owners:
-            return False
-        candidates.append(owners)
-    for pick in itertools.product(*candidates):
-        if len(set(pick)) == len(regs):
-            return True
-    return False
-
-
 def replay_violation(report: ViolationReport) -> tuple:
     """Re-execute a report with fresh state and confirm its breach category.
+
+    A solo-termination report is confirmed exactly: each stuck pid is active
+    at the trace's end and `solo_returns` finds no run of it alone that
+    returns.  The report's `depth` only records the search that found it.
 
     Returns (confirmed, detail).
     """
@@ -316,16 +255,15 @@ def replay_violation(report: ViolationReport) -> tuple:
     if report.kind == "solo-termination":
         if not report.stuck_pids:
             return False, "no stuck process identified"
-        depth = 64 if report.depth is None else report.depth
+        # exact, so the report's `depth` (the bound of the search that found
+        # it) plays no part
+        final, tables, memo = replayed.final, replayed.spec.tables, {}
         for pid in report.stuck_pids:
-            search = _Search(replayed.spec, [(pid,)], None, coverage=False)
-            if not unit_active(replayed.final, (pid,)):
+            p = final.proc(pid)
+            if not p.active:
                 return False, f"pid {pid} already returned"
-            moves, cut = search.run(replayed.final, depth)
-            if moves is not None:
+            if solo_returns(tables.rows, memo, tables.ids[p.state], final.registers):
                 return False, f"pid {pid} does have a terminating solo run"
-            if cut:
-                return False, f"pid {pid} search hit the depth bound; breach unproven"
         return True, f"no terminating solo run for pid(s) {list(report.stuck_pids)}"
 
     return False, f"unknown violation kind {report.kind!r}"

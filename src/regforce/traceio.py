@@ -441,11 +441,13 @@ def _replay_violation(spec, header, vio, steps, sections):
 def _replay_certificate(spec, header, sections):
     """A chain certificate, replayed one section at a time: each level's
     execution, then the witnesses and closing block write that extend it.
-    A sqrt level's witnesses are solo runs of two distinct pids; a linear
-    level's are reserving, and its `pairs` give every step's role."""
+    A sqrt level of rank r names r distinct written registers `R`, and its
+    witnesses are solo runs of two distinct pids that decide 0 and 1; a
+    linear level's are reserving, and its `pairs` give every step's role."""
     sqrt = header.get("attack") == "sqrt"
     levels = 0
     checked_witnesses = 0
+    decided = []  # per level, the decisions of its witnesses
     for meta, steps in sections:
         kind = meta.get("record")
         if kind == "level":
@@ -469,6 +471,9 @@ def _replay_certificate(spec, header, sections):
                 raise ReplayError("level register set out of range")
             if sqrt and not set(regs) <= exec_.written_registers():
                 raise ReplayError(f"level {r}: R not fully written")
+            if sqrt and (len(regs) != r or len(set(regs)) != r):
+                raise ReplayError(f"level {r}: R is not {r} distinct registers")
+            decided.append(set())
             continue
         if kind not in ("witness", "closing-block-write"):
             raise ReplayError(f"unexpected {kind!r} record in a certificate")
@@ -486,11 +491,14 @@ def _replay_certificate(spec, header, sections):
             last = extended.steps[-1]
             if not isinstance(last.action, Return) or last.action.decision != meta.get("decision"):
                 raise ReplayError("witness does not end with the claimed return")
+            decided[-1].add(last.action.decision)
             checked_witnesses += 1
         elif len(extended.written_registers()) != _count(meta, "registers_written",
                                                           "closing block write"):
             raise ReplayError("closing block write register count mismatch")
     if levels == 0 or checked_witnesses < 2 * levels:
         raise ReplayError("certificate is missing levels or witnesses")
+    if sqrt and any(decisions != {0, 1} for decisions in decided):
+        raise ReplayError("a sqrt level's witnesses do not decide both 0 and 1")
     return {"kind": "certificate", "attack": header.get("attack"),
             "levels": levels, "witnesses": checked_witnesses}

@@ -56,7 +56,8 @@ the stored actions to the queried unit and builds the witness through
 `materialize` as on a miss, so the model's step semantics still re-check every
 step and every pair's lockstep on the real configuration, and every
 certificate, report and verdict is the same as without the memo.  The oracle
-runs its own `_Search`es and never reads this memo.
+decides solo termination by its own exact closure (`oracle.solo_returns`) and
+never reads this memo.
 
 The argument does not fix which run is found first.  Nor does it fix the
 cutoff flag of a search that finds no run: the class memo can prune every

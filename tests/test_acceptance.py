@@ -23,13 +23,14 @@ from regforce.model import (
     load_algorithm,
     step_with_outcome,
 )
-from regforce.oracle import oracle_check, oracle_valency, replay_violation
+from regforce.oracle import oracle_check, replay_violation
 from regforce.pairs import PairLedger, pair_step, split_pair, unite_pair
 from regforce.reports import LinearChainCertificate, ViolationReport
 from regforce.sqrt_attack import sqrt_run
 from regforce.valency import construct_reserving, is_reserving, valency
 
 from conftest import block_write
+from reference_valency import oracle_valency
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

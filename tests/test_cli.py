@@ -193,6 +193,7 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
     for name, code, args in (
             ("report", 2, ("check", "zoo:trivial-decider", "--inputs", "01")),
             ("sqrt", 0, ("attack", "sqrt", "zoo:of-race-3", "--target-r", "1")),
+            ("sqrt2", 0, ("attack", "sqrt", "zoo:of-race-3", "--target-r", "2")),
             ("linear", 0, ("attack", "linear", "zoo:one-register-flag", "--m", "1"))):
         target = tmp_path / f"{name}.jsonl"
         assert run_cli(*args, "--out", str(target)).returncode == code
@@ -244,6 +245,22 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
     first, second, level = [n for n, rec in enumerate(sqrt) if rec["record"] != "step"][2:5]
     cases += ["".join(json.dumps(rec) + "\n" for rec in
                       sqrt[:second] + sqrt[first:second] + sqrt[level:])]
+    # a sqrt level of rank r names r written registers: here every level's R
+    # is empty, or the top level's is one register short
+    sqrt2 = files["sqrt2"]
+    cases += ["".join(json.dumps({**rec, "R": []} if rec["record"] == "level" else rec) + "\n"
+                      for rec in sqrt2),
+              mistyped("sqrt2", "level", "R", [0], nth=-1)]
+    # its two witnesses decide 0 and 1: at the top level of the r = 2 file,
+    # pid 2 is where pid 0 is, so pid 0's 0-deciding run, made by pid 2,
+    # replaces pid 1's 1-deciding run
+    top = max(n for n, rec in enumerate(sqrt2) if rec["record"] == "level")
+    first, second = [n for n, rec in enumerate(sqrt2) if rec["record"] == "witness"
+                     and n > top]
+    moved = [{**rec, "P": [2]} if rec["record"] == "witness" else {**rec, "pid": 2}
+             for rec in sqrt2[first:second]]
+    assert [rec["decision"] for rec in (sqrt2[first], sqrt2[second])] == [0, 1]
+    cases += ["".join(json.dumps(rec) + "\n" for rec in sqrt2[:second] + moved)]
     # a step's role is its pid's in the level's pairs, and "solo" outside them
     cases += [mistyped("sqrt", "step", "role", "leader"),
               mistyped("report", "step", "role", "clone"),
@@ -259,21 +276,44 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
 
 
 def test_replay_checks_the_stored_search_depth(tmp_path):
-    # spin-reader never returns: its report holds at depth 64, not at depth 0
+    # spin-reader never returns; replay confirms that exactly, so the stored
+    # depth, which records the search that found the report, need only be a
+    # nonnegative integer: depth 0 replays as well as depth 64
     report = tmp_path / "stuck.jsonl"
     assert run_cli("check", "zoo:spin-reader", "--out", str(report)).returncode == 2
     records = [json.loads(line) for line in report.read_text().splitlines()]
     vio = next(rec for rec in records if rec["record"] == "violation")
     assert (vio["kind"], vio["depth"]) == ("solo-termination", 64)
     assert run_cli("replay", str(report)).returncode == 0
-    for depth, error in ((-1, "depth is not a nonnegative integer"),
-                         ("5", "depth is not a nonnegative integer"),
-                         (0, "search hit the depth bound")):
+    for depth in (-1, "5", 0):
         vio["depth"] = depth
         report.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         out = run_cli("replay", str(report))
+        if depth == 0:
+            assert out.returncode == 0, out.stderr
+            continue
         assert out.returncode == 1, depth
-        assert out.stderr.startswith("replay error:") and error in out.stderr, depth
+        assert out.stderr.startswith("replay error:"), depth
+        assert "depth is not a nonnegative integer" in out.stderr, depth
+
+
+def test_replay_denies_a_solo_termination_report_of_a_returning_pid(tmp_path):
+    # an of-race-3 agreement report rewritten to claim that pid 0, still
+    # active at its end, is stuck: pid 0 can return alone
+    report = tmp_path / "report.jsonl"
+    assert run_cli("check", "zoo:of-race-3", "--inputs", "011", "--depth", "60",
+                   "--out", str(report)).returncode == 2
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    vio = next(rec for rec in records if rec["record"] == "violation")
+    assert vio["kind"] == "agreement"
+    assert 0 not in [rec["pid"] for rec in records
+                     if rec["record"] == "step" and rec["kind"] == "return"]
+    vio.update(kind="solo-termination", stuck_pids=[0], depth=64)
+    report.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = run_cli("replay", str(report))
+    assert out.returncode == 1
+    assert out.stderr.startswith("replay error:")
+    assert "pid 0 does have a terminating solo run" in out.stderr
 
 
 def test_valency_query():

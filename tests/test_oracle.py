@@ -1,11 +1,22 @@
+import itertools
 import random
+
+import pytest
 
 from regforce import zoo
 from regforce.execution import Execution, Step
-from regforce.model import Return, initial_configuration
-from regforce.oracle import oracle_check, oracle_valency, replay_violation
+from regforce.model import (
+    BOTTOM,
+    Configuration,
+    Proc,
+    Return,
+    initial_configuration,
+    load_algorithm,
+)
+from regforce.oracle import oracle_check, replay_violation, solo_returns
 from regforce.reports import ViolationReport
-from conftest import random_execution
+from conftest import WRITE_OR_RETURN, random_execution
+from reference_valency import oracle_valency
 
 
 def test_trivial_decider_agreement_violated_in_two_steps(trivial):
@@ -37,6 +48,45 @@ def test_of_race_three_clean_and_closed_at_n2(race3):
     # the oracle's solo checks run their own searches, not the adversaries'
     # solo memo
     assert "solo" not in race3.memos
+
+
+# write-or-return with its returns moved behind r0 = 1, which no process
+# writes: a node can return exactly when it is in R or r0 holds 1
+WRITE_OR_WAIT = """\
+algorithm write-or-wait
+values 1 2
+registers 2
+input 0 -> A
+input 1 -> B
+state A: write r1 := 2 -> C
+state A: read r0 ? { 1 -> R ; * -> A }
+state B: write r0 := 2 -> C
+state B: read r1 ? { 2 -> A ; * -> C }
+state C: read r0 ? { 1 -> R ; * -> C }
+state R: return 0
+"""
+
+
+@pytest.mark.parametrize("text", [WRITE_OR_RETURN, WRITE_OR_WAIT], ids=["return", "wait"])
+def test_solo_closure_matches_unbounded_solo_bfs(text):
+    # every (state, registers) node, reached from every start, against a plain
+    # breadth-first solo reachability of a return; both specs' states choose
+    # among several actions, and the solo graphs hold cycles
+    spec = load_algorithm(text)
+    tables = spec.tables
+    values = (BOTTOM,) + spec.alphabet
+    memo: dict = {}
+    for state, regs in itertools.product(spec.states, itertools.product(values, repeat=2)):
+        solo_returns(tables.rows, memo, tables.ids[state], regs)
+    names = list(tables.ids)
+    assert len(memo) == len(names) * len(values) ** 2
+    labels = set()
+    for (sid, regs), label in memo.items():
+        config = Configuration(regs, (Proc(0, names[sid]),))
+        exact = oracle_valency(spec, config, [0], "solo")
+        assert label == (exact[0] or exact[1]), (names[sid], regs)
+        labels.add(label)
+    assert labels == ({True} if text == WRITE_OR_RETURN else {True, False})
 
 
 def test_oracle_valency_mixed_start_bivalent(race3):

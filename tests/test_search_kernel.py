@@ -28,7 +28,6 @@ import pytest
 
 from regforce import zoo
 from regforce.model import Configuration, Proc, initial_configuration, load_algorithm
-from regforce.oracle import oracle_valency
 from regforce.reports import Inconclusive
 from regforce.valency import (
     _Search,
@@ -43,6 +42,7 @@ from regforce.valency import (
 
 from conftest import WRITE_OR_RETURN
 from reference_search import ReferenceSearch
+from reference_valency import oracle_valency
 
 # unit layouts: (inputs, units); pairs start in sync and move in lockstep
 LAYOUTS = {

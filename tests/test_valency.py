@@ -5,7 +5,6 @@ import pytest
 from regforce import zoo
 from regforce.execution import Execution
 from regforce.model import EngineError, Return, Write, enabled_actions, initial_configuration
-from regforce.oracle import oracle_valency
 from regforce.reports import Inconclusive
 from regforce.valency import (
     _Search,
@@ -19,6 +18,7 @@ from regforce.valency import (
     valency,
 )
 from conftest import random_execution
+from reference_valency import oracle_valency
 
 
 def test_solo_search_trivial_decider(trivial):
