@@ -16,7 +16,7 @@ import sys
 
 from .model import EngineError, SpecError, initial_configuration, load_algorithm
 from .execution import Execution
-from .oracle import oracle_check
+from .oracle import MAX_STATES, oracle_check
 from .reports import LinearChainCertificate, SqrtChainCertificate, ViolationReport
 from .sqrt_attack import sqrt_run
 from .linear_attack import linear_run
@@ -74,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("spec")
     check.add_argument("--inputs", default="01", help="input bits, e.g. 011")
     check.add_argument("--depth", type=int, default=64)
-    check.add_argument("--max-states", type=int, default=500_000)
+    check.add_argument("--max-states", type=int, default=MAX_STATES)
     check.add_argument("--out", default=None)
 
     attack = sub.add_parser("attack", help="run an adversary")

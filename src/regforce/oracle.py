@@ -15,7 +15,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import READ, RETURN, WRITE, AlgorithmSpec, EngineError, initial_configuration
+from .model import (
+    READ,
+    RETURN,
+    WRITE,
+    AlgorithmSpec,
+    EngineError,
+    initial_configuration,
+    step_with_outcome,
+)
 from .execution import Execution, Step
 from .reports import ViolationReport
 
@@ -39,18 +47,24 @@ class OracleVerdict:
 # decision by node code % 6: (status * 2 + input) -> None while active
 _DECIDED = (None, None, 0, 0, 1, 1)
 
+# the default state bound of a sweep, and the node bound of a replayed solo
+# closure
+MAX_STATES = 500_000
 
-def solo_returns(rows, memo: dict, sid: int, regs: tuple) -> bool:
+
+def solo_returns(rows, memo: dict, sid: int, regs: tuple, limit: int) -> Optional[bool]:
     """Whether a process in state id `sid` can still return when it runs
     alone from registers `regs`, on the table rows `rows`: exact
     reachability of a RETURN row, with no depth bound.
 
     One process alone moves in a finite graph of `(state id, registers)`
     nodes.  On a miss in `memo`, which maps such nodes to their answers,
-    this explores every node the process reaches alone, marks by a reverse
-    pass over the recorded predecessors each node from which a RETURN row is
-    reachable, and writes every explored node into `memo`.  A node already
-    in `memo` is not explored again: its answer is exact.
+    this explores every node the process reaches alone without passing a
+    node that has a RETURN row, marks by a reverse pass over the recorded
+    predecessors each node from which a RETURN row is reachable, and writes
+    every explored node into `memo`.  A node already in `memo` is not
+    explored again: its answer is exact.  Returns None, and writes nothing,
+    when the exploration would hold more than `limit` nodes.
     """
     start = (sid, regs)
     known = memo.get(start)
@@ -62,10 +76,10 @@ def solo_returns(rows, memo: dict, sid: int, regs: tuple) -> bool:
     while stack:
         node = stack.pop()
         s, r = node
+        if any(row[0] == RETURN for row in rows[s]):
+            returns.append(node)
+            continue  # what lies beyond does not change this node's answer
         for kind, reg, arg, _ in rows[s]:
-            if kind == RETURN:
-                returns.append(node)
-                continue
             if kind == READ:
                 succ = (arg[r[reg]], r)
             else:
@@ -78,6 +92,8 @@ def solo_returns(rows, memo: dict, sid: int, regs: tuple) -> bool:
             elif succ in preds:
                 preds[succ].append(node)
             else:
+                if len(preds) >= limit:
+                    return None
                 preds[succ] = [node]
                 stack.append(succ)
     for node in preds:
@@ -90,7 +106,7 @@ def solo_returns(rows, memo: dict, sid: int, regs: tuple) -> bool:
     return memo[start]
 
 
-def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_000,
+def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_STATES,
                  dedup: bool = True) -> OracleVerdict:
     """Breadth-first sweep over all schedules with canonical deduplication.
 
@@ -101,8 +117,11 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     then lexicographically first).  Every explored configuration is also
     checked for a terminating solo run of each active process; that check is
     exact (`solo_returns`), so `truncated` comes only from the depth and
-    state bounds.  `dedup=False` explores the raw schedule tree instead; tiny
-    instances must reach the same verdicts either way.
+    state bounds.  The state bound also caps the solo closures: together
+    they may hold `max_states` nodes, and a solo check past that is left
+    open and marks the sweep truncated.  `dedup=False` explores the raw
+    schedule tree instead; tiny instances must reach the same verdicts
+    either way.
 
     The sweep runs on the spec's integer tables (`AlgorithmSpec.tables`).  A
     node is the registers tuple plus one code per pid,
@@ -110,7 +129,8 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     1 + b means returned b.  The dedup key `(registers, sorted codes)` maps
     one to one onto `model.canonicalize`'s key.  Each node keeps only its
     parent's index and the move `pid * width + action index` that reached
-    it; a trace's `Step`s are rebuilt from the root when it is recorded.
+    it; a trace's `Step`s are re-stepped from the root by the model's
+    `step_with_outcome` when it is recorded.
     """
     root = initial_configuration(spec, inputs)
     tables = spec.tables
@@ -121,28 +141,24 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
     parent, move = array("l", [-1]), array("l", [-1])
 
     def path(node) -> tuple:
-        """The Steps from the root to `node`, re-stepped on the tables."""
+        """The Steps from the root to `node`, re-stepped by the model."""
         trail = []
         while node:
             trail.append(move[node])
             node = parent[node]
-        regs, sids = list(regs0), [c // 6 for c in codes0]
-        steps = []
+        config, steps = root, []
         for mv in reversed(trail):
             pid, j = divmod(mv, width)
-            kind, reg, arg, action = rows[sids[pid]][j]
-            outcome = None
-            if kind == READ:
-                outcome = regs[reg]
-                sids[pid] = arg[outcome]
-            elif kind == WRITE:
-                regs[reg], sids[pid] = arg
+            action = rows[tables.ids[config.proc(pid).state]][j][3]
+            config, outcome = step_with_outcome(spec, config, pid, action)
             steps.append(Step(pid, action, outcome))
         return tuple(steps)
 
     # solo termination per (state id, registers), for every node any solo
-    # closure of this sweep explored
+    # closure of this sweep explored; `room` is what the state bound leaves
+    # the closures, 0 once one of them outgrew it
     solo_memo: dict = {}
+    room = max_states
 
     verdict = OracleVerdict("ok", "ok", "ok")
     seen = {(regs0, tuple(sorted(codes0)))}
@@ -171,9 +187,12 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = 500_
                 continue  # returned
             # the memo hit is read here, on the sweep's hot path
             ok = solo_memo.get((code // 6, regs))
+            if ok is None and room:
+                ok = solo_returns(rows, solo_memo, code // 6, regs, room)
+                room = max_states - len(solo_memo) if ok is not None else 0
             if ok is None:
-                ok = solo_returns(rows, solo_memo, code // 6, regs)
-            if not ok and verdict.solo_termination == "ok":
+                truncated = True
+            elif not ok and verdict.solo_termination == "ok":
                 verdict.solo_termination = "stuck"
                 verdict.stuck = (path(node), pid)
             inp = code & 1
@@ -209,7 +228,8 @@ def replay_violation(report: ViolationReport) -> tuple:
 
     A solo-termination report is confirmed exactly: each stuck pid is active
     at the trace's end and `solo_returns` finds no run of it alone that
-    returns.  The report's `depth` only records the search that found it.
+    returns.  The report's `depth` only records the search that found it;
+    a closure that would hold more than `MAX_STATES` nodes confirms nothing.
 
     Returns (confirmed, detail).
     """
@@ -262,7 +282,11 @@ def replay_violation(report: ViolationReport) -> tuple:
             p = final.proc(pid)
             if not p.active:
                 return False, f"pid {pid} already returned"
-            if solo_returns(tables.rows, memo, tables.ids[p.state], final.registers):
+            ok = solo_returns(tables.rows, memo, tables.ids[p.state], final.registers,
+                              MAX_STATES)
+            if ok is None:
+                return False, f"pid {pid}'s solo runs span more than {MAX_STATES} nodes"
+            if ok:
                 return False, f"pid {pid} does have a terminating solo run"
         return True, f"no terminating solo run for pid(s) {list(report.stuck_pids)}"
 

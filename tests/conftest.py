@@ -25,6 +25,19 @@ state C: write r1 := 1 -> A
 """
 
 
+def write_loop(k: int, tail: str) -> str:
+    """State A may write 1 into any of `k` registers and stay in A, so one
+    process alone reaches 2^k register vectors there; `tail` adds rows."""
+    return "\n".join(["algorithm write-loop", "values 1", f"registers {k}",
+                      "input 0 -> A", "input 1 -> A",
+                      *(f"state A: write r{i} := 1 -> A" for i in range(k)), tail, ""])
+
+
+RETURN_HERE = "state A: return 0"
+RETURN_AFTER_READ = "state A: read r0 ? { 1 -> R ; * -> A }\nstate R: return 0"
+NO_RETURN = ""
+
+
 @pytest.fixture
 def trivial():
     return zoo.get_zoo("trivial-decider")

@@ -10,6 +10,8 @@ from importlib import resources
 import regforce
 from regforce import zoo
 
+from conftest import RETURN_AFTER_READ, RETURN_HERE, write_loop
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # SHA-256 of each entry's `zoo show` output: where a text is kept may change,
@@ -25,10 +27,10 @@ ZOO_SHOW_SHA256 = {
 }
 
 
-def run_cli(*args, cwd=ROOT):
+def run_cli(*args, cwd=ROOT, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "regforce.cli", *args],
-        capture_output=True, text=True, cwd=str(cwd),
+        capture_output=True, text=True, cwd=str(cwd), timeout=timeout,
     )
 
 
@@ -47,6 +49,19 @@ def test_check_truncated_clean_sweep_exits_three():
     assert lines[:4] == ["agreement: ok", "validity: ok", "solo-termination: ok",
                          "explored: 47556 truncated: true"]
     assert len(lines) == 5 and lines[4].startswith("inconclusive:")
+
+
+def test_check_bounds_the_solo_closures_of_a_many_register_write_loop(tmp_path):
+    # one process alone reaches 2^30 register vectors; a RETURN row one step
+    # away must not cost a walk over them
+    spec = tmp_path / "write-loop.alg"
+    for tail, args, explored in ((RETURN_HERE, (), 32),
+                                 (RETURN_AFTER_READ, ("--max-states", "1000"), 31)):
+        spec.write_text(write_loop(30, tail))
+        out = run_cli("check", str(spec), "--inputs", "0", "--depth", "1", *args,
+                      timeout=60)
+        assert out.returncode == 3, out.stderr
+        assert f"explored: {explored} truncated: true" in out.stdout
 
 
 def test_check_broken_spec_exits_two(tmp_path):

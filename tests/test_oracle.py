@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from regforce import zoo
+from regforce import oracle, zoo
 from regforce.execution import Execution, Step
 from regforce.model import (
     BOTTOM,
@@ -13,9 +13,16 @@ from regforce.model import (
     initial_configuration,
     load_algorithm,
 )
-from regforce.oracle import oracle_check, replay_violation, solo_returns
+from regforce.oracle import MAX_STATES, oracle_check, replay_violation, solo_returns
 from regforce.reports import ViolationReport
-from conftest import WRITE_OR_RETURN, random_execution
+from conftest import (
+    NO_RETURN,
+    RETURN_AFTER_READ,
+    RETURN_HERE,
+    WRITE_OR_RETURN,
+    random_execution,
+    write_loop,
+)
 from reference_valency import oracle_valency
 
 
@@ -77,7 +84,7 @@ def test_solo_closure_matches_unbounded_solo_bfs(text):
     values = (BOTTOM,) + spec.alphabet
     memo: dict = {}
     for state, regs in itertools.product(spec.states, itertools.product(values, repeat=2)):
-        solo_returns(tables.rows, memo, tables.ids[state], regs)
+        solo_returns(tables.rows, memo, tables.ids[state], regs, MAX_STATES)
     names = list(tables.ids)
     assert len(memo) == len(names) * len(values) ** 2
     labels = set()
@@ -87,6 +94,81 @@ def test_solo_closure_matches_unbounded_solo_bfs(text):
         assert label == (exact[0] or exact[1]), (names[sid], regs)
         labels.add(label)
     assert labels == ({True} if text == WRITE_OR_RETURN else {True, False})
+
+
+def test_solo_closure_stops_at_a_return_row():
+    # a node with a RETURN row is answered without exploring past it
+    spec = load_algorithm(write_loop(30, RETURN_HERE))
+    start = (spec.tables.ids["A"], (BOTTOM,) * 30)
+    memo: dict = {}
+    assert solo_returns(spec.tables.rows, memo, *start, 1) is True
+    assert memo == {start: True}
+
+
+def test_solo_closure_past_its_limit_answers_nothing():
+    spec = load_algorithm(write_loop(30, RETURN_AFTER_READ))
+    start = (spec.tables.ids["A"], (BOTTOM,) * 30)
+    memo: dict = {}
+    assert solo_returns(spec.tables.rows, memo, *start, 1000) is None
+    assert memo == {}
+    # with 4 registers the closure holds 16 A nodes and the 8 R nodes with r0 = 1
+    spec = load_algorithm(write_loop(4, RETURN_AFTER_READ))
+    start = (spec.tables.ids["A"], (BOTTOM,) * 4)
+    assert solo_returns(spec.tables.rows, memo, *start, 23) is None
+    assert solo_returns(spec.tables.rows, memo, *start, 24) is True
+    assert len(memo) == 24 and all(memo.values())
+
+
+def test_sweep_bounds_its_solo_closures_by_the_state_bound(monkeypatch):
+    # depth 1 holds the sweep to the root and its 30 writes (the read of r0
+    # loops back to the root), but the solo closure from the root spans 2^30
+    # nodes: the sweep stops it at the state bound instead of exploring them,
+    # and runs no closure after that
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return solo_returns(*args)
+
+    monkeypatch.setattr(oracle, "solo_returns", counted)
+    spec = load_algorithm(write_loop(30, RETURN_AFTER_READ))
+    verdict = oracle_check(spec, [0], depth=1, max_states=1000)
+    assert verdict.ok and verdict.truncated
+    assert verdict.explored == 31
+    assert calls == [(BOTTOM,) * 30]
+
+
+TWO_SPINNERS = """\
+algorithm two-spinners
+values 1
+registers 1
+input 0 -> S
+input 1 -> T
+state S: read r0 ? { * -> S }
+state T: read r0 ? { * -> T }
+"""
+
+
+def test_sweep_charges_its_solo_closures_to_the_state_bound():
+    # the sweep closes at its root, whose two processes spin in two one-node
+    # solo graphs: a bound of 1 leaves room for only the first closure
+    spec = load_algorithm(TWO_SPINNERS)
+    for max_states, truncated in ((2, False), (1, True)):
+        verdict = oracle_check(spec, [0, 1], depth=5, max_states=max_states)
+        assert (verdict.explored, verdict.truncated) == (1, truncated)
+        assert verdict.stuck == ((), 0)
+
+
+def test_replay_of_a_stuck_report_past_the_node_bound_confirms_nothing(monkeypatch):
+    spec = load_algorithm(write_loop(4, NO_RETURN))
+    verdict = oracle_check(spec, [0], depth=8)
+    assert verdict.stuck == ((), 0) and not verdict.truncated
+    report = ViolationReport(kind="solo-termination", stuck_pids=(0,), depth=8,
+                             trace=Execution.start(spec, initial_configuration(spec, [0])))
+    assert replay_violation(report)[0]
+    # the closure from the root holds the 16 register vectors
+    monkeypatch.setattr(oracle, "MAX_STATES", 15)
+    assert replay_violation(report) == (False, "pid 0's solo runs span more than 15 nodes")
 
 
 def test_oracle_valency_mixed_start_bivalent(race3):
