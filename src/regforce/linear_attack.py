@@ -22,17 +22,19 @@ invisibly to everyone else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .model import ContradictionError, EngineError, Write, initial_configuration
 from .execution import Execution, insert_step, restricted_replay
 from .pairs import (
-    PairLedger,
     duplicate_pair,
+    members,
     new_pair,
+    pair_of,
     pair_step,
     split_pair,
+    splits,
     unite_pair,
 )
 from .reports import Inconclusive, LinearChainCertificate, ViolationReport
@@ -55,7 +57,6 @@ class LinearLevel:
     r: int
     m: int
     exec: Execution
-    ledger: PairLedger
     pair_ids: tuple  # U
     split_regs: tuple  # registers with a fresh split pair (R_s)
     covered_regs: tuple  # registers covered by united pairs (R_c)
@@ -67,21 +68,15 @@ class LinearLevel:
     beta: Witness  # reserving over Q's units, returns 1
     case_tag: str = "base"
 
-    def unit(self, pair_id: int) -> tuple:
-        return self.ledger.pair(pair_id).members
-
     def units(self, ids) -> list:
-        return [self.unit(i) for i in ids]
+        return [members(i) for i in ids]
 
     @property
     def regs(self) -> tuple:
         return tuple(sorted(self.split_regs + self.covered_regs))
 
     def stale_ids(self) -> tuple:
-        return tuple(
-            p.pair_id for p in self.ledger.pairs
-            if not p.united and self.ledger.split_status(self.exec, p.pair_id) == "stale"
-        )
+        return tuple(i for i, (_, status) in splits(self.exec).items() if status == "stale")
 
     def pool_ids(self) -> tuple:
         used = set(self.cover.values()) | set(self.stale_ids()) | set(self.p_ids) | set(self.q_ids)
@@ -93,10 +88,10 @@ def expected_pairs(m: int, r: int) -> int:
 
 
 def verify_properties(level: LinearLevel) -> list:
-    """Machine-check the level invariants by replay and ledger inspection;
-    returns [(name, ok, detail), ...]."""
+    """Machine-check the level invariants by replay and by the splits read
+    off its trace; returns [(name, ok, detail), ...]."""
     checks = []
-    exec_, ledger, m, r = level.exec, level.ledger, level.m, level.r
+    exec_, m, r = level.exec, level.m, level.r
 
     def check(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
@@ -119,25 +114,24 @@ def verify_properties(level: LinearLevel) -> list:
           f"R_s={sorted(rs)} R_c={sorted(rc)}")
 
     # property 1: fresh splits are exactly the R_s covers; R_c covered united
-    fresh = {p.pair_id for p in ledger.pairs
-             if not p.united and ledger.split_status(exec_, p.pair_id) == "fresh"}
+    split = splits(exec_)
+    fresh = {i for i, (_, status) in split.items() if status == "fresh"}
     rs_pairs = {level.cover[reg] for reg in rs}
     ok1, detail1 = fresh == rs_pairs and len(rs_pairs) == len(rs), ""
     if not ok1:
         detail1 = f"fresh splits {sorted(fresh)} vs R_s covers {sorted(rs_pairs)}"
     for reg in sorted(rs):
-        pair = ledger.pair(level.cover[reg])
-        if pair.united or pair.split.reg != reg:
-            ok1, detail1 = False, f"pair {pair.pair_id} not split on r{reg}"
+        pid_ = level.cover[reg]
+        if pid_ not in split or split[pid_][0].reg != reg:
+            ok1, detail1 = False, f"pair {pid_} not split on r{reg}"
     for reg in sorted(rc):
         pid_ = level.cover[reg]
-        pair = ledger.pair(pid_)
         action = level.cover_actions.get(reg)
-        if not pair.united:
+        if pid_ in split:
             ok1, detail1 = False, f"covering pair {pid_} is split"
         elif action is None or action.reg != reg:
             ok1, detail1 = False, f"no poised write recorded for r{reg}"
-        elif action not in exec_.spec.actions(exec_.final.proc(pair.leader).state):
+        elif action not in exec_.spec.actions(exec_.final.proc(members(pid_)[0]).state):
             ok1, detail1 = False, f"pair {pid_} no longer poised on r{reg}"
     cover_ids = list(level.cover.values())
     if len(set(cover_ids)) != len(cover_ids):
@@ -146,7 +140,7 @@ def verify_properties(level: LinearLevel) -> list:
 
     # property 2: stale pairs on pairwise distinct registers of the covered set
     stale = level.stale_ids()
-    stale_regs = [ledger.pair(i).split.reg for i in stale]
+    stale_regs = [split[i][0].reg for i in stale]
     check("property-2",
           len(set(stale_regs)) == len(stale_regs)
           and set(stale_regs) <= rs | rc and len(stale) <= r,
@@ -159,7 +153,7 @@ def verify_properties(level: LinearLevel) -> list:
         not (p_set & q_set)
         and not ((p_set | q_set) & (v_set | l_set))
         and len(p_set) + len(q_set) <= 2 * m + 4
-        and all(ledger.pair(i).united for i in p_set | q_set)
+        and not (p_set | q_set) & set(split)
     )
     detail3 = "" if ok3 else "set structure broken"
     for ids, witness, want_d in ((level.p_ids, level.alpha, 0), (level.q_ids, level.beta, 1)):
@@ -214,15 +208,12 @@ def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport]
         b = 0 if i < n_zero else 1
         inputs.extend([b, b])
     exec_ = Execution.start(spec, initial_configuration(spec, inputs))
-    ledger = PairLedger()
-    for i in range(n_pairs):
-        ledger = ledger.append(2 * i, 2 * i + 1)
     p_ids = tuple(range(m + 1))
     q_ids = tuple(range(n_zero, n_zero + m + 1))
 
     witnesses = {}
     for ids, want in ((p_ids, 0), (q_ids, 1)):
-        units = [ledger.pair(i).members for i in ids]
+        units = [members(i) for i in ids]
         try:
             built = construct_reserving(spec, exec_.final, units, m, depth)
         except Inconclusive as e:
@@ -239,7 +230,7 @@ def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport]
         witnesses[want] = w
 
     level = LinearLevel(
-        r=0, m=m, exec=exec_, ledger=ledger,
+        r=0, m=m, exec=exec_,
         pair_ids=tuple(range(n_pairs)),
         split_regs=(), covered_regs=(), cover={}, cover_actions={},
         p_ids=p_ids, q_ids=q_ids,
@@ -260,30 +251,29 @@ class _Orientation:
     pool_witness: Witness  # reserving witness at D returning 1 - sd
 
 
-def gamma_c(level: LinearLevel, exec_=None, ledger=None):
+def gamma_c(level: LinearLevel, exec_=None):
     """The covering block write: each covered register is written by the
     covering pair's leader alone, splitting the pair fresh.  It runs at the
     end of `exec_` (default: the level execution, where it reaches D)."""
     if exec_ is None:
-        exec_, ledger = level.exec, level.ledger
+        exec_ = level.exec
     for reg in sorted(level.covered_regs):
-        exec_, ledger = split_pair(exec_, ledger, level.cover[reg],
-                                   level.cover_actions[reg])
-    return exec_, ledger
+        exec_ = split_pair(exec_, level.cover[reg], level.cover_actions[reg])
+    return exec_
 
 
-def gamma_s(level: LinearLevel, exec_, ledger, ext_steps):
+def gamma_s(level: LinearLevel, exec_, ext_steps):
     """The trailing-clone block write: every split register overwritten by
     the extension is rewritten by its waiting clone, uniting the pair and
     restoring the value the register held at the level configuration."""
     for reg_s in sorted(_written(ext_steps) & set(level.split_regs)):
-        exec_, ledger = unite_pair(exec_, ledger, level.cover[reg_s])
-    return exec_, ledger
+        exec_ = unite_pair(exec_, level.cover[reg_s])
+    return exec_
 
 
 def _resolve_orientation(level: LinearLevel, t_ids, depth):
     spec = level.exec.spec
-    exec_d, _ = gamma_c(level)
+    exec_d = gamma_c(level)
     rep_d = valency(spec, exec_d.final, level.units(t_ids), level.m, depth, "reserving")
     if rep_d.one.proven:
         return _Orientation(0, level.alpha, level.p_ids, rep_d.one.witness)
@@ -337,7 +327,7 @@ def _step_oriented(level, orient, split_at, t_ids, depth):
 
     if rep_pre.side(od).proven:
         # case 1: the poised write and the rest of the witness, pair by pair
-        plan = [("pair", level.ledger.pair_of(unit[0]).pair_id, action)
+        plan = [("pair", pair_of(unit[0]), action)
                 for unit, action in w.moves[split_at:]]
         return _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan,
                      "1", "pair-step", od, depth)
@@ -346,8 +336,8 @@ def _step_oriented(level, orient, split_at, t_ids, depth):
         # restore the overwritten split registers (uniting their pairs), then
         # the covering leaders write (splitting theirs)
         restore = sorted(_written(pre_steps) & set(level.split_regs))
-        plan = [("unite", level.cover[reg], level.ledger.pair(level.cover[reg]).split.action)
-                for reg in restore]
+        split = splits(level.exec)
+        plan = [("unite", level.cover[reg], split[level.cover[reg]][0]) for reg in restore]
         plan += [("split", level.cover[reg], level.cover_actions[reg])
                  for reg in sorted(level.covered_regs)]
         return _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan,
@@ -361,8 +351,7 @@ def _confined_witness_violation(level, orient):
     registers, and the untouched pool still returns the other value in the
     same trace."""
     steps = orient.scanned.steps
-    exec_, ledger = gamma_s(level, level.exec.extend_steps(steps), level.ledger, steps)
-    exec_, _ = gamma_c(level, exec_, ledger)
+    exec_ = gamma_c(level, gamma_s(level, level.exec.extend_steps(steps), steps))
     exec_ = exec_.extend_steps(orient.pool_witness.steps)
     return ViolationReport(
         kind="agreement", trace=exec_,
@@ -379,7 +368,6 @@ class _Assembly:
     """The scan prefix a new level is built on."""
     case_tag: str
     exec_now: Execution  # ends at the candidate configuration
-    ledger_now: PairLedger
     wp_unit: tuple
     wp_action: Write  # the poised write to the register joining the covered sets
     touched: frozenset  # split registers the extension overwrote
@@ -391,15 +379,15 @@ class _Assembly:
         return self.wp_action.reg
 
 
-def _advance(exec_, ledger, step):
+def _advance(exec_, step):
     """Take one plan step: a lockstep pair move, a trailing clone's
     restoring write, or a covering leader's write."""
     kind, pair_id, action = step
     if kind == "pair":
-        return pair_step(exec_, ledger, pair_id, action)
+        return pair_step(exec_, pair_id, action)
     if kind == "unite":
-        return unite_pair(exec_, ledger, pair_id)
-    return split_pair(exec_, ledger, pair_id, action)
+        return unite_pair(exec_, pair_id)
+    return split_pair(exec_, pair_id, action)
 
 
 def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, start, depth):
@@ -411,18 +399,18 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
     spec = level.exec.spec
     wp_unit, wp_action = orient.scanned.moves[split_at]
     t_units = level.units(t_ids)
-    prefixes = [(exec_pre, level.ledger)]
+    prefixes = [exec_pre]
     reports = [rep_pre]
     for step in plan:
-        prefixes.append(_advance(*prefixes[-1], step))
-        reports.append(valency(spec, prefixes[-1][0].final, t_units, level.m, depth,
+        prefixes.append(_advance(prefixes[-1], step))
+        reports.append(valency(spec, prefixes[-1].final, t_units, level.m, depth,
                                "reserving"))
 
     def assembly(j, outcome):
-        exec_now, ledger_now = prefixes[j]
+        exec_now = prefixes[j]
         taken = plan[:j]
         return _Assembly(
-            case_tag=f"{tag}.{outcome}", exec_now=exec_now, ledger_now=ledger_now,
+            case_tag=f"{tag}.{outcome}", exec_now=exec_now,
             wp_unit=wp_unit, wp_action=wp_action,
             touched=frozenset(_written(exec_now.steps[len(level.exec.steps):])
                               & set(level.split_regs)),
@@ -431,7 +419,7 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
         )
 
     for j, rep in enumerate(reports):
-        exec_now = prefixes[j][0]
+        exec_now = prefixes[j]
         for d in sorted(_returned_decisions(exec_now.final, orient.scanned_ids, level)):
             if rep.side(1 - d).proven:
                 trace = exec_now.extend_steps(rep.side(1 - d).witness.steps)
@@ -459,7 +447,7 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
 def _returned_decisions(config, ids, level) -> set:
     out = set()
     for pid_ in ids:
-        entry = config.proc(level.unit(pid_)[0])
+        entry = config.proc(members(pid_)[0])
         if entry.decided is not None:
             out.add(entry.decided)
     return out
@@ -512,16 +500,13 @@ def _match_scanned_coverers(level, orient, assembly) -> dict:
 def _repair_stale(level, assembly):
     """Unite colliding stale pairs by inserting each old clone's write right
     before an existing write to the same register inside the extension."""
-    exec_, ledger = assembly.exec_now, assembly.ledger_now
+    exec_ = assembly.exec_now
     marker = len(level.exec.steps)
-    stale_by_reg = {}
-    for pair_id in level.stale_ids():
-        stale_by_reg[level.ledger.pair(pair_id).split.reg] = pair_id
-    for reg in sorted(assembly.touched):
-        pair_id = stale_by_reg.get(reg)
-        if pair_id is None:
-            continue
-        pair = ledger.pair(pair_id)
+    stale_by_reg = {write.reg: (pair_id, write)
+                    for pair_id, (write, status) in splits(level.exec).items()
+                    if status == "stale"}
+    for reg in sorted(assembly.touched & set(stale_by_reg)):
+        pair_id, write = stale_by_reg[reg]
         idx = next(
             (i for i in range(marker, len(exec_.steps))
              if isinstance(exec_.steps[i].action, Write)
@@ -532,9 +517,8 @@ def _repair_stale(level, assembly):
             raise EngineError(
                 f"repair found no write to r{reg} in the extension although it "
                 "is recorded as overwritten")
-        exec_ = insert_step(exec_, idx, pair.clone, pair.split.action)
-        ledger = ledger.with_pair(replace(pair, split=None))
-    return exec_, ledger
+        exec_ = insert_step(exec_, idx, members(pair_id)[1], write)
+    return exec_
 
 
 def _validated_witness(spec, exec_, units, moves, m, want) -> Witness:
@@ -564,24 +548,23 @@ def _finish_bivalent(level, orient, t_ids, assembly: _Assembly, rep, depth):
     spec = level.exec.spec
     m = level.m
     matched = _match_scanned_coverers(level, orient, assembly)
-    exec_, ledger = _repair_stale(level, assembly)
+    exec_ = _repair_stale(level, assembly)
     for _ in range(2):
-        exec_, ledger, _new = new_pair(exec_, ledger, 0)
+        exec_, _new = new_pair(exec_, 0)
 
     # the report's witnesses live at the pre-repair candidate; repair and the
     # idle pairs are invisible to the pool, so they replay at the final state
     w0, w1 = rep.zero.witness, rep.one.witness
     exec_.extend_steps(w0.steps)
     exec_.extend_steps(w1.steps)
-    t_units = [level.unit(i) for i in t_ids]
+    t_units = level.units(t_ids)
     try:
         p_units, q_units, w0, w1 = disjoint_witnesses(
             spec, exec_.final, t_units, list(w0.members), list(w1.members), w0, w1, m, depth)
     except Inconclusive as e:
         return _breach_report(exec_, e, depth)
 
-    return _build_level(level, assembly, exec_, ledger, matched,
-                        p_units, q_units, w0, w1)
+    return _build_level(level, assembly, exec_, matched, p_units, q_units, w0, w1)
 
 
 def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side: int,
@@ -593,27 +576,27 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side:
     m = level.m
     _, o_pair, o_action = o_step
     matched = _match_scanned_coverers(level, orient, assembly)
-    exec_, ledger = _repair_stale(level, assembly)
+    exec_ = _repair_stale(level, assembly)
     budget = len(level.pair_ids) + 2
-    exec_, ledger, dup1 = duplicate_pair(exec_, ledger, o_pair, budget)
-    exec_, ledger, dup2 = duplicate_pair(exec_, ledger, o_pair, budget)
-    dup_units = [ledger.pair(dup1).members, ledger.pair(dup2).members]
+    exec_, dup1 = duplicate_pair(exec_, o_pair, budget)
+    exec_, dup2 = duplicate_pair(exec_, o_pair, budget)
+    dup_units = [members(dup1), members(dup2)]
 
     active_t = [i for i in t_ids
-                if exec_.final.proc(level.unit(i)[0]).decided is None]
+                if exec_.final.proc(members(i)[0]).decided is None]
     plain_ids = tuple(active_t[: m + 1])
     rest_ids = tuple(i for i in active_t if i not in plain_ids)[: m + 1]
     if len(plain_ids) < m + 1 or len(rest_ids) < m + 1:
         raise EngineError("pool too small for the switching-point sets")
-    plain_units = [level.unit(i) for i in plain_ids]
-    f_units = [level.unit(i) for i in rest_ids]
+    plain_units = level.units(plain_ids)
+    f_units = level.units(rest_ids)
 
     # the candidate itself is univalent toward flip_side
     plain_w = _search_side(spec, exec_, plain_units, m, depth, flip_side)
 
     # one step further it is univalent the other way; a duplicate replays that
     # step while its twin keeps the register covered
-    exec_o, _ = _advance(exec_, ledger, o_step)
+    exec_o = _advance(exec_, o_step)
     xi_moves, cut = reserving_search(spec, exec_o.final, f_units, m, depth, 1 - flip_side)
     if xi_moves is None:
         if cut:
@@ -631,11 +614,10 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side:
         p_units, w0 = list(composed.members), composed
     if w0.decision != 0 or w1.decision != 1:
         raise EngineError("switch witnesses carry wrong decisions")
-    return _build_level(level, assembly, exec_, ledger, matched,
-                        p_units, q_units, w0, w1)
+    return _build_level(level, assembly, exec_, matched, p_units, q_units, w0, w1)
 
 
-def _build_level(level, assembly, exec_, ledger, matched, p_units, q_units, w0, w1):
+def _build_level(level, assembly, exec_, matched, p_units, q_units, w0, w1):
     # fresh splits: the level's untouched ones and the ones the scan made;
     # covered: the level's unsplit coverers and the scanned side's matches
     fresh = [reg for reg in level.split_regs if reg not in assembly.touched]
@@ -645,16 +627,16 @@ def _build_level(level, assembly, exec_, ledger, matched, p_units, q_units, w0, 
                      if reg not in assembly.split_now}
     cover.update((reg, level.cover[reg]) for reg in cover_actions)
     for reg, (unit, action) in matched.items():
-        cover[reg] = ledger.pair_of(unit[0]).pair_id
+        cover[reg] = pair_of(unit[0])
         cover_actions[reg] = action
     covered_regs = tuple(sorted(set(cover) - set(split_regs)))
 
     def ids_of(units):
-        return tuple(sorted(ledger.pair_of(u[0]).pair_id for u in units))
+        return tuple(sorted(pair_of(u[0]) for u in units))
 
     new = LinearLevel(
-        r=level.r + 1, m=level.m, exec=exec_, ledger=ledger,
-        pair_ids=tuple(range(len(ledger.pairs))),
+        r=level.r + 1, m=level.m, exec=exec_,
+        pair_ids=tuple(range(len(exec_.initial.procs) // 2)),
         split_regs=split_regs, covered_regs=covered_regs,
         cover=cover, cover_actions=cover_actions,
         p_ids=ids_of(p_units), q_ids=ids_of(q_units),
@@ -670,7 +652,7 @@ def corollary_finish(level: LinearLevel):
     register of the covered sets has been written in one execution."""
     if level.r != level.m:
         raise ValueError(f"finishing requires r == m, have r={level.r}, m={level.m}")
-    exec_, _ = gamma_c(level)
+    exec_ = gamma_c(level)
     return exec_, len(exec_.written_registers())
 
 

@@ -1,145 +1,109 @@
 """Process-clone pairs: lockstep stepping, fresh/stale splits, duplication.
 
-A pair is a leader process plus a dedicated clone holding the same input.
+Pair i is leader 2i plus clone 2i+1, holding the same input; every paired
+execution is built in this layout, so a pair is named by its id alone.
 While united, the clone repeats every leader action immediately after it, so
 the pair behaves like a single process.  Splitting has only the leader
 perform a write while the clone stays poised on it; the clone's later write
 restores the register to the value the leader wrote and reunites the pair.
 
-The ledger lives beside the execution, never inside configurations: split
-status is adversary bookkeeping, invisible to the model.  Staleness is
-derived from the trace (a split is stale once anyone overwrote the register
-after the leader's write), which keeps it correct across trace surgery.
+Split status is a reading of the trace, never stored beside it: a pair is
+split exactly when its leader has one step more than its clone, the split
+write is the leader's last action, and the split is stale once any later
+step wrote that register.  So it stays correct across trace surgery.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Optional
 
 from .model import EngineError, Read, Write
 from .execution import Execution, add_process, mirror_history
 
 
-@dataclass(frozen=True)
-class SplitInfo:
-    reg: int
-    action: Write  # the clone's pending write, identical to the leader's
+def members(pair_id: int) -> tuple:
+    return (2 * pair_id, 2 * pair_id + 1)
 
 
-@dataclass(frozen=True)
-class Pair:
-    pair_id: int
-    leader: int
-    clone: int
-    split: Optional[SplitInfo] = None
-
-    @property
-    def united(self) -> bool:
-        return self.split is None
-
-    @property
-    def members(self) -> tuple:
-        return (self.leader, self.clone)
+def pair_of(pid: int) -> int:
+    return pid // 2
 
 
-class PairLedger:
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: tuple = ()):
-        self.pairs = pairs
-
-    def pair(self, pair_id: int) -> Pair:
-        return self.pairs[pair_id]
-
-    def with_pair(self, p: Pair) -> "PairLedger":
-        pairs = list(self.pairs)
-        pairs[p.pair_id] = p
-        return PairLedger(tuple(pairs))
-
-    def append(self, leader: int, clone: int) -> "PairLedger":
-        return PairLedger(self.pairs + (Pair(len(self.pairs), leader, clone),))
-
-    def pair_of(self, pid: int) -> Optional[Pair]:
-        for p in self.pairs:
-            if pid in (p.leader, p.clone):
-                return p
-        return None
-
-    def split_status(self, exec_: Execution, pair_id: int) -> str:
-        """'united', 'fresh', or 'stale'; staleness read off the trace."""
-        p = self.pair(pair_id)
-        if p.united:
-            return "united"
-        last = _last_step_index(exec_, p.leader)
-        if last is None:
-            raise EngineError(f"split pair {pair_id} whose leader never stepped")
-        for step in exec_.steps[last + 1:]:
-            if isinstance(step.action, Write) and step.action.reg == p.split.reg:
-                return "stale"
-        return "fresh"
+def splits(exec_: Execution) -> dict:
+    """{pair id: (split write, "fresh" | "stale")} for every split pair."""
+    counts = [0] * len(exec_.initial.procs)
+    last_step, last_write = {}, {}
+    for i, step in enumerate(exec_.steps):
+        counts[step.pid] += 1
+        last_step[step.pid] = i
+        if isinstance(step.action, Write):
+            last_write[step.action.reg] = i
+    out = {}
+    for pair_id in range(len(counts) // 2):
+        leader, clone = members(pair_id)
+        gap = counts[leader] - counts[clone]
+        if gap == 0:
+            continue
+        write = exec_.steps[last_step[leader]].action if gap == 1 else None
+        if not isinstance(write, Write):
+            raise EngineError(f"pair {pair_id} is neither united nor split on a write: "
+                              f"its leader has {gap:+d} steps on its clone")
+        stale = last_write[write.reg] > last_step[leader]
+        out[pair_id] = (write, "stale" if stale else "fresh")
+    return out
 
 
-def _last_step_index(exec_: Execution, pid: int) -> Optional[int]:
-    for i in range(len(exec_.steps) - 1, -1, -1):
-        if exec_.steps[i].pid == pid:
-            return i
-    return None
-
-
-def new_pair(exec_: Execution, ledger: PairLedger, input_bit: int):
-    """Allocate a fresh pair (two fresh processes) at initial state."""
+def new_pair(exec_: Execution, input_bit: int):
+    """Allocate a fresh pair (two fresh processes) at initial state;
+    returns (execution, pair id)."""
     exec_, leader = add_process(exec_, input_bit)
-    exec_, clone = add_process(exec_, input_bit)
-    return exec_, ledger.append(leader, clone), len(ledger.pairs)
+    exec_, _ = add_process(exec_, input_bit)
+    return exec_, pair_of(leader)
 
 
-def pair_step(exec_: Execution, ledger: PairLedger, pair_id: int, action):
+def _check_synced(exec_: Execution, pair_id: int, what: str) -> None:
+    a, b = (exec_.final.proc(pid) for pid in members(pair_id))
+    if (a.state, a.decided) != (b.state, b.decided):
+        raise EngineError(f"pair {pair_id} {what}")
+
+
+def pair_step(exec_: Execution, pair_id: int, action) -> Execution:
     """Leader acts, clone repeats immediately; reads must observe equal values."""
-    p = ledger.pair(pair_id)
-    if not p.united:
+    if pair_id in splits(exec_):
         raise ValueError(f"pair {pair_id} is split")
-    exec_ = exec_.extend(p.leader, action)
+    leader, clone = members(pair_id)
+    exec_ = exec_.extend(leader, action)
     first = exec_.steps[-1]
-    exec_ = exec_.extend(p.clone, action)
+    exec_ = exec_.extend(clone, action)
     second = exec_.steps[-1]
     if isinstance(action, Read) and first.outcome != second.outcome:
         raise EngineError(
             f"pair {pair_id} lockstep reads diverged: {first.outcome!r} vs {second.outcome!r}"
         )
-    a, b = exec_.final.proc(p.leader), exec_.final.proc(p.clone)
-    if (a.state, a.decided) != (b.state, b.decided):
-        raise EngineError(f"pair {pair_id} out of sync after lockstep step")
-    return exec_, ledger
+    _check_synced(exec_, pair_id, "out of sync after lockstep step")
+    return exec_
 
 
-def split_pair(exec_: Execution, ledger: PairLedger, pair_id: int, action: Write):
+def split_pair(exec_: Execution, pair_id: int, action: Write) -> Execution:
     """Leader writes alone; the clone keeps covering the register."""
-    p = ledger.pair(pair_id)
-    if not p.united:
+    if pair_id in splits(exec_):
         raise ValueError(f"pair {pair_id} already split")
     if not isinstance(action, Write):
         raise ValueError("split requires a write action")
-    exec_ = exec_.extend(p.leader, action)
-    ledger = ledger.with_pair(replace(p, split=SplitInfo(action.reg, action)))
-    return exec_, ledger
+    return exec_.extend(members(pair_id)[0], action)
 
 
-def unite_pair(exec_: Execution, ledger: PairLedger, pair_id: int):
+def unite_pair(exec_: Execution, pair_id: int) -> Execution:
     """Clone performs its pending write, restoring the leader's value."""
-    p = ledger.pair(pair_id)
-    if p.united:
+    split = splits(exec_).get(pair_id)
+    if split is None:
         raise ValueError(f"pair {pair_id} is not split")
-    exec_ = exec_.extend(p.clone, p.split.action)
-    ledger = ledger.with_pair(replace(p, split=None))
-    a, b = exec_.final.proc(p.leader), exec_.final.proc(p.clone)
-    if (a.state, a.decided) != (b.state, b.decided):
-        raise EngineError(f"pair {pair_id} failed to reunite")
-    return exec_, ledger
+    exec_ = exec_.extend(members(pair_id)[1], split[0])
+    _check_synced(exec_, pair_id, "failed to reunite")
+    return exec_
 
 
-def duplicate_pair(exec_: Execution, ledger: PairLedger, pair_id: int, budget: int):
-    """Create a new pair in the source pair's current state.
+def duplicate_pair(exec_: Execution, pair_id: int, budget: int):
+    """Create a new pair in the source pair's current state; returns
+    (execution, pair id).
 
     Realized by replaying the source's action/outcome history with fresh pids
     inserted adjacently, so every read observes the recorded value; for a
@@ -147,17 +111,15 @@ def duplicate_pair(exec_: Execution, ledger: PairLedger, pair_id: int, budget: i
     duplicate follows, leaving it poised on the same write.  `budget` caps the
     total number of pairs.
     """
-    if len(ledger.pairs) + 1 > budget:
+    if len(exec_.initial.procs) // 2 + 1 > budget:
         raise EngineError(f"pair budget {budget} exhausted")
-    src = ledger.pair(pair_id)
-    member = src.clone if not src.united else src.leader
-    input_bit = exec_.initial.proc(member).input
-    exec_, ledger, new_id = new_pair(exec_, ledger, input_bit)
-    np = ledger.pair(new_id)
+    leader, clone = members(pair_id)
+    member = clone if pair_id in splits(exec_) else leader
+    exec_, new_id = new_pair(exec_, exec_.initial.proc(member).input)
     count = len(exec_.steps_of(member))
-    exec_ = mirror_history(exec_, [(member, count, np.leader), (member, count, np.clone)])
-    got = exec_.final.proc(np.leader)
+    exec_ = mirror_history(exec_, [(member, count, pid) for pid in members(new_id)])
+    got = exec_.final.proc(members(new_id)[0])
     want = exec_.final.proc(member)
     if (got.state, got.decided) != (want.state, want.decided):
         raise EngineError("duplicate pair did not land in the source state")
-    return exec_, ledger, new_id
+    return exec_, new_id

@@ -13,6 +13,16 @@ violation, counter, level, witness, closing block write or inconclusive
 marker) and the step records that follow it.  Replay parses the file one
 section at a time, dispatches on the first record after the header, and
 steps every trace through `Execution.extend_steps`.
+
+A linear certificate's `pairs` (in the header and in each level) record the
+pair layout of its processes, [[0, 1], [2, 3], ...]: pair i is leader 2i and
+clone 2i+1, so a step's role is its pid's parity and no split is stored, as
+splits are read off the trace.  Replay requires exactly that layout, and
+"solo" roles and empty `pairs` everywhere else.  A certificate's header must
+name a `sqrt` or `linear` attack and repeat the algorithm's name, the top
+level's `inputs` and `pairs`, and (linear) the closing block write's
+`registers_written`; its levels rank 0, 1, ... up to the header's
+`target_r` or `m`, each with a 0-deciding witness and then a 1-deciding one.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ from .model import (
 )
 from .execution import Execution, Step
 from .oracle import replay_violation
-from .pairs import PairLedger
 from .reports import LinearChainCertificate, SqrtChainCertificate, ViolationReport
+from .sqrt_attack import expected_budget
 from .valency import Witness
 
 
@@ -87,15 +97,15 @@ def _tail(exec_: Execution, steps) -> Execution:
 
 
 def header_record(spec: AlgorithmSpec, initial: Optional[Configuration],
-                  ledger: Optional[PairLedger] = None, extra: Optional[dict] = None) -> str:
+                  extra: Optional[dict] = None) -> str:
     """The opening record; a file without an execution (`initial` None)
-    names no inputs."""
+    names no inputs, and only a linear certificate's `extra` names pairs."""
     rec = {
         "record": "header",
         "spec": spec.name,
         "algorithm_text": format_algorithm(spec),
         "inputs": [p.input for p in initial.procs] if initial else [],
-        "pairs": [[p.leader, p.clone] for p in ledger.pairs] if ledger else [],
+        "pairs": [],
     }
     rec.update(extra or {})
     return _dump(rec)
@@ -114,14 +124,14 @@ def witness_lines(witness: Witness, exec_: Execution, roles=None) -> list:
     return [wrapper] + execution_lines(_tail(exec_, witness.steps), roles, len(exec_.steps))
 
 
-def _roles(ledger: Optional[PairLedger]) -> dict:
-    if ledger is None:
-        return {}
-    roles = {}
-    for p in ledger.pairs:
-        roles[p.leader] = "leader"
-        roles[p.clone] = "clone"
-    return roles
+def _pairs(count: int) -> list:
+    """The pairs of a linear system of `count` processes: pair i is leader
+    2i and clone 2i+1."""
+    return [[2 * i, 2 * i + 1] for i in range(count // 2)]
+
+
+def _roles(count: int) -> dict:
+    return {pid: ("leader", "clone")[pid % 2] for pid in range(count)}
 
 
 # -- violation reports --------------------------------------------------------
@@ -155,7 +165,7 @@ def _jsonable(value):
 
 def sqrt_certificate_lines(cert: SqrtChainCertificate) -> list:
     top = cert.levels[-1]
-    lines = [header_record(top.exec.spec, top.exec.initial, None,
+    lines = [header_record(top.exec.spec, top.exec.initial,
                            {"attack": "sqrt", "depth": cert.depth,
                             "target_r": top.r})]
     for level in cert.levels:
@@ -174,11 +184,14 @@ def sqrt_certificate_lines(cert: SqrtChainCertificate) -> list:
 
 def linear_certificate_lines(cert: LinearChainCertificate) -> list:
     top = cert.levels[-1]
-    lines = [header_record(top.exec.spec, top.exec.initial, top.ledger,
+    count = len(top.exec.initial.procs)
+    lines = [header_record(top.exec.spec, top.exec.initial,
                            {"attack": "linear", "m": cert.m, "depth": cert.depth,
-                            "registers_written": cert.registers_written})]
+                            "registers_written": cert.registers_written,
+                            "pairs": _pairs(count)})]
     for level in cert.levels:
-        roles = _roles(level.ledger)
+        count = len(level.exec.initial.procs)
+        roles = _roles(count)
         lines.append(_dump({
             "record": "level",
             "r": level.r,
@@ -190,7 +203,7 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
             "Q": list(level.q_ids),
             "R_s": sorted(level.split_regs),
             "R_c": sorted(level.covered_regs),
-            "pairs": [[p.leader, p.clone] for p in level.ledger.pairs],
+            "pairs": _pairs(count),
             "inputs": [p.input for p in level.exec.initial.procs],
         }))
         lines.extend(execution_lines(level.exec, roles))
@@ -200,7 +213,7 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
         lines.append(_dump({"record": "closing-block-write",
                             "registers_written": cert.registers_written}))
         closing = _tail(top.exec, cert.final.steps[len(top.exec.steps):])
-        lines.extend(execution_lines(closing, _roles(top.ledger), len(top.exec.steps)))
+        lines.extend(execution_lines(closing, roles, len(top.exec.steps)))
     return lines
 
 
@@ -340,23 +353,18 @@ def _pids(record: dict, field: str, where: str, count: int) -> tuple:
 
 
 def _pair_roles(record: dict, where: str, count: int) -> dict:
-    """pid -> "leader" | "clone" from a level's `pairs`, a list of
-    [leader, clone] pid pairs in which no pid appears twice."""
-    pairs = record.get("pairs")
-    if not isinstance(pairs, list) \
-            or any(not isinstance(pair, list) or len(pair) != 2 for pair in pairs):
-        raise ReplayError(f"{where}: pairs is not a list of [leader, clone] pairs")
-    pids = [pid for pair in pairs for pid in pair]
-    if any(type(pid) is not int or not 0 <= pid < count for pid in pids) \
-            or len(set(pids)) != len(pids):
-        raise ReplayError(f"{where}: pairs is not made of distinct pids below {count}")
-    return {pid: ("leader", "clone")[n % 2] for n, pid in enumerate(pids)}
+    """pid -> "leader" | "clone" for a linear level of `count` processes,
+    whose `pairs` must be their layout: pair i is leader 2i and clone 2i+1."""
+    if count % 2 or record.get("pairs") != _pairs(count):
+        raise ReplayError(f"{where}: pairs is not [[0, 1], [2, 3], ...] over {count} pids")
+    return _roles(count)
 
 
 def _witness_pids(meta: dict, steps, where: str, count: int, kind: str) -> tuple:
     """A witness record's `P`, checked against its kind and its steps: a
     sorted list of distinct pids that make every step; a solo witness names
-    one pid, and its `depth` is its step count."""
+    one pid, and its `depth` is its step count; a reserving witness's
+    `depth` counts pair moves, two steps each."""
     if meta.get("kind") != kind:
         raise ReplayError(f"{where}: kind {meta.get('kind')!r} is not {kind!r}")
     pids = _pids(meta, "P", where, count)
@@ -366,6 +374,8 @@ def _witness_pids(meta: dict, steps, where: str, count: int, kind: str) -> tuple
         raise ReplayError(f"{where}: a step is by a pid outside P")
     if kind == "solo" and (len(pids) != 1 or _count(meta, "depth", where) != len(steps)):
         raise ReplayError(f"{where}: a solo witness is one pid's run of `depth` steps")
+    if kind == "reserving" and 2 * _count(meta, "depth", where) != len(steps):
+        raise ReplayError(f"{where}: depth is not its number of pair moves")
     return pids
 
 
@@ -440,28 +450,41 @@ def _replay_violation(spec, header, vio, steps, sections):
 
 def _replay_certificate(spec, header, sections):
     """A chain certificate, replayed one section at a time: each level's
-    execution, then the witnesses and closing block write that extend it.
-    A sqrt level of rank r names r distinct written registers `R`, and its
-    witnesses are solo runs of two distinct pids that decide 0 and 1; a
-    linear level's are reserving, and its `pairs` give every step's role."""
+    execution, then the witnesses and closing block write that extend it,
+    in the chain shape and under the header set out above.  A sqrt level of
+    rank r names r distinct written registers `R`, and its witnesses are
+    solo runs of two distinct pids; a linear level's are reserving, and a
+    linear chain ends in one closing block write."""
     sqrt = header.get("attack") == "sqrt"
-    levels = 0
-    checked_witnesses = 0
-    decided = []  # per level, the decisions of its witnesses
+    if not sqrt and header.get("attack") != "linear":
+        raise ReplayError(f"header: attack {header.get('attack')!r} is not 'sqrt' or 'linear'")
+    if header.get("spec") != spec.name:
+        raise ReplayError(f"header: spec {header.get('spec')!r} is not {spec.name!r}")
+    top = _count(header, "target_r" if sqrt else "m", "header")
+    levels = witnesses = 0
+    closing = None
     for meta, steps in sections:
         kind = meta.get("record")
+        if closing is not None:
+            raise ReplayError("a record follows the closing block write")
         if kind == "level":
+            if levels and witnesses != 2:
+                raise ReplayError(f"{where}: {witnesses} witness sections, not 2")
             levels += 1
             where = f"level {levels}"
-            initial = initial_configuration(spec, _inputs(meta, where))
+            inputs = _inputs(meta, where)
+            initial = initial_configuration(spec, inputs)
             count = len(initial.procs)
             roles = {} if sqrt else _pair_roles(meta, where, count)
             exec_ = Execution.from_steps(spec, initial,
                                          _steps_from_records(spec, steps, count, roles=roles))
             witness_pids = set()
+            witnesses = 0
             r = _count(meta, "r", where)
+            if r != levels - 1:
+                raise ReplayError(f"{where}: rank {r}, not {levels - 1}")
             if sqrt:
-                want = (r - 1) * r // 2 + 2
+                want = expected_budget(r)
                 if _count(meta, "budget", where) != want or count != want:
                     raise ReplayError(f"level {r}: budget mismatch")
                 regs = _registers(meta, "R", where)
@@ -473,13 +496,17 @@ def _replay_certificate(spec, header, sections):
                 raise ReplayError(f"level {r}: R not fully written")
             if sqrt and (len(regs) != r or len(set(regs)) != r):
                 raise ReplayError(f"level {r}: R is not {r} distinct registers")
-            decided.append(set())
             continue
-        if kind not in ("witness", "closing-block-write"):
-            raise ReplayError(f"unexpected {kind!r} record in a certificate")
+        if kind not in ("witness", "closing-block-write") \
+                or (kind == "closing-block-write" and sqrt):
+            raise ReplayError(f"unexpected {kind!r} record in a {header['attack']} certificate")
         if not steps:
             raise ReplayError(f"{kind} section holds no steps")
         if kind == "witness":
+            decision = meta.get("decision")
+            if witnesses > 1 or type(decision) is not int or decision != witnesses:
+                raise ReplayError(f"{where}: witness {witnesses + 1} does not claim "
+                                  "decision 0, then 1")
             pids = _witness_pids(meta, steps, f"{where} witness", count,
                                  "solo" if sqrt else "reserving")
             if sqrt and witness_pids & set(pids):
@@ -489,16 +516,19 @@ def _replay_certificate(spec, header, sections):
             spec, steps, count, len(exec_.steps), roles))
         if kind == "witness":
             last = extended.steps[-1]
-            if not isinstance(last.action, Return) or last.action.decision != meta.get("decision"):
+            if not isinstance(last.action, Return) or last.action.decision != decision:
                 raise ReplayError("witness does not end with the claimed return")
-            decided[-1].add(last.action.decision)
-            checked_witnesses += 1
-        elif len(extended.written_registers()) != _count(meta, "registers_written",
-                                                          "closing block write"):
-            raise ReplayError("closing block write register count mismatch")
-    if levels == 0 or checked_witnesses < 2 * levels:
-        raise ReplayError("certificate is missing levels or witnesses")
-    if sqrt and any(decisions != {0, 1} for decisions in decided):
-        raise ReplayError("a sqrt level's witnesses do not decide both 0 and 1")
+            witnesses += 1
+        else:
+            closing = _count(meta, "registers_written", "closing block write")
+            if len(extended.written_registers()) != closing:
+                raise ReplayError("closing block write register count mismatch")
+    if levels != top + 1 or witnesses != 2 or (closing is None) != sqrt:
+        raise ReplayError(f"certificate is not levels 0..{top} of 2 witnesses each"
+                          + ("" if sqrt else " and a closing block write"))
+    if header.get("inputs") != inputs or header.get("pairs") != ([] if sqrt else _pairs(count)):
+        raise ReplayError("header: inputs or pairs differ from the top level's")
+    if not sqrt and header.get("registers_written") != closing:
+        raise ReplayError("header: registers_written differs from the closing block write's")
     return {"kind": "certificate", "attack": header.get("attack"),
-            "levels": levels, "witnesses": checked_witnesses}
+            "levels": levels, "witnesses": 2 * levels}

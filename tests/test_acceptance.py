@@ -24,7 +24,7 @@ from regforce.model import (
     step_with_outcome,
 )
 from regforce.oracle import oracle_check, replay_violation
-from regforce.pairs import PairLedger, pair_step, split_pair, unite_pair
+from regforce.pairs import members, pair_step, split_pair, splits, unite_pair
 from regforce.reports import LinearChainCertificate, ViolationReport
 from regforce.sqrt_attack import sqrt_run
 from regforce.valency import construct_reserving, is_reserving, valency
@@ -224,7 +224,7 @@ def test_criterion_5_linear_invariants():
         checks = verify_properties(level)
         per_level.append(all(okc for _, okc, _ in checks))
         stale = level.stale_ids()
-        stale_regs = [level.ledger.pair(i).split.reg for i in stale]
+        stale_regs = [splits(level.exec)[i][0].reg for i in stale]
         assert len(stale) <= level.r + 1 and len(set(stale_regs)) == len(stale_regs)
     ok1 = ok1 and all(per_level) and out.registers_written == 1 and t1 < 120
 
@@ -329,22 +329,19 @@ def test_criterion_6_structural_invariants():
         seed += 1
         a_in, b_in = rng.randrange(2), rng.randrange(2)
         exec_ = Execution.start(flag, initial_configuration(flag, [a_in, a_in, b_in, b_in]))
-        ledger = PairLedger().append(0, 1).append(2, 3)
         reads = {}
         for pair_id in (0, 1):
-            leader = ledger.pair(pair_id).leader
-            exec_, ledger = pair_step(exec_, ledger, pair_id,
-                                      enabled_actions(flag, exec_.final, leader)[0])
+            leader = members(pair_id)[0]
+            exec_ = pair_step(exec_, pair_id, enabled_actions(flag, exec_.final, leader)[0])
         write = enabled_actions(flag, exec_.final, 0)[0]
         if not isinstance(write, Write):
             continue
         regs_before = exec_.final.registers
-        split_exec, split_led = split_pair(exec_, ledger, 0, write)
-        united, uled = unite_pair(split_exec, split_led, 0)
+        united = unite_pair(split_pair(exec_, 0, write), 0)
         assert united.final.registers[write.reg] == write.value
         a, b = united.final.procs[0], united.final.procs[1]
         assert (a.state, a.decided) == (b.state, b.decided)
-        assert uled.pair(0).united
+        assert splits(united) == {}
         n += 1
     counts["split-unite"] = n
 
@@ -355,14 +352,12 @@ def test_criterion_6_structural_invariants():
         rng = random.Random(seed)
         seed += 1
         exec_ = Execution.start(flag, initial_configuration(flag, [0, 0, 1, 1]))
-        ledger = PairLedger().append(0, 1).append(2, 3)
         order = [0, 1] if rng.random() < 0.5 else [1, 0]
         writes = {}
         skip = False
         for pair_id in order:
-            leader = ledger.pair(pair_id).leader
-            exec_, ledger = pair_step(exec_, ledger, pair_id,
-                                      enabled_actions(flag, exec_.final, leader)[0])
+            leader = members(pair_id)[0]
+            exec_ = pair_step(exec_, pair_id, enabled_actions(flag, exec_.final, leader)[0])
             nxt = enabled_actions(flag, exec_.final, leader)[0]
             if not isinstance(nxt, Write):
                 skip = True
@@ -370,12 +365,12 @@ def test_criterion_6_structural_invariants():
             writes[pair_id] = nxt
         if skip:
             continue
-        exec_, ledger = split_pair(exec_, ledger, 0, writes[0])
+        exec_ = split_pair(exec_, 0, writes[0])
         level_regs = exec_.final.registers
-        exec_, ledger = pair_step(exec_, ledger, 1, writes[1])
+        exec_ = pair_step(exec_, 1, writes[1])
         if exec_.final.registers == level_regs and writes[1].value == writes[0].value:
             pass  # identical overwrite still restores below
-        exec_, ledger = unite_pair(exec_, ledger, 0)
+        exec_ = unite_pair(exec_, 0)
         assert exec_.final.registers == level_regs
         n += 1
     counts["restoration"] = n

@@ -209,17 +209,21 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
             ("report", 2, ("check", "zoo:trivial-decider", "--inputs", "01")),
             ("sqrt", 0, ("attack", "sqrt", "zoo:of-race-3", "--target-r", "1")),
             ("sqrt2", 0, ("attack", "sqrt", "zoo:of-race-3", "--target-r", "2")),
-            ("linear", 0, ("attack", "linear", "zoo:one-register-flag", "--m", "1"))):
+            ("linear", 0, ("attack", "linear", "zoo:one-register-flag", "--m", "1")),
+            ("claim", 0, ("attack", "linear", "zoo:claim-commit", "--m", "2"))):
         target = tmp_path / f"{name}.jsonl"
         assert run_cli(*args, "--out", str(target)).returncode == code
         files[name] = [json.loads(line) for line in target.read_text().splitlines()]
+
+    def joined(records):
+        return "".join(json.dumps(rec) + "\n" for rec in records)
 
     def mistyped(name, record, field, value, where=lambda rec: True, nth=0):
         # the `nth` `record` record of the file that passes `where` gets
         # `field` = `value`
         edited = [dict(rec) for rec in files[name]]
         [rec for rec in edited if rec["record"] == record and where(rec)][nth][field] = value
-        return "".join(json.dumps(rec) + "\n" for rec in edited)
+        return joined(edited)
 
     # a record that is no object, a header whose algorithm text is no string,
     # header inputs that are no list of bits, and a step whose pid is no pid
@@ -276,12 +280,41 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
              for rec in sqrt2[first:second]]
     assert [rec["decision"] for rec in (sqrt2[first], sqrt2[second])] == [0, 1]
     cases += ["".join(json.dumps(rec) + "\n" for rec in sqrt2[:second] + moved)]
-    # a step's role is its pid's in the level's pairs, and "solo" outside them
+    # a linear level's pairs are its pids in order, leader 2i and clone
+    # 2i+1, and give every step's role; outside a linear file it is "solo"
     cases += [mistyped("sqrt", "step", "role", "leader"),
               mistyped("report", "step", "role", "clone"),
               mistyped("linear", "step", "role", "clone", lambda rec: rec["role"] == "leader"),
               mistyped("linear", "step", "role", "solo", nth=-1),
               mistyped("linear", "level", "pairs", 3)]
+    # so leader and clone swapped in every pairs entry and step role is no
+    # layout at all
+    swap = {"leader": "clone", "clone": "leader"}
+    claim = files["claim"]
+    cases += [joined({**rec, "pairs": [pair[::-1] for pair in rec["pairs"]]} if "pairs" in rec
+                     else {**rec, "role": swap[rec["role"]]} if rec["record"] == "step" else rec
+                     for rec in claim)]
+    # a chain ranks its levels 0, 1, ... up to the header's target_r or m, of
+    # a 0-deciding witness and then a 1-deciding one each, and a linear chain
+    # ends in one closing block write: here the second level's second witness
+    # moves to the third level, a file stops a level short, and the ranks or
+    # the header's attack are edited
+    marks = [n for n, rec in enumerate(claim) if rec["record"] != "step"]
+    assert [claim[n]["record"] for n in marks] == \
+        ["header"] + ["level", "witness", "witness"] * 3 + ["closing-block-write"]
+    sqrt2_levels = [n for n, rec in enumerate(sqrt2) if rec["record"] == "level"]
+    cases += [joined(claim[:marks[6]] + claim[marks[7]:marks[9]] + claim[marks[8]:]),
+              joined(claim[:marks[7]]), joined(sqrt2[:sqrt2_levels[1]]),
+              mistyped("claim", "level", "r", 7, nth=1)]
+    cases += [mistyped("claim", "header", field, value) for field, value in
+              (("m", 5), ("m", 0), ("attack", 99), ("attack", None))]
+    # the header repeats the algorithm's name, the top level's inputs and
+    # pairs, and the closing block write's count; a linear witness's depth
+    # counts its pair moves
+    cases += [mistyped("claim", "header", field, value) for field, value in
+              (("spec", "of-race-3"), ("inputs", [1]), ("pairs", claim[0]["pairs"][:-1]),
+               ("registers_written", 3))]
+    cases += [mistyped("claim", "witness", "depth", 1000)]
     for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))

@@ -4,7 +4,7 @@ from regforce import zoo
 from regforce.execution import Execution
 from regforce.model import Write, enabled_actions, initial_configuration
 from regforce.oracle import replay_violation
-from regforce.pairs import PairLedger, pair_step, split_pair
+from regforce.pairs import members, pair_of, pair_step, split_pair, splits, unite_pair
 from regforce.reports import Inconclusive, LinearChainCertificate, ViolationReport
 from regforce import linear_attack
 from regforce.linear_attack import (
@@ -120,27 +120,27 @@ def test_run_determinism(flag):
 
 # -- constructed negatives for the property checker ---------------------------
 
-def _drive_pair_to_flag_write(exec_, ledger, pair_id):
-    pair = ledger.pair(pair_id)
-    read = enabled_actions(exec_.spec, exec_.final, pair.leader)[0]
-    exec_, ledger = pair_step(exec_, ledger, pair_id, read)
-    write = enabled_actions(exec_.spec, exec_.final, pair.leader)[0]
+def _drive_pair_to_flag_write(exec_, pair_id):
+    leader = members(pair_id)[0]
+    read = enabled_actions(exec_.spec, exec_.final, leader)[0]
+    exec_ = pair_step(exec_, pair_id, read)
+    write = enabled_actions(exec_.spec, exec_.final, leader)[0]
     assert isinstance(write, Write)
-    return exec_, ledger, write
+    return exec_, write
 
 
 def test_two_stale_pairs_on_one_register_fails_property_two(flag):
     base = linear_base(flag, m=1, depth=32)
-    exec_, ledger = base.exec, base.ledger
+    exec_ = base.exec
     # pool pairs 2, 3, 4 all cover the flag, then write one after another:
     # the first two splits go stale under the later writes
     writes = {}
     for pid in (2, 3, 4):
-        exec_, ledger, writes[pid] = _drive_pair_to_flag_write(exec_, ledger, pid)
+        exec_, writes[pid] = _drive_pair_to_flag_write(exec_, pid)
     for pid in (2, 3, 4):
-        exec_, ledger = split_pair(exec_, ledger, pid, writes[pid])
+        exec_ = split_pair(exec_, pid, writes[pid])
     bad = LinearLevel(
-        r=1, m=1, exec=exec_, ledger=ledger, pair_ids=base.pair_ids,
+        r=1, m=1, exec=exec_, pair_ids=base.pair_ids,
         split_regs=(0,), covered_regs=(), cover={0: 4}, cover_actions={},
         p_ids=base.p_ids, q_ids=base.q_ids,
         alpha=base.alpha, beta=base.beta, case_tag="1.1",
@@ -153,7 +153,7 @@ def test_two_stale_pairs_on_one_register_fails_property_two(flag):
 def test_oversized_p_q_fails_property_three(flag):
     level = linear_base(flag, m=1, depth=32)
     bloated = LinearLevel(
-        r=0, m=1, exec=level.exec, ledger=level.ledger, pair_ids=level.pair_ids,
+        r=0, m=1, exec=level.exec, pair_ids=level.pair_ids,
         split_regs=(), covered_regs=(), cover={}, cover_actions={},
         p_ids=level.p_ids + (2, 3, 4), q_ids=level.q_ids,
         alpha=level.alpha, beta=level.beta,
@@ -213,7 +213,7 @@ def test_finish_switch_builds_a_verified_level():
     # prefix the pool is univalent the other way
     o_step = ("split", level1.cover[0], level1.cover_actions[0])
     assembly = _Assembly(
-        case_tag="2.2", exec_now=exec_now, ledger_now=level1.ledger,
+        case_tag="2.2", exec_now=exec_now,
         wp_unit=wp_unit, wp_action=wp_action,
         touched=frozenset(), wp_done=False, split_now=(),
     )
@@ -260,22 +260,19 @@ def test_scripted_flips_reach_the_switch_finisher(monkeypatch):
             exec_ = exec_.extend(unit[0], action).extend(unit[1], action)
         return exec_
 
-    def pair_id(unit):
-        return level1.ledger.pair_of(unit[0]).pair_id
-
     # case 1: the pool can still return 0 after the prefix; the poised write
     # flips it to 1, so the witness tail's first step is the flip step
     left = _scripted_valency(monkeypatch, ["0-univalent", "1-univalent", "1-univalent"])
     assert _step_oriented(level1, orient, split_at, t_ids, 64) == "switch"
     (_, _, _, assembly, o_step), kwargs = captured.pop()
     assert left == [] and assembly.case_tag == "1.2"
-    assert o_step == ("pair", pair_id(moves[split_at][0]), moves[split_at][1])
+    assert o_step == ("pair", pair_of(moves[split_at][0][0]), moves[split_at][1])
     assert kwargs["flip_side"] == 0 and not assembly.wp_done
     assert assembly.exec_now == run_pairs(split_at)
 
     # a pair plan from the first claim on: the flip at prefix 2 is the other
     # unit's claim, after the poised write was taken
-    plan = [("pair", pair_id(unit), action) for unit, action in moves[3:]]
+    plan = [("pair", pair_of(unit[0]), action) for unit, action in moves[3:]]
     _scripted_valency(monkeypatch, ["0-univalent"] * 2 + ["1-univalent"] * 4)
     assert _scan(level1, orient, t_ids, 3, run_pairs(3), _report("0-univalent"), plan,
                  "1", "pair-step", 0, 64) == "switch"
@@ -333,88 +330,82 @@ def test_breach_while_disentangling_is_reported_where_it_was_found(monkeypatch):
 
 def test_stale_repair_unites_colliding_pair(flag):
     exec_ = Execution.start(flag, initial_configuration(flag, [0, 0, 1, 1, 0, 0]))
-    ledger = PairLedger().append(0, 1).append(2, 3).append(4, 5)
     # everyone covers the flag first
     writes = {}
     for pid in (0, 1, 2):
-        exec_, ledger, writes[pid] = _drive_pair_to_flag_write(exec_, ledger, pid)
+        exec_, writes[pid] = _drive_pair_to_flag_write(exec_, pid)
     # pair 0 writes and goes stale under pair 1's write; pair 1 stays fresh
-    exec_, ledger = split_pair(exec_, ledger, 0, writes[0])
-    exec_, ledger = split_pair(exec_, ledger, 1, writes[1])
-    assert ledger.split_status(exec_, 0) == "stale"
+    exec_ = split_pair(exec_, 0, writes[0])
+    exec_ = split_pair(exec_, 1, writes[1])
+    assert splits(exec_)[0][1] == "stale"
     level = LinearLevel(
-        r=1, m=1, exec=exec_, ledger=ledger, pair_ids=(0, 1, 2),
+        r=1, m=1, exec=exec_, pair_ids=(0, 1, 2),
         split_regs=(0,), covered_regs=(), cover={0: 1}, cover_actions={},
         p_ids=(), q_ids=(), alpha=None, beta=None,
     )
     # the extension overwrites r0 again via the third pair's lockstep write
-    ext, led = pair_step(exec_, ledger, 2, writes[2])
+    ext = pair_step(exec_, 2, writes[2])
     assembly = _Assembly(
-        case_tag="1.1", exec_now=ext, ledger_now=led,
+        case_tag="1.1", exec_now=ext,
         wp_unit=(4, 5), wp_action=writes[2],
         touched=frozenset({0}), wp_done=True, split_now=(),
     )
     before = ext.final
-    repaired, led2 = _repair_stale(level, assembly)
+    repaired = _repair_stale(level, assembly)
     # exactly one inserted step, the stale clone's pending write
     assert len(repaired.steps) == len(ext.steps) + 1
-    assert led2.pair(0).united
+    assert 0 not in splits(repaired)
     assert repaired.final.registers == before.registers
-    others = [p for p in range(6) if p != ledger.pair(0).clone]
+    others = [p for p in range(6) if p != members(0)[1]]
     from regforce.execution import indistinguishable
     assert indistinguishable(before, repaired.final, others)
     # no collision: nothing inserted
     assembly2 = _Assembly(
-        case_tag="1.1", exec_now=ext, ledger_now=led,
+        case_tag="1.1", exec_now=ext,
         wp_unit=(4, 5), wp_action=writes[2],
         touched=frozenset(), wp_done=True, split_now=(),
     )
-    same, _ = _repair_stale(level, assembly2)
+    same = _repair_stale(level, assembly2)
     assert same.steps == ext.steps
 
 
 def test_gamma_c_empty_covered_set_is_identity(flag):
     level = linear_base(flag, m=1, depth=32)
-    exec_, ledger = gamma_c(level)
-    assert exec_ == level.exec and ledger is level.ledger
+    assert gamma_c(level) == level.exec
 
 
 def test_gamma_c_splits_each_covering_pair(flag):
     level = linear_base(flag, m=1, depth=32)
     level = linear_step(level, depth=32)
     assert level.covered_regs == (0,)
-    exec_d, ledger_d = gamma_c(level)
+    exec_d = gamma_c(level)
     assert len(exec_d.steps) == len(level.exec.steps) + 1
-    pair_id = level.cover[0]
-    assert not ledger_d.pair(pair_id).united
-    assert ledger_d.split_status(exec_d, pair_id) == "fresh"
+    assert splits(exec_d)[level.cover[0]] == (level.cover_actions[0], "fresh")
     assert exec_d.final.registers[0] == level.cover_actions[0].value
 
 
 def test_gamma_s_identity_when_nothing_overwritten(flag):
     level = linear_base(flag, m=1, depth=32)
-    exec_, ledger = gamma_s(level, level.exec, level.ledger, ())
-    assert exec_ == level.exec
+    assert gamma_s(level, level.exec, ()) == level.exec
 
 
 def test_gamma_s_restores_the_level_contents(flag):
     exec_ = Execution.start(flag, initial_configuration(flag, [0, 0, 1, 1]))
-    ledger = PairLedger().append(0, 1).append(2, 3)
-    exec_, ledger, w0 = _drive_pair_to_flag_write(exec_, ledger, 0)
-    exec_, ledger, w1 = _drive_pair_to_flag_write(exec_, ledger, 1)
-    exec_, ledger = split_pair(exec_, ledger, 0, w0)
+    exec_, w0 = _drive_pair_to_flag_write(exec_, 0)
+    exec_, w1 = _drive_pair_to_flag_write(exec_, 1)
+    exec_ = split_pair(exec_, 0, w0)
     level = LinearLevel(
-        r=1, m=1, exec=exec_, ledger=ledger, pair_ids=(0, 1),
+        r=1, m=1, exec=exec_, pair_ids=(0, 1),
         split_regs=(0,), covered_regs=(), cover={0: 0}, cover_actions={},
         p_ids=(), q_ids=(), alpha=None, beta=None,
     )
     at_level = exec_.final.registers
-    ext, led = pair_step(exec_, ledger, 1, w1)
+    ext = pair_step(exec_, 1, w1)
     ext_steps = ext.steps[len(exec_.steps):]
     assert ext.final.registers != at_level
-    restored, rled = gamma_s(level, ext, led, ext_steps)
+    restored = gamma_s(level, ext, ext_steps)
     assert restored.final.registers == at_level
-    assert rled.pair(0).united
+    assert splits(restored) == {}
     assert len(restored.steps) == len(ext.steps) + 1
 
 
@@ -432,20 +423,18 @@ def test_check_alpha_outside_reports_first_outside_write(flag):
     wp_unit, wp_action = orient.scanned.moves[split_at]
     assert wp_action.reg == 0  # first write lands outside the empty set
     assert all(not isinstance(a, Write) for _, a in orient.scanned.moves[:split_at])
-    assert wp_unit in [level.unit(i) for i in level.p_ids]
+    assert wp_unit in level.units(level.p_ids)
 
 
 def test_gamma_s_restores_covered_register_value(flag):
     # fresh split holds value 0 at the level configuration; the extension
     # overwrites it; the trailing clone's write restores it exactly
     exec_ = Execution.start(flag, initial_configuration(flag, [0, 0, 1, 1]))
-    ledger = PairLedger().append(0, 1).append(2, 3)
-    exec_, ledger, w0 = _drive_pair_to_flag_write(exec_, ledger, 0)
-    exec_, ledger, w1 = _drive_pair_to_flag_write(exec_, ledger, 1)
-    exec_, ledger = split_pair(exec_, ledger, 0, w0)
+    exec_, w0 = _drive_pair_to_flag_write(exec_, 0)
+    exec_, w1 = _drive_pair_to_flag_write(exec_, 1)
+    exec_ = split_pair(exec_, 0, w0)
     at_level = exec_.final.registers
-    exec_, ledger = pair_step(exec_, ledger, 1, w1)  # overwrite with 1, 1
+    exec_ = pair_step(exec_, 1, w1)  # overwrite with 1, 1
     assert exec_.final.registers != at_level
-    from regforce.pairs import unite_pair
-    exec_, ledger = unite_pair(exec_, ledger, 0)
+    exec_ = unite_pair(exec_, 0)
     assert exec_.final.registers == at_level

@@ -2,8 +2,12 @@
 
 Every import sits at module level, where `perfbench/tracing.py` can rebind
 the names it binds (a function-level import of a traced function would escape
-the tracer), and every module-level import is used by its module.  The
-oracle imports only `model`, `execution`, `reports` and the standard library.
+the tracer), and every module-level import is used by its module.  Every
+other import is the standard library's, and each module imports only the
+package modules its layer allows: the oracle shares nothing with the
+adversaries but the model's step semantics, pairs are read off executions
+alone, and no module but `cli` imports the file format (`traceio`) that
+certificates are checked against, or `cli` itself.
 """
 
 import ast
@@ -14,6 +18,13 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "regforce"
 MODULES = sorted(SRC.glob("*.py"))
+PACKAGE = {path.stem for path in MODULES} - {"__init__"}
+LAYERS = {name: PACKAGE - {name, "traceio", "cli"} for name in PACKAGE}
+LAYERS.update(
+    oracle={"model", "execution", "reports"},
+    pairs={"model", "execution"},
+    cli=PACKAGE - {"cli"},
+)
 
 
 def _bound(node) -> list:
@@ -35,19 +46,17 @@ def test_imports_are_module_level_and_used(path):
     assert unused == [], f"{path.name}: unused imports {unused}"
 
 
-def test_oracle_imports_only_the_model_layer():
-    # the ground truth shares the model's step semantics with the adversaries
-    # and nothing else: no valency search, no attack code
-    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
-    allowed = {"model", "execution", "reports"}
-    stray = []
+@pytest.mark.parametrize("name", sorted(LAYERS), ids=lambda name: f"{name}.py")
+def test_package_imports_follow_the_layers(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    package, other = set(), set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level:
-            if node.module not in allowed:
-                stray.append(f".{node.module}")
+            package.update([node.module] if node.module else [a.name for a in node.names])
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module] if isinstance(node, ast.ImportFrom) \
                 else [alias.name for alias in node.names]
-            stray += [name for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names]
-    assert stray == [], f"oracle.py imports {stray}"
+            other.update(name.split(".")[0] for name in names)
+    assert package <= LAYERS[name], f"{name}.py imports {sorted(package - LAYERS[name])}"
+    assert other <= sys.stdlib_module_names, \
+        f"{name}.py imports {sorted(other - sys.stdlib_module_names)}"
