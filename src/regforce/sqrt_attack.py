@@ -53,9 +53,12 @@ def expected_budget(r: int) -> int:
 
 
 def check_level(level: SqrtLevel) -> None:
-    level.exec.validate()
-    if len(level.regs) != level.r:
-        raise EngineError(f"level {level.r} carries {len(level.regs)} registers")
+    """Raise EngineError unless the level holds: R is r distinct written
+    registers, two distinct processes return 0 and 1 solo from its end, and
+    it spends exactly the budget (r-1)r/2 + 2 processes."""
+    if len(set(level.regs)) != level.r or len(level.regs) != level.r:
+        raise EngineError(f"level {level.r}: R {list(level.regs)} is not "
+                          f"{level.r} distinct registers")
     written = level.exec.written_registers()
     for reg in level.regs:
         if reg not in written:

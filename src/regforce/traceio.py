@@ -23,10 +23,20 @@ name a `sqrt` or `linear` attack and repeat the algorithm's name, the top
 level's `inputs` and `pairs`, and (linear) the closing block write's
 `registers_written`; its levels rank 0, 1, ... up to the header's
 `target_r` or `m`, each with a 0-deciding witness and then a 1-deciding one.
+
+Replay states no level rule of its own.  It rebuilds each level from its
+record, its replayed execution and its two witnesses, and runs the attack's
+own checker on it: `sqrt_attack.check_level`, or
+`linear_attack.verify_properties` on a linear level whose cover map is read
+off the trace and `V`.  The fields the checker does not read must be the
+rebuilt level's: a sqrt level's `budget` its process count, a linear level's
+`U`, `V` and `L` its pair ids, cover pairs and stale pairs.  Any EngineError
+met while re-executing a file is raised as a ReplayError.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import Optional
@@ -34,6 +44,7 @@ from typing import Optional
 from .model import (
     AlgorithmSpec,
     Configuration,
+    EngineError,
     Read,
     Return,
     Write,
@@ -42,10 +53,12 @@ from .model import (
     load_algorithm,
 )
 from .execution import Execution, Step
+from .linear_attack import LinearLevel, assert_properties, recorded_cover
 from .oracle import replay_violation
+from .pairs import members, pair_of
 from .reports import LinearChainCertificate, SqrtChainCertificate, ViolationReport
-from .sqrt_attack import expected_budget
-from .valency import Witness
+from .sqrt_attack import SqrtLevel, check_level
+from .valency import Witness, group_moves
 
 
 def _dump(obj) -> str:
@@ -344,11 +357,11 @@ def _steps_from_records(spec, records, pids: int, first: int = 0, roles=None):
     return steps
 
 
-def _pids(record: dict, field: str, where: str, count: int) -> tuple:
+def _pids(record: dict, field: str, where: str, count: int, what: str = "pids") -> tuple:
     value = record.get(field)
     if not isinstance(value, list) \
             or any(type(pid) is not int or not 0 <= pid < count for pid in value):
-        raise ReplayError(f"{where}: {field} is not a list of pids below {count}")
+        raise ReplayError(f"{where}: {field} is not a list of {what} below {count}")
     return tuple(value)
 
 
@@ -360,25 +373,44 @@ def _pair_roles(record: dict, where: str, count: int) -> dict:
     return _roles(count)
 
 
-def _witness_pids(meta: dict, steps, where: str, count: int, kind: str) -> tuple:
-    """A witness record's `P`, checked against its kind and its steps: a
-    sorted list of distinct pids that make every step; a solo witness names
-    one pid, and its `depth` is its step count; a reserving witness's
-    `depth` counts pair moves, two steps each."""
+def _witness(spec, meta: dict, steps, where: str, exec_: Execution, kind: str,
+             roles, decision: int) -> Witness:
+    """The Witness a witness section records at the end of exec_, not yet
+    replayed: its level's checker does that.  Its `P` is one pid for a solo
+    witness, or whole pairs in order for a reserving one; their moves make
+    every step, and `depth` counts those moves."""
     if meta.get("kind") != kind:
         raise ReplayError(f"{where}: kind {meta.get('kind')!r} is not {kind!r}")
+    count = len(exec_.initial.procs)
     pids = _pids(meta, "P", where, count)
-    if list(pids) != sorted(set(pids)):
-        raise ReplayError(f"{where}: P is not sorted and distinct")
-    if any(rec.get("pid") not in pids for rec in steps):
-        raise ReplayError(f"{where}: a step is by a pid outside P")
-    if kind == "solo" and (len(pids) != 1 or _count(meta, "depth", where) != len(steps)):
-        raise ReplayError(f"{where}: a solo witness is one pid's run of `depth` steps")
-    if kind == "reserving" and 2 * _count(meta, "depth", where) != len(steps):
-        raise ReplayError(f"{where}: depth is not its number of pair moves")
-    return pids
+    if kind == "solo":
+        if len(pids) != 1:
+            raise ReplayError(f"{where}: a solo witness is one pid's run")
+        units = [pids]
+    else:
+        units = [members(i) for i in sorted({pair_of(pid) for pid in pids})]
+        if [pid for unit in units for pid in unit] != list(pids):
+            raise ReplayError(f"{where}: P is not whole pairs in order")
+    taken = _steps_from_records(spec, steps, count, len(exec_.steps), roles)
+    moves = group_moves(units, taken)
+    if moves is None or _count(meta, "depth", where) != len(moves):
+        raise ReplayError(f"{where}: its steps are not `depth` moves of P")
+    return Witness(kind, tuple(units), tuple(moves), tuple(taken), decision)
 
 
+def _replay_errors(replay):
+    """`replay` with every EngineError it raises, a file that does not
+    re-execute, raised as a ReplayError."""
+    @functools.wraps(replay)
+    def wrapped(*args, **kwargs):
+        try:
+            return replay(*args, **kwargs)
+        except EngineError as e:
+            raise ReplayError(str(e)) from None
+    return wrapped
+
+
+@_replay_errors
 def replay_file(text: str) -> dict:
     """Re-execute a serialized certificate or report; raises ReplayError on
     any divergence.  Returns a summary dict."""
@@ -396,6 +428,7 @@ def replay_file(text: str) -> dict:
     raise ReplayError("unrecognized file contents")
 
 
+@_replay_errors
 def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
     """The first trace of a file, replayed for `spec`, which must be the
     file's own algorithm: a violation's main trace under the header's
@@ -408,7 +441,7 @@ def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
     meta, steps = next(sections, ({}, []))
     kind = meta.get("record")
     if kind == "level":
-        inputs = _inputs(meta, "level 1")
+        inputs = _inputs(meta, "level 0")
     elif kind == "violation":
         inputs = _inputs(header, "header")
     else:
@@ -451,79 +484,52 @@ def _replay_violation(spec, header, vio, steps, sections):
 def _replay_certificate(spec, header, sections):
     """A chain certificate, replayed one section at a time: each level's
     execution, then the witnesses and closing block write that extend it,
-    in the chain shape and under the header set out above.  A sqrt level of
-    rank r names r distinct written registers `R`, and its witnesses are
-    solo runs of two distinct pids; a linear level's are reserving, and a
-    linear chain ends in one closing block write."""
+    in the chain shape and under the header set out above.  Each level, once
+    its two witnesses are read, is handed to its attack's checker."""
     sqrt = header.get("attack") == "sqrt"
     if not sqrt and header.get("attack") != "linear":
         raise ReplayError(f"header: attack {header.get('attack')!r} is not 'sqrt' or 'linear'")
     if header.get("spec") != spec.name:
         raise ReplayError(f"header: spec {header.get('spec')!r} is not {spec.name!r}")
     top = _count(header, "target_r" if sqrt else "m", "header")
-    levels = witnesses = 0
-    closing = None
+    level = closing = None
     for meta, steps in sections:
         kind = meta.get("record")
         if closing is not None:
             raise ReplayError("a record follows the closing block write")
         if kind == "level":
-            if levels and witnesses != 2:
-                raise ReplayError(f"{where}: {witnesses} witness sections, not 2")
-            levels += 1
-            where = f"level {levels}"
+            rank = 0 if level is None else _check_level(level, sqrt, top) + 1
+            where = f"level {rank}"
             inputs = _inputs(meta, where)
             initial = initial_configuration(spec, inputs)
             count = len(initial.procs)
             roles = {} if sqrt else _pair_roles(meta, where, count)
             exec_ = Execution.from_steps(spec, initial,
                                          _steps_from_records(spec, steps, count, roles=roles))
-            witness_pids = set()
-            witnesses = 0
-            r = _count(meta, "r", where)
-            if r != levels - 1:
-                raise ReplayError(f"{where}: rank {r}, not {levels - 1}")
-            if sqrt:
-                want = expected_budget(r)
-                if _count(meta, "budget", where) != want or count != want:
-                    raise ReplayError(f"level {r}: budget mismatch")
-                regs = _registers(meta, "R", where)
-            else:
-                regs = _registers(meta, "R_s", where) + _registers(meta, "R_c", where)
-            if not set(regs) <= set(range(spec.register_count)):
-                raise ReplayError("level register set out of range")
-            if sqrt and not set(regs) <= exec_.written_registers():
-                raise ReplayError(f"level {r}: R not fully written")
-            if sqrt and (len(regs) != r or len(set(regs)) != r):
-                raise ReplayError(f"level {r}: R is not {r} distinct registers")
+            if _count(meta, "r", where) != rank:
+                raise ReplayError(f"{where}: rank {meta['r']}, not {rank}")
+            level = (where, meta, exec_, [])
             continue
         if kind not in ("witness", "closing-block-write") \
                 or (kind == "closing-block-write" and sqrt):
             raise ReplayError(f"unexpected {kind!r} record in a {header['attack']} certificate")
         if not steps:
             raise ReplayError(f"{kind} section holds no steps")
+        witnesses = level[3]
         if kind == "witness":
             decision = meta.get("decision")
-            if witnesses > 1 or type(decision) is not int or decision != witnesses:
-                raise ReplayError(f"{where}: witness {witnesses + 1} does not claim "
+            if len(witnesses) > 1 or type(decision) is not int or decision != len(witnesses):
+                raise ReplayError(f"{where}: witness {len(witnesses) + 1} does not claim "
                                   "decision 0, then 1")
-            pids = _witness_pids(meta, steps, f"{where} witness", count,
-                                 "solo" if sqrt else "reserving")
-            if sqrt and witness_pids & set(pids):
-                raise ReplayError(f"{where}: both witnesses are runs of pid {pids[0]}")
-            witness_pids.update(pids)
-        extended = exec_.extend_steps(_steps_from_records(
-            spec, steps, count, len(exec_.steps), roles))
-        if kind == "witness":
-            last = extended.steps[-1]
-            if not isinstance(last.action, Return) or last.action.decision != decision:
-                raise ReplayError("witness does not end with the claimed return")
-            witnesses += 1
+            witnesses.append(_witness(spec, meta, steps, f"{where} witness", exec_,
+                                      "solo" if sqrt else "reserving", roles, decision))
         else:
             closing = _count(meta, "registers_written", "closing block write")
+            extended = exec_.extend_steps(_steps_from_records(
+                spec, steps, count, len(exec_.steps), roles))
             if len(extended.written_registers()) != closing:
                 raise ReplayError("closing block write register count mismatch")
-    if levels != top + 1 or witnesses != 2 or (closing is None) != sqrt:
+    if _check_level(level, sqrt, top) != top or (closing is None) != sqrt:
         raise ReplayError(f"certificate is not levels 0..{top} of 2 witnesses each"
                           + ("" if sqrt else " and a closing block write"))
     if header.get("inputs") != inputs or header.get("pairs") != ([] if sqrt else _pairs(count)):
@@ -531,4 +537,37 @@ def _replay_certificate(spec, header, sections):
     if not sqrt and header.get("registers_written") != closing:
         raise ReplayError("header: registers_written differs from the closing block write's")
     return {"kind": "certificate", "attack": header.get("attack"),
-            "levels": levels, "witnesses": 2 * levels}
+            "levels": top + 1, "witnesses": 2 * (top + 1)}
+
+
+def _check_level(level, sqrt: bool, m: int) -> int:
+    """Rebuild a level (where, record, replayed execution, witnesses) of a
+    chain up to `m` as set out above, and run its attack's checker on it;
+    returns its rank."""
+    where, meta, exec_, witnesses = level
+    if len(witnesses) != 2:
+        raise ReplayError(f"{where}: {len(witnesses)} witness sections, not 2")
+    r, count = meta["r"], len(exec_.initial.procs)
+    if sqrt:
+        if _count(meta, "budget", where) != count:
+            raise ReplayError(f"{where}: budget is not its {count} processes")
+        check_level(SqrtLevel(r, exec_, tuple(_registers(meta, "R", where)), *witnesses))
+        return r
+    split_regs = tuple(_registers(meta, "R_s", where))
+    covered_regs = tuple(_registers(meta, "R_c", where))
+    cover_ids = _pids(meta, "V", where, count // 2, "pair ids")
+    cover, cover_actions = recorded_cover(exec_, split_regs, covered_regs, cover_ids)
+    rebuilt = LinearLevel(
+        r=r, m=m, exec=exec_, pair_ids=tuple(range(count // 2)),
+        split_regs=split_regs, covered_regs=covered_regs,
+        cover=cover, cover_actions=cover_actions,
+        p_ids=_pids(meta, "P", where, count // 2, "pair ids"),
+        q_ids=_pids(meta, "Q", where, count // 2, "pair ids"),
+        alpha=witnesses[0], beta=witnesses[1], case_tag=meta.get("case"),
+    )
+    assert_properties(rebuilt)
+    for field, value in (("U", list(rebuilt.pair_ids)), ("V", sorted(set(cover.values()))),
+                         ("L", sorted(rebuilt.stale_ids()))):
+        if meta.get(field) != value:
+            raise ReplayError(f"{where}: {field} {meta.get(field)!r} is not the level's {value}")
+    return r

@@ -315,6 +315,21 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
               (("spec", "of-race-3"), ("inputs", [1]), ("pairs", claim[0]["pairs"][:-1]),
                ("registers_written", 3))]
     cases += [mistyped("claim", "witness", "depth", 1000)]
+    # a linear level is rebuilt from its record and checked by the attack's
+    # own checker: U, V, L, P and Q emptied on every level, R_s and R_c
+    # swapped at the top level, and one edit each of U, V, L, P, Q and case
+    # (the top level's cover pairs are 0 and 11 for R_c = [0, 1], no pair is
+    # stale, and its P and Q are [1, 2, 5] and [8, 9, 10])
+    assert [claim[marks[-4]][field] for field in ("R_s", "R_c", "V", "L", "P", "Q")] \
+        == [[], [0, 1], [0, 11], [], [1, 2, 5], [8, 9, 10]]
+    cases += [joined({**rec, **dict.fromkeys("UVLPQ", [])} if rec["record"] == "level"
+                     else rec for rec in claim),
+              joined({**rec, "R_s": rec["R_c"], "R_c": rec["R_s"]} if n == marks[-4]
+                     else rec for n, rec in enumerate(claim))]
+    cases += [mistyped("claim", "level", field, value, nth=-1) for field, value in
+              (("U", list(range(19))), ("V", [0]), ("L", [11]), ("P", [1, 2, 4]),
+               ("Q", [8, 9]))]
+    cases += [mistyped("claim", "level", "case", "base", nth=1)]
     for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))

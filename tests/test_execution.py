@@ -136,7 +136,8 @@ def test_add_process_is_invisible(race3):
     grown, pid = add_process(exec_, 1)
     assert pid == 2
     assert indistinguishable(exec_.final, grown.final, [0, 1])
-    grown.validate()
+    replayed = Execution.from_steps(race3, grown.initial, grown.steps)
+    assert replayed == grown and replayed.final == grown.final
 
 
 def test_mirror_history_inserts_adjacent_identical_steps(race3):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from regforce import zoo
@@ -23,6 +25,7 @@ from regforce.linear_attack import (
     linear_base,
     linear_run,
     linear_step,
+    recorded_cover,
     verify_properties,
 )
 from regforce.model import ContradictionError
@@ -161,6 +164,21 @@ def test_oversized_p_q_fails_property_three(flag):
     report = dict((name, ok) for name, ok, _ in verify_properties(bloated))
     assert report["property-3"] is False
     assert report["property-1"] is True
+
+
+def test_a_level_rebuilt_from_its_record_passes_and_its_case_is_checked(flag):
+    # the cover map read off the trace and V is the one the attack built;
+    # rank 0 is the base case, and every higher rank takes a step case
+    cert = linear_run(flag, m=1, depth=32)
+    assert [level.covered_regs for level in cert.levels] == [(), (0,)]
+    for level in cert.levels:
+        cover, actions = recorded_cover(level.exec, level.split_regs, level.covered_regs,
+                                        sorted(set(level.cover.values())))
+        assert (cover, actions) == (level.cover, level.cover_actions)
+        for tag, want in (("base", level.r == 0), ("2.2", level.r > 0), ("x", False)):
+            report = dict((name, ok) for name, ok, _ in
+                          verify_properties(dataclasses.replace(level, case_tag=tag)))
+            assert report["case"] is want, (level.r, tag)
 
 
 # -- switching-point machinery -------------------------------------------------

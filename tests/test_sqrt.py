@@ -1,6 +1,8 @@
 import pytest
 
 from regforce import zoo
+from regforce.execution import Execution
+from regforce.model import EngineError
 from regforce.oracle import replay_violation
 from regforce.reports import SqrtChainCertificate, ViolationReport
 from regforce.sqrt_attack import (
@@ -78,6 +80,13 @@ def test_chain_budgets_match_the_formula(race3, r_target, budget):
         check_level(level)
 
 
+def test_check_level_wants_r_distinct_registers(race3):
+    top = sqrt_run(race3, 2, depth=64).levels[-1]
+    for regs in ((top.regs[0],) * 2, top.regs[:1], top.regs + (top.regs[0],)):
+        with pytest.raises(EngineError, match="distinct registers"):
+            check_level(SqrtLevel(top.r, top.exec, regs, top.w0, top.w1))
+
+
 def test_chain_registers_all_written(race3):
     out = sqrt_run(race3, 2, depth=64)
     top = out.levels[-1]
@@ -103,7 +112,8 @@ def test_clone_insertion_invisible_in_chain(race3):
     # by replay validity of the whole chain)
     out = sqrt_run(race3, 2, depth=64)
     for level in out.levels:
-        level.exec.validate()
+        replayed = Execution.from_steps(race3, level.exec.initial, level.exec.steps)
+        assert replayed == level.exec and replayed.final == level.exec.final
 
 
 def test_deterministic_runs(race3):

@@ -107,10 +107,10 @@ def test_replay_rejects_stepless_sections_stray_records_and_bad_stuck_pids(race3
 
 
 def _single_field_edits(records):
-    """Files that differ from `records` in one field of one record: the first
-    record of each kind and every step of the first witness, with each field
-    set to each of a few mistyped or out-of-range values; each of those
-    steps also gets another process's pid."""
+    """(field, file) for files that differ from `records` in one field of one
+    record: the first record of each kind and every step of the first
+    witness, with each field set to each of a few mistyped or out-of-range
+    values; each of those steps also gets another process's pid."""
     firsts = {}
     for i, rec in enumerate(records):
         firsts.setdefault(rec["record"], i)
@@ -128,14 +128,15 @@ def _single_field_edits(records):
         for field, value in edits:
             edited = list(records)
             edited[i] = dict(records[i], **{field: value})
-            yield "".join(json.dumps(rec) + "\n" for rec in edited)
+            yield field, "".join(json.dumps(rec) + "\n" for rec in edited)
 
 
-def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch):
+def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch, capsys):
     # a certificate, a linear certificate with a closing block write, and an
-    # agreement report: every edit replays as confirmed or as an error.
-    # Building the argument parser costs as much as replaying a small file,
-    # so every call shares one.
+    # agreement report: every edit replays as confirmed or as a replay error,
+    # or, for an algorithm text that does not parse, as an error.  Building
+    # the argument parser costs as much as replaying a small file, so every
+    # call shares one.
     monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
     emitted = tmp_path / "emitted.jsonl"
     edited = tmp_path / "edited.jsonl"
@@ -144,6 +145,11 @@ def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch):
                        (["check", "zoo:of-race-3", "--inputs", "011"], 2)):
         assert cli.main([*args, "--out", str(emitted)]) == code
         records = [json.loads(line) for line in emitted.read_text().splitlines()]
-        for text in _single_field_edits(records):
+        capsys.readouterr()
+        for field, text in _single_field_edits(records):
             edited.write_text(text)
-            assert cli.main(["replay", str(edited)]) in (0, 1), text
+            code = cli.main(["replay", str(edited)])
+            err = capsys.readouterr().err
+            assert code in (0, 1), text
+            assert code == 0 or err.startswith("replay error:") \
+                or (field == "algorithm_text" and err.startswith("error:")), (err, text)
