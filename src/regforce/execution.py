@@ -2,13 +2,16 @@
 written-register accounting, and trace surgery.
 
 Executions are immutable values; every operation returns a new one.  One
-loop steps a trace: `Execution.extend_steps`.  `from_steps` is that loop run
-from the initial configuration and `extend` is it run for one step, so every
-disabled action or diverging read surfaces as an `EngineError` naming the
-absolute step index.  Each surgery (inserting shadow steps, uniting a stale
-pair mid-trace) rebuilds the step list and is one full replay, which also
-checks that no process that gained no step can tell the difference - replay
-is the single source of truth.
+loop steps a trace: `replay_steps`, which runs the model's in-place step
+kernel (`model.step_in_place`) over one list of register contents and one of
+processes.  `Execution.extend_steps` is that loop, building a single
+`Configuration` at the end, and `from_steps` is it run from the initial
+configuration; `extend` takes one step through `model.step_with_outcome`,
+the kernel's one-step wrapper.  So every disabled action or diverging read
+surfaces as an `EngineError` naming the absolute step index.  Each surgery
+(inserting shadow steps, uniting a stale pair mid-trace) rebuilds the step
+list and is one full replay, which also checks that no process that gained
+no step can tell the difference - replay is the single source of truth.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .model import (
     Read,
     Write,
     initial_configuration,
+    step_in_place,
     step_with_outcome,
 )
 
@@ -66,24 +70,21 @@ class Execution:
         return cls.start(spec, initial).extend_steps(steps)
 
     def extend(self, pid: int, action) -> "Execution":
-        return self.extend_steps((Step(pid, action),))
+        """Append one step, as `extend_steps` would."""
+        try:
+            config, outcome = step_with_outcome(self.spec, self.final, pid, action)
+        except ValueError as e:
+            raise _replay_failed(len(self.steps), e) from None
+        return Execution(self.spec, self.initial,
+                         self.steps + (Step(pid, action, outcome),), config)
 
     def extend_steps(self, steps: Iterable[Step]) -> "Execution":
         """Append steps, checking that each is enabled and that each recorded
         read outcome reproduces; errors name the absolute step index."""
-        config = self.final
-        out = []
-        for i, step in enumerate(steps, start=len(self.steps)):
-            try:
-                config, outcome = step_with_outcome(self.spec, config, step.pid, step.action)
-            except ValueError as e:
-                raise EngineError(f"replay failed at step {i}: {e}") from None
-            if step.outcome is not None and outcome != step.outcome:
-                raise EngineError(
-                    f"replay divergence at step {i}: read {outcome!r}, recorded {step.outcome!r}"
-                )
-            out.append(Step(step.pid, step.action, outcome))
-        return Execution(self.spec, self.initial, self.steps + tuple(out), config)
+        registers, procs = list(self.final.registers), list(self.final.procs)
+        out = tuple(replay_steps(self.spec, registers, procs, steps, len(self.steps)))
+        return Execution(self.spec, self.initial, self.steps + out,
+                         Configuration(tuple(registers), tuple(procs)))
 
     def written_registers(self, start: int = 0, end: Optional[int] = None) -> frozenset:
         """W(e) over steps[start:end]."""
@@ -101,6 +102,31 @@ class Execution:
             and self.initial == other.initial
             and self.steps == other.steps
         )
+
+
+def replay_steps(spec: AlgorithmSpec, registers: list, procs: list, steps: Iterable[Step],
+                 first: int = 0):
+    """Step `steps` in order on a configuration's register contents and
+    processes, two lists updated in place by the model's kernel, and yield
+    each with its observed read outcome: the caller's own Step whenever its
+    recorded outcome is that one.  A disabled action or a diverging recorded
+    read raises an EngineError naming the step's index, counted from
+    `first`."""
+    for i, step in enumerate(steps, start=first):
+        try:
+            outcome = step_in_place(spec, registers, procs, step.pid, step.action)
+        except ValueError as e:
+            raise _replay_failed(i, e) from None
+        if outcome != step.outcome:
+            if step.outcome is not None:
+                raise EngineError(f"replay divergence at step {i}: read {outcome!r}, "
+                                  f"recorded {step.outcome!r}")
+            step = Step(step.pid, step.action, outcome)
+        yield step
+
+
+def _replay_failed(i: int, error: ValueError) -> EngineError:
+    return EngineError(f"replay failed at step {i}: {error}")
 
 
 def add_process(exec_: Execution, input_bit: int):

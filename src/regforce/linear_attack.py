@@ -44,8 +44,8 @@ from .valency import (
     construct_reserving,
     covered_injectively,
     disjoint_witnesses,
-    is_reserving,
     materialize,
+    reserving_replay,
     reserving_search,
     valency,
     _witness as make_witness,
@@ -167,14 +167,15 @@ def verify_properties(level: LinearLevel) -> list:
             ok3, detail3 = False, "witness member set differs from the stored pair set"
             continue
         try:
-            end = exec_.extend_steps(witness.steps)
+            end, reserving = reserving_replay(exec_.spec, exec_.final, units, witness.steps,
+                                              m, len(exec_.steps))
         except EngineError as e:
             ok3, detail3 = False, f"witness replay failed: {e}"
             continue
-        if end.final.proc(witness.decider[0]).decided != want_d:
+        if end.proc(witness.decider[0]).decided != want_d:
             ok3, detail3 = False, "witness decider did not return the claimed value"
             continue
-        if not is_reserving(exec_.spec, exec_.final, units, witness.steps, m):
+        if not reserving:
             ok3, detail3 = False, "witness fails the reserving conditions"
     check("property-3", ok3, detail3)
     return checks
@@ -551,8 +552,7 @@ def _validated_witness(spec, exec_, units, moves, m, want) -> Witness:
     w = make_witness(spec, exec_.final, list(moves), units, "reserving")
     if w.decision != want:
         raise ContradictionError(f"witness decides {w.decision}, expected {want}")
-    exec_.extend_steps(w.steps)
-    if not is_reserving(spec, exec_.final, units, w.steps, m):
+    if not reserving_replay(spec, exec_.final, units, w.steps, m, len(exec_.steps))[1]:
         raise EngineError("derived witness is not reserving")
     return w
 

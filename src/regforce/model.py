@@ -47,12 +47,19 @@ class Read:
     default: Optional[str]  # None only when branches cover alphabet + BOTTOM
 
     def target(self, outcome: str) -> str:
-        for label, state in self.branches:
-            if label == outcome:
-                return state
-        if self.default is None:
+        state = self.targets.get(outcome, self.default)
+        if state is None:
             raise EngineError(f"read of r{self.reg}: no branch for {outcome!r} and no default")
-        return self.default
+        return state
+
+    @functools.cached_property
+    def targets(self) -> dict:
+        """Branch label -> next state, built on first use; the first branch
+        of a label wins, as in declaration order."""
+        table: dict = {}
+        for label, state in self.branches:
+            table.setdefault(label, state)
+        return table
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ READ, WRITE, RETURN = 0, 1, 2
 @dataclass(frozen=True)
 class SpecTables:
     """A spec compiled to integers, with the step semantics of
-    `step_with_outcome` for one process.
+    `step_in_place` for one process.
 
     `ids` numbers the states in declaration order.  `rows[id]` holds the
     state's actions in declaration order as `(kind, reg, arg, action)`, where
@@ -173,23 +180,32 @@ def enabled_actions(spec: AlgorithmSpec, config: Configuration, pid: int) -> tup
     return spec.actions(p.state)
 
 
+def step_in_place(spec: AlgorithmSpec, registers: list, procs: list, pid: int, action: Action):
+    """The step semantics: apply one enabled action of `pid` to the register
+    contents and processes of a configuration, given as two lists that are
+    updated in place; returns the read outcome, or None."""
+    if not 0 <= pid < len(procs):
+        raise ValueError(f"unknown pid {pid}")
+    p = procs[pid]
+    if p.decided is not None or action not in spec.actions(p.state):
+        raise ValueError(f"action {action} not enabled for pid {pid}")
+    if isinstance(action, Read):
+        outcome = registers[action.reg]
+        procs[pid] = Proc(p.input, action.target(outcome), None)
+        return outcome
+    if isinstance(action, Write):
+        registers[action.reg] = action.value
+        procs[pid] = Proc(p.input, action.next_state, None)
+    else:
+        procs[pid] = Proc(p.input, p.state, action.decision)
+    return None
+
+
 def step_with_outcome(spec: AlgorithmSpec, config: Configuration, pid: int, action: Action):
     """Apply one enabled action; returns (new configuration, read outcome or None)."""
-    if action not in enabled_actions(spec, config, pid):
-        raise ValueError(f"action {action} not enabled for pid {pid}")
-    p = config.proc(pid)
-    procs = list(config.procs)
-    if isinstance(action, Read):
-        outcome = config.registers[action.reg]
-        procs[pid] = Proc(p.input, action.target(outcome), None)
-        return Configuration(config.registers, tuple(procs)), outcome
-    if isinstance(action, Write):
-        regs = list(config.registers)
-        regs[action.reg] = action.value
-        procs[pid] = Proc(p.input, action.next_state, None)
-        return Configuration(tuple(regs), tuple(procs)), None
-    procs[pid] = Proc(p.input, p.state, action.decision)
-    return Configuration(config.registers, tuple(procs)), None
+    registers, procs = list(config.registers), list(config.procs)
+    outcome = step_in_place(spec, registers, procs, pid, action)
+    return Configuration(tuple(registers), tuple(procs)), outcome
 
 
 def proc_key(p: Proc) -> tuple:

@@ -30,8 +30,13 @@ own checker on it: `sqrt_attack.check_level`, or
 `linear_attack.verify_properties` on a linear level whose cover map is read
 off the trace and `V`.  The fields the checker does not read must be the
 rebuilt level's: a sqrt level's `budget` its process count, a linear level's
-`U`, `V` and `L` its pair ids, cover pairs and stale pairs.  Any EngineError
-met while re-executing a file is raised as a ReplayError.
+`U`, `V` and `L` its pair ids, cover pairs and stale pairs.  A linear
+certificate's closing block write must be the one the attack makes on the
+rebuilt top level (`linear_attack.corollary_finish`): one write per `R_c`
+register in ascending order, each the poised write of the leader of that
+register's cover pair, after which `registers_written` registers, exactly
+`m`, have been written.  Any EngineError met while re-executing a file is
+raised as a ReplayError.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .model import (
     load_algorithm,
 )
 from .execution import Execution, Step
-from .linear_attack import LinearLevel, assert_properties, recorded_cover
+from .linear_attack import LinearLevel, assert_properties, corollary_finish, recorded_cover
 from .oracle import replay_violation
 from .pairs import members, pair_of
 from .reports import LinearChainCertificate, SqrtChainCertificate, ViolationReport
@@ -61,8 +66,8 @@ from .sqrt_attack import SqrtLevel, check_level
 from .valency import Witness, group_moves
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every record: sorted keys, no spaces
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _step_record(i: int, step: Step, before: str, role: str) -> dict:
@@ -89,18 +94,30 @@ def _step_record(i: int, step: Step, before: str, role: str) -> dict:
     return rec
 
 
-def execution_lines(exec_: Execution, roles=None, first_index: int = 0) -> list:
+def execution_lines(exec_: Execution, roles=None, first_index: int = 0, memo=None) -> list:
     """Step records for exec_.steps, numbered from `first_index`.  The steps
     were validated when exec_ was built, so each process's states are read
-    off its actions and recorded outcomes."""
+    off its actions and recorded outcomes.
+
+    `memo` maps (step, state_before, role) to the record's encoding after
+    its index and to its state_after; one emitted file shares it, so each
+    distinct record is encoded once per file.  `i` is the first sorted key,
+    so a line is `{"i":N,` followed by that encoding."""
     roles = roles or {}
+    memo = {} if memo is None else memo
     states = [p.state for p in exec_.initial.procs]
     lines = []
     for i, step in enumerate(exec_.steps, start=first_index):
-        rec = _step_record(i, step, states[step.pid], roles.get(step.pid, "solo"))
-        if rec["state_after"] is not None:
-            states[step.pid] = rec["state_after"]
-        lines.append(_dump(rec))
+        key = (step, states[step.pid], roles.get(step.pid, "solo"))
+        hit = memo.get(key)
+        if hit is None:
+            rec = _step_record(0, *key)
+            del rec["i"]
+            hit = memo[key] = (_dump(rec)[1:], rec["state_after"])
+        tail, after = hit
+        if after is not None:
+            states[step.pid] = after
+        lines.append(f'{{"i":{i},{tail}')
     return lines
 
 
@@ -124,8 +141,9 @@ def header_record(spec: AlgorithmSpec, initial: Optional[Configuration],
     return _dump(rec)
 
 
-def witness_lines(witness: Witness, exec_: Execution, roles=None) -> list:
-    """Wrapper record plus the witness steps relative to the execution end."""
+def witness_lines(witness: Witness, exec_: Execution, roles=None, memo=None) -> list:
+    """Wrapper record plus the witness steps relative to the execution end;
+    `memo` as in `execution_lines`."""
     pids = sorted(pid for unit in witness.members for pid in unit)
     wrapper = _dump({
         "record": "witness",
@@ -134,7 +152,8 @@ def witness_lines(witness: Witness, exec_: Execution, roles=None) -> list:
         "P": pids,
         "depth": len(witness.moves),
     })
-    return [wrapper] + execution_lines(_tail(exec_, witness.steps), roles, len(exec_.steps))
+    return [wrapper] + execution_lines(_tail(exec_, witness.steps), roles, len(exec_.steps),
+                                       memo)
 
 
 def _pairs(count: int) -> list:
@@ -159,10 +178,11 @@ def violation_lines(report: ViolationReport) -> list:
         "depth": report.depth,
         "prefix_len": report.prefix_len,
     }))
-    lines.extend(execution_lines(report.trace))
+    memo: dict = {}
+    lines.extend(execution_lines(report.trace, memo=memo))
     if report.counter_trace is not None:
         lines.append(_dump({"record": "counter", "prefix_len": report.prefix_len}))
-        lines.extend(execution_lines(report.counter_trace))
+        lines.extend(execution_lines(report.counter_trace, memo=memo))
     return lines
 
 
@@ -181,6 +201,7 @@ def sqrt_certificate_lines(cert: SqrtChainCertificate) -> list:
     lines = [header_record(top.exec.spec, top.exec.initial,
                            {"attack": "sqrt", "depth": cert.depth,
                             "target_r": top.r})]
+    memo: dict = {}
     for level in cert.levels:
         lines.append(_dump({
             "record": "level",
@@ -189,9 +210,9 @@ def sqrt_certificate_lines(cert: SqrtChainCertificate) -> list:
             "budget": level.budget_used,
             "inputs": [p.input for p in level.exec.initial.procs],
         }))
-        lines.extend(execution_lines(level.exec))
-        lines.extend(witness_lines(level.w0, level.exec))
-        lines.extend(witness_lines(level.w1, level.exec))
+        lines.extend(execution_lines(level.exec, memo=memo))
+        lines.extend(witness_lines(level.w0, level.exec, memo=memo))
+        lines.extend(witness_lines(level.w1, level.exec, memo=memo))
     return lines
 
 
@@ -202,6 +223,7 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
                            {"attack": "linear", "m": cert.m, "depth": cert.depth,
                             "registers_written": cert.registers_written,
                             "pairs": _pairs(count)})]
+    memo: dict = {}
     for level in cert.levels:
         count = len(level.exec.initial.procs)
         roles = _roles(count)
@@ -219,14 +241,14 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
             "pairs": _pairs(count),
             "inputs": [p.input for p in level.exec.initial.procs],
         }))
-        lines.extend(execution_lines(level.exec, roles))
-        lines.extend(witness_lines(level.alpha, level.exec, roles))
-        lines.extend(witness_lines(level.beta, level.exec, roles))
+        lines.extend(execution_lines(level.exec, roles, memo=memo))
+        lines.extend(witness_lines(level.alpha, level.exec, roles, memo))
+        lines.extend(witness_lines(level.beta, level.exec, roles, memo))
     if cert.final is not None:
         lines.append(_dump({"record": "closing-block-write",
                             "registers_written": cert.registers_written}))
         closing = _tail(top.exec, cert.final.steps[len(top.exec.steps):])
-        lines.extend(execution_lines(closing, roles, len(top.exec.steps)))
+        lines.extend(execution_lines(closing, roles, len(top.exec.steps), memo))
     return lines
 
 
@@ -498,7 +520,7 @@ def _replay_certificate(spec, header, sections):
         if closing is not None:
             raise ReplayError("a record follows the closing block write")
         if kind == "level":
-            rank = 0 if level is None else _check_level(level, sqrt, top) + 1
+            rank = 0 if level is None else _check_level(level, sqrt, top).r + 1
             where = f"level {rank}"
             inputs = _inputs(meta, where)
             initial = initial_configuration(spec, inputs)
@@ -525,13 +547,19 @@ def _replay_certificate(spec, header, sections):
                                       "solo" if sqrt else "reserving", roles, decision))
         else:
             closing = _count(meta, "registers_written", "closing block write")
-            extended = exec_.extend_steps(_steps_from_records(
-                spec, steps, count, len(exec_.steps), roles))
-            if len(extended.written_registers()) != closing:
-                raise ReplayError("closing block write register count mismatch")
-    if _check_level(level, sqrt, top) != top or (closing is None) != sqrt:
+            closing_steps = _steps_from_records(spec, steps, count, len(exec_.steps), roles)
+    rebuilt = _check_level(level, sqrt, top)
+    if rebuilt.r != top or (closing is None) != sqrt:
         raise ReplayError(f"certificate is not levels 0..{top} of 2 witnesses each"
                           + ("" if sqrt else " and a closing block write"))
+    if not sqrt:
+        final, written = corollary_finish(rebuilt)
+        if closing_steps != list(final.steps[len(exec_.steps):]):
+            raise ReplayError("closing block write is not one write per R_c register, "
+                              "ascending, by its cover pair's leader")
+        if closing != written or closing != top:
+            raise ReplayError(f"closing block write: registers_written {closing} is not "
+                              f"the {written} registers written, or not m = {top}")
     if header.get("inputs") != inputs or header.get("pairs") != ([] if sqrt else _pairs(count)):
         raise ReplayError("header: inputs or pairs differ from the top level's")
     if not sqrt and header.get("registers_written") != closing:
@@ -540,10 +568,10 @@ def _replay_certificate(spec, header, sections):
             "levels": top + 1, "witnesses": 2 * (top + 1)}
 
 
-def _check_level(level, sqrt: bool, m: int) -> int:
+def _check_level(level, sqrt: bool, m: int):
     """Rebuild a level (where, record, replayed execution, witnesses) of a
     chain up to `m` as set out above, and run its attack's checker on it;
-    returns its rank."""
+    returns the rebuilt SqrtLevel or LinearLevel."""
     where, meta, exec_, witnesses = level
     if len(witnesses) != 2:
         raise ReplayError(f"{where}: {len(witnesses)} witness sections, not 2")
@@ -551,8 +579,9 @@ def _check_level(level, sqrt: bool, m: int) -> int:
     if sqrt:
         if _count(meta, "budget", where) != count:
             raise ReplayError(f"{where}: budget is not its {count} processes")
-        check_level(SqrtLevel(r, exec_, tuple(_registers(meta, "R", where)), *witnesses))
-        return r
+        rebuilt = SqrtLevel(r, exec_, tuple(_registers(meta, "R", where)), *witnesses)
+        check_level(rebuilt)
+        return rebuilt
     split_regs = tuple(_registers(meta, "R_s", where))
     covered_regs = tuple(_registers(meta, "R_c", where))
     cover_ids = _pids(meta, "V", where, count // 2, "pair ids")
@@ -570,4 +599,4 @@ def _check_level(level, sqrt: bool, m: int) -> int:
                          ("L", sorted(rebuilt.stale_ids()))):
         if meta.get(field) != value:
             raise ReplayError(f"{where}: {field} {meta.get(field)!r} is not the level's {value}")
-    return r
+    return rebuilt

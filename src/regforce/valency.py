@@ -81,9 +81,10 @@ from .model import (
     EngineError,
     Return,
     Write,
+    step_in_place,
     step_with_outcome,
 )
-from .execution import Step
+from .execution import Step, replay_steps
 from .reports import Inconclusive
 
 
@@ -325,10 +326,18 @@ def _matchable(masks, written) -> bool:
 
 
 def materialize(spec: AlgorithmSpec, config: Configuration, moves) -> tuple:
+    """The Steps of `moves` from `config`, each unit's members acting back to
+    back in lockstep, stepped in place by the model's kernel."""
+    registers, procs = list(config.registers), list(config.procs)
     steps = []
     for unit, action in moves:
-        config, s = _apply_move(spec, config, unit, action)
-        steps.extend(s)
+        outcome0 = step_in_place(spec, registers, procs, unit[0], action)
+        steps.append(Step(unit[0], action, outcome0))
+        for pid in unit[1:]:
+            outcome = step_in_place(spec, registers, procs, pid, action)
+            if outcome != outcome0:
+                raise EngineError(f"lockstep outcome divergence in unit {unit}")
+            steps.append(Step(pid, action, outcome))
     return tuple(steps)
 
 
@@ -412,27 +421,40 @@ def reserving_search(spec, config, units, m, depth, target) -> tuple:
 
 
 def is_reserving(spec, config, units, steps, m) -> bool:
-    """Check the reserving-interval conditions for a recorded step sequence."""
+    """Check the reserving-interval conditions for a recorded step sequence;
+    raises EngineError when the steps do not replay from `config`."""
+    return reserving_replay(spec, config, units, steps, m)[1]
+
+
+def reserving_replay(spec, config, units, steps, m, first: int = 0) -> tuple:
+    """Replay recorded steps once from `config`, by `execution.replay_steps`
+    (so errors name the step index counted from `first`), and check on the
+    way that they are a reserving interval of at least m+1 `units`: whole
+    unit moves, a return only as the last, and after each move the written
+    registers covered injectively by the units.  Returns (the configuration
+    after the last step, whether they are)."""
     units = sorted(_as_unit(u) for u in units)
-    if len(units) < m + 1:
-        return False
-    moves = group_moves(units, steps)
-    if moves is None:
-        return False
+    steps = tuple(steps)
+    moves = group_moves(units, steps) if len(units) >= m + 1 else None
+    reserving = moves is not None
+    registers, procs = list(config.registers), list(config.procs)
+    replayed = replay_steps(spec, registers, procs, steps, first)
     written = set()
-    cfg = config
-    for i, (unit, action) in enumerate(moves):
+    for i, (unit, action) in enumerate(moves or ()):
         if isinstance(action, Return) and i != len(moves) - 1:
-            return False
-        try:
-            cfg, _ = _apply_move(spec, cfg, unit, action)
-        except (ValueError, EngineError):
-            raise EngineError("reserving check: trace does not replay")
+            reserving = False
+            break
+        for _ in unit:
+            next(replayed)
         if isinstance(action, Write):
             written.add(action.reg)
+        cfg = Configuration(tuple(registers), tuple(procs))
         if covered_injectively(spec, cfg, units, written) is None:
-            return False
-    return True
+            reserving = False
+            break
+    for _ in replayed:
+        pass
+    return Configuration(tuple(registers), tuple(procs)), reserving
 
 
 def group_moves(units, steps) -> Optional[list]:

@@ -12,7 +12,7 @@ import time
 import zlib
 from collections import deque
 
-from regforce import zoo
+from regforce import cli, zoo
 from regforce.execution import Execution, add_process, indistinguishable, mirror_history
 from regforce.linear_attack import linear_run, verify_properties
 from regforce.model import (
@@ -425,3 +425,31 @@ def test_criterion_7_determinism(tmp_path):
             blobs.append(target.read_bytes())
         identical[tag] = blobs[0] == blobs[1] and len(blobs[0]) > 0
     report(7, all(identical.values()), f"byte-identical reruns: {sorted(identical)}")
+
+
+
+def test_criterion_8_sqrt_frontier(tmp_path, capsys):
+    """The cheap rows of the sqrt scale table: on of_race(k), at depth 64 for
+    k <= 5 and 3k^2 above, `attack sqrt` forces k registers with
+    (k-1)k/2 + 2 processes, and meets an agreement violation one rank
+    higher; `replay` confirms every file."""
+    rows = {}
+    for k in (1, 2, 3, 4, 5, 7, 9):
+        alg = tmp_path / f"of-race-{k}.alg"
+        alg.write_text(zoo.of_race(k))
+        depth = str(64 if k <= 5 else 3 * k * k)
+        for r, code in ((k, 0), (k + 1, 2)):
+            out = tmp_path / f"of-race-{k}-r{r}.jsonl"
+            assert cli.main(["attack", "sqrt", str(alg), "--target-r", str(r),
+                             "--depth", depth, "--out", str(out)]) == code, (k, r)
+            verdict = capsys.readouterr().err.strip()
+            assert cli.main(["replay", str(out)]) == 0, (k, r, capsys.readouterr().err)
+            rows[k, r] = (verdict, json.loads(capsys.readouterr().out))
+    ok = all(
+        rows[k, k][0] == f"chain complete: r={k}, processes={(k - 1) * k // 2 + 2}"
+        and rows[k, k][1]["levels"] == k + 1
+        and rows[k, k + 1][0] == "violation: agreement"
+        and rows[k, k + 1][1]["category"] == "agreement"
+        for k, r in rows if r == k)
+    report(8, ok, "a replayed chain at r = k and a replayed agreement violation at "
+                  f"r = k+1 for k in {sorted({k for k, _ in rows})}")

@@ -330,6 +330,22 @@ def test_replay_of_a_non_object_record_exits_one(tmp_path):
               (("U", list(range(19))), ("V", [0]), ("L", [11]), ("P", [1, 2, 4]),
                ("Q", [8, 9]))]
     cases += [mistyped("claim", "level", "case", "base", nth=1)]
+    # the closing block write is the top level's covering block write: one
+    # write per R_c register, ascending, each by its cover pair's leader (pid
+    # 0 writes r0, pid 22 writes r1), after which exactly m registers are
+    # written; here with an extra write by pid 0's clone, without pid 22's
+    # write, with that write made by pid 22's clone, in descending order, and
+    # with registers_written m - 1
+    closing = claim[marks[-1] + 1:]
+    assert [(rec["pid"], rec["reg"]) for rec in closing] == [(0, 0), (22, 1)]
+    cases += [joined(claim + [{**closing[0], "i": closing[1]["i"] + 1, "pid": 1,
+                               "role": "clone"}]),
+              joined(claim[:-1]),
+              joined(claim[:-1] + [{**closing[1], "pid": 23, "role": "clone"}]),
+              joined(claim[:-2] + [{**closing[1], "i": closing[0]["i"]},
+                                   {**closing[0], "i": closing[1]["i"]}]),
+              joined({**rec, "registers_written": 1} if "registers_written" in rec else rec
+                     for rec in claim)]
     for text in cases:
         bad.write_text(text)
         out = run_cli("replay", str(bad))

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from regforce import zoo
 from regforce.execution import (
     Execution,
     Step,
@@ -13,11 +15,17 @@ from regforce.execution import (
 from regforce.model import (
     EngineError,
     Read,
+    Return,
     Write,
     canonicalize,
     enabled_actions,
     initial_configuration,
+    load_algorithm,
+    step_with_outcome,
 )
+from regforce.linear_attack import linear_run
+from regforce.sqrt_attack import sqrt_run
+from regforce.traceio import _dump, _step_record, execution_lines
 from conftest import block_write, random_execution
 
 
@@ -250,3 +258,103 @@ def test_indistinguishability_transport(race3):
         for pid in group:
             assert a.final.procs[pid].decided == b.final.procs[pid].decided
     assert checked >= 10
+
+
+KERNEL_SPECS = [*zoo.CATALOG, "of_race(4)"]
+
+
+def kernel_spec(name):
+    return load_algorithm(zoo.of_race(4)) if name == "of_race(4)" else zoo.get_zoo(name)
+
+
+@pytest.mark.parametrize("name", KERNEL_SPECS)
+def test_extend_steps_equals_folding_step_with_outcome(name):
+    """Seeded random schedules: the in-place kernel behind extend_steps gives
+    the Steps and final Configuration that folding the one-step semantics
+    gives, and keeps a caller's Step whose recorded outcome is observed."""
+    spec = kernel_spec(name)
+    for seed in range(25):
+        rng = random.Random(seed)
+        inputs = [rng.randrange(2) for _ in range(rng.randrange(1, 6))]
+        config = initial_configuration(spec, inputs)
+        initial, folded = config, []
+        for _ in range(rng.randrange(60)):
+            live = [pid for pid, p in enumerate(config.procs) if p.active]
+            if not live:
+                break
+            pid = rng.choice(live)
+            action = rng.choice(enabled_actions(spec, config, pid))
+            config, outcome = step_with_outcome(spec, config, pid, action)
+            folded.append(Step(pid, action, outcome))
+        bare = Execution.from_steps(spec, initial, [Step(s.pid, s.action) for s in folded])
+        assert bare.steps == tuple(folded) and bare.final == config
+        cut = rng.randrange(len(folded) + 1)
+        split = Execution.from_steps(spec, initial, folded[:cut]).extend_steps(folded[cut:])
+        assert split.final == config
+        assert all(a is b for a, b in zip(split.steps, folded))
+
+
+def test_replay_errors_name_the_absolute_step_index(flag):
+    """A disabled action, an unknown pid, a returned process and a diverging
+    recorded read each raise their EngineError text at the step's index in
+    the whole trace, from extend_steps, from_steps and extend alike."""
+    exec_ = walk_to_put(walk_to_put(start(flag, [0, 1]), 0), 1)
+    write = enabled_actions(flag, exec_.final, 0)[0]
+    done = exec_.extend(0, write)
+    decision = enabled_actions(flag, done.final, 0)[0]
+    done = done.extend(0, decision)
+    assert isinstance(decision, Return)
+    looked = walk_to_put(start(flag, [0, 1]), 0)
+    look = enabled_actions(flag, looked.final, 1)[0]
+    cases = [
+        (exec_, [Step(0, write), Step(0, write)],
+         f"replay failed at step 3: action {write} not enabled for pid 0"),
+        (exec_, [Step(0, write), Step(2, write)], "replay failed at step 3: unknown pid 2"),
+        (exec_, [Step(-1, write)], "replay failed at step 2: unknown pid -1"),
+        (done, [Step(0, decision)],
+         f"replay failed at step 4: action {decision} not enabled for pid 0"),
+        (looked, [Step(1, look, "0")], "replay divergence at step 1: read '_', recorded '0'"),
+    ]
+    for base, steps, text in cases:
+        with pytest.raises(EngineError) as raised:
+            base.extend_steps(steps)
+        assert str(raised.value) == text
+        with pytest.raises(EngineError) as again:
+            Execution.from_steps(flag, base.initial, base.steps + tuple(steps))
+        assert str(again.value) == text
+        if steps[-1].outcome is None:
+            before = base.extend_steps(steps[:-1])
+            with pytest.raises(EngineError) as single:
+                before.extend(steps[-1].pid, steps[-1].action)
+            assert str(single.value) == text
+
+
+def _reference_lines(exec_, roles, first):
+    """execution_lines written out record by record."""
+    states = [p.state for p in exec_.initial.procs]
+    lines = []
+    for i, step in enumerate(exec_.steps, start=first):
+        rec = _step_record(i, step, states[step.pid], roles.get(step.pid, "solo"))
+        if rec["state_after"] is not None:
+            states[step.pid] = rec["state_after"]
+        lines.append(_dump(rec))
+    return lines
+
+
+def test_execution_lines_with_a_shared_memo_are_the_records(race3):
+    """One memo shared across every trace of two certificates gives, line
+    for line, the encoding of each step record, which is json.dumps's with
+    sorted keys and no spaces."""
+    sqrt = sqrt_run(race3, 3, 64)
+    linear = linear_run(zoo.get_zoo("claim-commit"), 2, 64)
+    roles = {pid: ("leader", "clone")[pid % 2] for pid in range(64)}
+    traces = [(level.exec, {}, 0) for level in sqrt.levels]
+    traces += [(level.exec, roles, 0) for level in linear.levels]
+    traces += [(linear.final, roles, 0), (linear.final, {}, 7)]
+    memo = {}
+    for exec_, who, first in traces:
+        want = _reference_lines(exec_, who, first)
+        assert execution_lines(exec_, who, first, memo) == want
+        assert want == [json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+                        for line in want]
+    assert 0 < len(memo) < sum(len(e.steps) for e, _, _ in traces)
