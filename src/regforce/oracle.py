@@ -6,6 +6,11 @@ canonical-form deduplication, reports the first violating trace per
 category, and re-confirms violation reports produced elsewhere.  It shares
 only the model's step semantics with the adversaries: solo termination is
 decided by its own exact closure (`solo_returns`), not by their searches.
+
+Both run on ints built per sweep (`sweep_tables`): a register vector is one
+int with a digit per register, so a read or a write is digit arithmetic, and
+a configuration's dedup key is one int, its packed registers followed by its
+sorted process codes.  A state explored costs one int in the seen set.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    BOTTOM,
     READ,
     RETURN,
     WRITE,
@@ -52,10 +58,46 @@ _DECIDED = (None, None, 0, 0, 1, 1)
 MAX_STATES = 500_000
 
 
-def solo_returns(rows, memo: dict, sid: int, regs: tuple, limit: int) -> Optional[bool]:
+def sweep_tables(spec: AlgorithmSpec) -> tuple:
+    """`(rows, pack)`: the spec's table rows in the digit form the sweep and
+    the solo closure run on, and the function that packs a registers tuple
+    into one int.  Built per sweep, from `spec.tables`.
+
+    A register vector is one int in base `len(alphabet) + 1`, register r
+    being its digit of weight `base**r`: `_` is digit 0, then the alphabet's
+    values in order.  `rows[id]` holds the state's actions in declaration
+    order as `(kind, weight, weight * base, arg, action)`, with the weight of
+    the register acted on (0 for a return), where `arg` is a read's next ids
+    indexed by the digit read, a write's `(value digit, next id)` or a
+    return's decision, and `action` is the model's action.
+    """
+    base = len(spec.alphabet) + 1
+    digits = {value: d for d, value in enumerate((BOTTOM,) + spec.alphabet)}
+    weights = [base ** reg for reg in range(spec.register_count)]
+    rows = []
+    for row in spec.tables.rows:
+        packed = []
+        for kind, reg, arg, action in row:
+            if kind == READ:
+                arg = tuple(arg[value] for value in digits)
+            elif kind == WRITE:
+                arg = (digits[arg[0]], arg[1])
+            else:
+                packed.append((kind, 0, 0, arg, action))
+                continue
+            packed.append((kind, weights[reg], weights[reg] * base, arg, action))
+        rows.append(tuple(packed))
+
+    def pack(registers: tuple) -> int:
+        return sum(digits[value] * weight for value, weight in zip(registers, weights))
+
+    return tuple(rows), pack
+
+
+def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[bool]:
     """Whether a process in state id `sid` can still return when it runs
-    alone from registers `regs`, on the table rows `rows`: exact
-    reachability of a RETURN row, with no depth bound.
+    alone from the packed registers `regs`, on the `sweep_tables` rows
+    `rows`: exact reachability of a RETURN row, with no depth bound.
 
     One process alone moves in a finite graph of `(state id, registers)`
     nodes.  On a miss in `memo`, which maps such nodes to their answers,
@@ -79,12 +121,12 @@ def solo_returns(rows, memo: dict, sid: int, regs: tuple, limit: int) -> Optiona
         if any(row[0] == RETURN for row in rows[s]):
             returns.append(node)
             continue  # what lies beyond does not change this node's answer
-        for kind, reg, arg, _ in rows[s]:
+        for kind, weight, span, arg, _ in rows[s]:
             if kind == READ:
-                succ = (arg[r[reg]], r)
+                succ = (arg[r % span // weight], r)
             else:
                 value, s2 = arg
-                succ = (s2, r[:reg] + (value,) + r[reg + 1:])
+                succ = (s2, r + (value - r % span // weight) * weight)
             known = memo.get(succ)
             if known is not None:
                 if known:
@@ -123,21 +165,23 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
     schedule tree instead; tiny instances must reach the same verdicts
     either way.
 
-    The sweep runs on the spec's integer tables (`AlgorithmSpec.tables`).  A
-    node is the registers tuple plus one code per pid,
-    `(state id * 3 + status) * 2 + input`, where status 0 is active and
-    1 + b means returned b.  The dedup key `(registers, sorted codes)` maps
-    one to one onto `model.canonicalize`'s key.  Each node keeps only its
-    parent's index and the move `pid * width + action index` that reached
-    it; a trace's `Step`s are re-stepped from the root by the model's
-    `step_with_outcome` when it is recorded.
+    The sweep runs on `sweep_tables`.  A node is the packed registers plus
+    one code per pid, `(state id * 3 + status) * 2 + input`, where status 0
+    is active and 1 + b means returned b.  The dedup key is one int, the
+    packed registers followed by the sorted codes as digits in base
+    `6 * state count`; it maps one to one onto `model.canonicalize`'s key.
+    Each node keeps only its parent's index and the move
+    `pid * width + action index` that reached it; a trace's `Step`s are
+    re-stepped from the root by the model's `step_with_outcome` when it is
+    recorded.
     """
     root = initial_configuration(spec, inputs)
-    tables = spec.tables
-    rows = tables.rows
+    ids = spec.tables.ids
+    rows, pack = sweep_tables(spec)
     width = max(map(len, rows))
-    regs0 = root.registers
-    codes0 = tuple(tables.ids[p.state] * 6 + p.input for p in root.procs)
+    code_base = 6 * len(rows)  # the codes are digits of a dedup key in this base
+    regs0 = pack(root.registers)
+    codes0 = tuple(ids[p.state] * 6 + p.input for p in root.procs)
     parent, move = array("l", [-1]), array("l", [-1])
 
     def path(node) -> tuple:
@@ -149,7 +193,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
         config, steps = root, []
         for mv in reversed(trail):
             pid, j = divmod(mv, width)
-            action = rows[tables.ids[config.proc(pid).state]][j][3]
+            action = rows[ids[config.proc(pid).state]][j][4]
             config, outcome = step_with_outcome(spec, config, pid, action)
             steps.append(Step(pid, action, outcome))
         return tuple(steps)
@@ -161,7 +205,10 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
     room = max_states
 
     verdict = OracleVerdict("ok", "ok", "ok")
-    seen = {(regs0, tuple(sorted(codes0)))}
+    key0 = regs0
+    for c in sorted(codes0):
+        key0 = key0 * code_base + c
+    seen = {key0}
     input_set = set(inputs)
     truncated = False
     queue = deque([(regs0, codes0, 0, 0)])
@@ -185,10 +232,11 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
         for pid, code in enumerate(codes):
             if code % 6 > 1:
                 continue  # returned
+            sid = code // 6
             # the memo hit is read here, on the sweep's hot path
-            ok = solo_memo.get((code // 6, regs))
+            ok = solo_memo.get((sid, regs))
             if ok is None and room:
-                ok = solo_returns(rows, solo_memo, code // 6, regs, room)
+                ok = solo_returns(rows, solo_memo, sid, regs, room)
                 room = max_states - len(solo_memo) if ok is not None else 0
             if ok is None:
                 truncated = True
@@ -196,21 +244,24 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
                 verdict.solo_termination = "stuck"
                 verdict.stuck = (path(node), pid)
             inp = code & 1
-            for j, (kind, reg, arg, _) in enumerate(rows[code // 6]):
+            for j, (kind, weight, span, arg, _) in enumerate(rows[sid]):
                 if used >= depth:
                     truncated = True
                     break
                 regs2 = regs
                 if kind == READ:
-                    code2 = arg[regs[reg]] * 6 + inp
+                    code2 = arg[regs % span // weight] * 6 + inp
                 elif kind == WRITE:
-                    regs2 = regs[:reg] + (arg[0],) + regs[reg + 1:]
-                    code2 = arg[1] * 6 + inp
+                    value, s2 = arg
+                    regs2 = regs + (value - regs % span // weight) * weight
+                    code2 = s2 * 6 + inp
                 else:
                     code2 = code + 2 + 2 * arg  # status 1 + decision
                 codes2 = codes[:pid] + (code2,) + codes[pid + 1:]
                 if dedup:
-                    key = (regs2, tuple(sorted(codes2)))
+                    key = regs2
+                    for c in sorted(codes2):
+                        key = key * code_base + c
                     if key in seen:
                         continue
                     seen.add(key)
@@ -277,13 +328,13 @@ def replay_violation(report: ViolationReport) -> tuple:
             return False, "no stuck process identified"
         # exact, so the report's `depth` (the bound of the search that found
         # it) plays no part
-        final, tables, memo = replayed.final, replayed.spec.tables, {}
+        final, ids, memo = replayed.final, replayed.spec.tables.ids, {}
+        rows, pack = sweep_tables(replayed.spec)
         for pid in report.stuck_pids:
             p = final.proc(pid)
             if not p.active:
                 return False, f"pid {pid} already returned"
-            ok = solo_returns(tables.rows, memo, tables.ids[p.state], final.registers,
-                              MAX_STATES)
+            ok = solo_returns(rows, memo, ids[p.state], pack(final.registers), MAX_STATES)
             if ok is None:
                 return False, f"pid {pid}'s solo runs span more than {MAX_STATES} nodes"
             if ok:

@@ -24,6 +24,28 @@ state C: return 0
 state C: write r1 := 1 -> A
 """
 
+# every zoo alphabet is {0, 1}; here three values make registers base-4
+# digits: B and C read every value and `_` on separate branches, A and C write
+# every value by nondeterministic choice, and W spins unless r1 holds 2
+THREE_VALUES = """\
+algorithm three-values
+values 0 1 2
+registers 2
+input 0 -> A
+input 1 -> B
+state A: write r0 := 0 -> B
+state A: write r0 := 1 -> C
+state A: write r0 := 2 -> W
+state B: read r0 ? { _ -> A ; 0 -> C ; 1 -> W ; 2 -> R }
+state B: write r1 := 2 -> B
+state C: read r1 ? { _ -> B ; 0 -> R ; 1 -> A ; 2 -> S }
+state C: write r1 := 0 -> C
+state C: write r1 := 1 -> A
+state W: read r1 ? { 2 -> S ; * -> W }
+state R: return 0
+state S: return 1
+"""
+
 
 def write_loop(k: int, tail: str) -> str:
     """State A may write 1 into any of `k` registers and stay in A, so one

@@ -195,6 +195,7 @@ def test_parse_error_exits_one(tmp_path):
         ["attack", "linear", "zoo:of-race-3", "--m", "1"], ["valency", "zoo:of-race-3"])]
     cases += [["attack", "linear", "zoo:of-race-3", "--m", "-1"],
               ["valency", "zoo:of-race-3", "--mode", "reserving", "--m", "-1"]]
+    cases += [["check", "zoo:of-race-3", "--max-states", "-1"]]
     cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
     for args in cases:
         out = run_cli(*args)

@@ -13,12 +13,13 @@ from regforce.model import (
     initial_configuration,
     load_algorithm,
 )
-from regforce.oracle import MAX_STATES, oracle_check, replay_violation, solo_returns
+from regforce.oracle import MAX_STATES, oracle_check, replay_violation, solo_returns, sweep_tables
 from regforce.reports import ViolationReport
 from conftest import (
     NO_RETURN,
     RETURN_AFTER_READ,
     RETURN_HERE,
+    THREE_VALUES,
     WRITE_OR_RETURN,
     random_execution,
     write_loop,
@@ -74,21 +75,27 @@ state R: return 0
 """
 
 
-@pytest.mark.parametrize("text", [WRITE_OR_RETURN, WRITE_OR_WAIT], ids=["return", "wait"])
+@pytest.mark.parametrize("text", [WRITE_OR_RETURN, WRITE_OR_WAIT, THREE_VALUES],
+                         ids=["return", "wait", "three-values"])
 def test_solo_closure_matches_unbounded_solo_bfs(text):
     # every (state, registers) node, reached from every start, against a plain
-    # breadth-first solo reachability of a return; both specs' states choose
-    # among several actions, and the solo graphs hold cycles
+    # breadth-first solo reachability of a return; every spec's states choose
+    # among several actions, the solo graphs hold cycles, and three-values
+    # packs its registers in base 4
     spec = load_algorithm(text)
-    tables = spec.tables
+    ids = spec.tables.ids
+    rows, pack = sweep_tables(spec)
     values = (BOTTOM,) + spec.alphabet
+    unpacked = {pack(regs): regs for regs in itertools.product(values, repeat=2)}
+    assert len(unpacked) == len(values) ** 2
     memo: dict = {}
-    for state, regs in itertools.product(spec.states, itertools.product(values, repeat=2)):
-        solo_returns(tables.rows, memo, tables.ids[state], regs, MAX_STATES)
-    names = list(tables.ids)
+    for state, packed in itertools.product(spec.states, unpacked):
+        solo_returns(rows, memo, ids[state], packed, MAX_STATES)
+    names = list(ids)
     assert len(memo) == len(names) * len(values) ** 2
     labels = set()
-    for (sid, regs), label in memo.items():
+    for (sid, packed), label in memo.items():
+        regs = unpacked[packed]
         config = Configuration(regs, (Proc(0, names[sid]),))
         exact = oracle_valency(spec, config, [0], "solo")
         assert label == (exact[0] or exact[1]), (names[sid], regs)
@@ -99,23 +106,26 @@ def test_solo_closure_matches_unbounded_solo_bfs(text):
 def test_solo_closure_stops_at_a_return_row():
     # a node with a RETURN row is answered without exploring past it
     spec = load_algorithm(write_loop(30, RETURN_HERE))
-    start = (spec.tables.ids["A"], (BOTTOM,) * 30)
+    rows, pack = sweep_tables(spec)
+    start = (spec.tables.ids["A"], pack((BOTTOM,) * 30))
     memo: dict = {}
-    assert solo_returns(spec.tables.rows, memo, *start, 1) is True
+    assert solo_returns(rows, memo, *start, 1) is True
     assert memo == {start: True}
 
 
 def test_solo_closure_past_its_limit_answers_nothing():
     spec = load_algorithm(write_loop(30, RETURN_AFTER_READ))
-    start = (spec.tables.ids["A"], (BOTTOM,) * 30)
+    rows, pack = sweep_tables(spec)
+    start = (spec.tables.ids["A"], pack((BOTTOM,) * 30))
     memo: dict = {}
-    assert solo_returns(spec.tables.rows, memo, *start, 1000) is None
+    assert solo_returns(rows, memo, *start, 1000) is None
     assert memo == {}
     # with 4 registers the closure holds 16 A nodes and the 8 R nodes with r0 = 1
     spec = load_algorithm(write_loop(4, RETURN_AFTER_READ))
-    start = (spec.tables.ids["A"], (BOTTOM,) * 4)
-    assert solo_returns(spec.tables.rows, memo, *start, 23) is None
-    assert solo_returns(spec.tables.rows, memo, *start, 24) is True
+    rows, pack = sweep_tables(spec)
+    start = (spec.tables.ids["A"], pack((BOTTOM,) * 4))
+    assert solo_returns(rows, memo, *start, 23) is None
+    assert solo_returns(rows, memo, *start, 24) is True
     assert len(memo) == 24 and all(memo.values())
 
 
@@ -135,7 +145,7 @@ def test_sweep_bounds_its_solo_closures_by_the_state_bound(monkeypatch):
     verdict = oracle_check(spec, [0], depth=1, max_states=1000)
     assert verdict.ok and verdict.truncated
     assert verdict.explored == 31
-    assert calls == [(BOTTOM,) * 30]
+    assert calls == [0]  # the packed all-`_` registers
 
 
 TWO_SPINNERS = """\
