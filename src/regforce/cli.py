@@ -25,6 +25,9 @@ from .valency import valency
 
 OK, USAGE, VIOLATION, INCONCLUSIVE = 0, 1, 2, 3
 
+DEPTH_HELP = ("move bound of a reserving search; for a solo query only a cap on "
+              "the witness length, since a solo refutation is exact")
+
 
 class UsageError(Exception):
     """An option value the command cannot use."""
@@ -82,12 +85,12 @@ def _parser() -> argparse.ArgumentParser:
     sq = atsub.add_parser("sqrt", help="solo-valency chain, one clone per register")
     sq.add_argument("spec")
     sq.add_argument("--target-r", type=int, required=True)
-    sq.add_argument("--depth", type=int, default=64)
+    sq.add_argument("--depth", type=int, default=64, help=DEPTH_HELP)
     sq.add_argument("--out", default=None)
     ln = atsub.add_parser("linear", help="process-clone pair chain up to r = m")
     ln.add_argument("spec")
     ln.add_argument("--m", type=int, required=True)
-    ln.add_argument("--depth", type=int, default=64)
+    ln.add_argument("--depth", type=int, default=64, help=DEPTH_HELP)
     ln.add_argument("--out", default=None)
 
     val = sub.add_parser("valency", help="decision reachability of a configuration")
@@ -99,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="comma-separated pids (default: all)")
     val.add_argument("--mode", choices=["solo", "reserving"], default="solo")
     val.add_argument("--m", type=int, default=None)
-    val.add_argument("--depth", type=int, default=64)
+    val.add_argument("--depth", type=int, default=64, help=DEPTH_HELP)
 
     rp = sub.add_parser("replay", help="re-execute and confirm a certificate or report")
     rp.add_argument("file")

@@ -338,6 +338,10 @@ def _registers(record: dict, field: str, where: str) -> list:
     return value
 
 
+# the fields a step record must hold to be matched to an action
+_STEP_FIELDS = ("kind", "pid", "reg", "val", "state_before", "state_after")
+
+
 def _steps_from_records(spec, records, pids: int, first: int = 0, roles=None):
     """Steps of a system of `pids` processes from their records, which must
     be numbered from `first`.  Given `roles` (pid -> "leader" | "clone"),
@@ -346,6 +350,9 @@ def _steps_from_records(spec, records, pids: int, first: int = 0, roles=None):
     for i, rec in enumerate(records, start=first):
         if type(rec.get("i")) is not int or rec["i"] != i:
             raise ReplayError(f"step {i}: i is {rec.get('i')!r}, not its index {i}")
+        for field in _STEP_FIELDS:
+            if field not in rec:
+                raise ReplayError(f"step {i}: no {field} field")
         kind = rec["kind"]
         state = rec["state_before"]
         pid = rec["pid"]
@@ -446,6 +453,8 @@ def replay_file(text: str) -> dict:
     if kind == "level":
         return _replay_certificate(spec, header, itertools.chain([(first, steps)], sections))
     if kind == "inconclusive":
+        if not isinstance(first.get("reason"), str):
+            raise ReplayError("inconclusive: reason is not a string")
         return {"kind": "inconclusive", "reason": first["reason"]}
     raise ReplayError("unrecognized file contents")
 

@@ -1,38 +1,52 @@
-"""Bounded searches for terminating solo and reserving executions, and the
+"""Searches for terminating solo and reserving executions, and the
 decision-reachability (valency) classification built on them.
 
-All searches are exhaustive depth-first over scheduling and nondeterministic
-choice, in lexicographic (pid, action-index) order, so the first witness
-found is the least one and repeated runs are identical.  Results are
-three-valued: proven (with a replayable witness), refuted (the bounded space
-was exhausted with no cutoff), or unknown (a depth cutoff was hit).
+Results are three-valued: proven (with a replayable witness), refuted (no
+such run exists), or unknown (a run may exist, but none was found within the
+depth bound).  Searches operate on *units*: a unit is one pid, or a
+process-clone pair that moves in lockstep and counts as a single process.
+Both kinds of search run on the integer tables a spec compiles on first use
+(`AlgorithmSpec.tables`), not on `Configuration`s.  Witness steps are built
+afterwards by the model's own step semantics (`materialize`), which re-checks
+every pair's lockstep outcome.
 
-Searches operate on *units*: a unit is one pid, or a process-clone pair that
-moves in lockstep and counts as a single process.
+Solo queries are exact.  One unit alone moves in a finite graph of
+`(state id, registers)` nodes: what it can do depends on nothing else, not on
+its pids, nor on whether it is one process or a pair, since a pair moves as
+one.  `_solo_distances` closes that graph and keeps, for each node, the least
+number of moves to a return of 0 and to a return of 1 in the spec's `solo`
+memo.  So a solo query is "refuted" when no return of its decision is
+reachable at all, whatever the depth; it is "proven" when the least run has
+at most `depth` moves and "unknown" when it is longer: for solo queries the
+depth only caps the length of a witness.  The witness is the least run that
+comes first in action order; its actions are kept once per node and decision
+(the `solo-run` memo) and bound to the queried unit by `materialize`.
+The oracle decides solo termination by its own closure
+(`oracle.solo_returns`) and never reads these memos.
 
-The reserving and solo DFS (`_Search`) runs on the integer tables a spec
-compiles on first use (`AlgorithmSpec.tables`), not on `Configuration`s.  Its
-state is a list of unit state ids, the register contents and a bitmask of the
-registers written so far.  The exact memo key `(state ids, registers,
-written)` maps one to one onto (state names, registers, written set); a node
-is entered at most once per budget, and a revisit with no larger budget is
-pruned.  A pair is checked in sync once, at the root.  It cannot diverge
-afterwards: the clone repeats the leader's action on the register contents
-the leader left, so a read sees the value the leader saw and a write stores
-the value the leader stored, and both land in the same state.  The coverage
-test matches the written registers to the units' cover bitmasks and is
-memoised on (sorted masks, written).  Witness steps are built afterwards by
-the model's own step semantics (`materialize`), which re-checks every pair's
-lockstep outcome.
+The reserving search (`_Search`) is exhaustive depth-first over scheduling
+and nondeterministic choice, in lexicographic (pid, action-index) order and
+bounded by the depth, so the first witness found is the least one and
+repeated runs are identical.  Its state is a list of unit state ids, the
+register contents and a bitmask of the registers written so far.  The exact
+memo key `(state ids, registers, written)` maps one to one onto (state
+names, registers, written set); a node is entered at most once per budget,
+and a revisit with no larger budget is pruned.  A pair is checked in sync
+once, at the root.  It cannot diverge afterwards: the clone repeats the
+leader's action on the register contents the leader left, so a read sees the
+value the leader saw and a write stores the value the leader stored, and
+both land in the same state.  The coverage test matches the written
+registers to the units' cover bitmasks and is memoised on (sorted masks,
+written).
 
-A search over more than one unit also prunes by symmetry.  Units are
-anonymous: a unit's moves (its table row) and its cover mask depend only on
-its state, and a pair moves as one process.  The goal (a return of the target
-decision after which the other units still cover the written registers) and
-the coverage test on every move depend only on the registers, the written set
-and the multiset of unit states, so they are invariant under permuting the
-units.  Permuting the units of a node permutes its runs: a run of at most b
-moves exists from a node iff one exists from every node of its symmetry class
+The reserving search also prunes by symmetry.  Units are anonymous: a unit's
+moves (its table row) and its cover mask depend only on its state, and a
+pair moves as one process.  The goal (a return of the target decision after
+which the other units still cover the written registers) and the coverage
+test on every move depend only on the registers, the written set and the
+multiset of unit states, so they are invariant under permuting the units.
+Permuting the units of a node permutes its runs: a run of at most b moves
+exists from a node iff one exists from every node of its symmetry class
 `(sorted state ids, registers, written)`.
 
 A node whose exploration failed with budget b found no run except through
@@ -42,22 +56,8 @@ prune a later node of that class with budget at most b: whether a run exists
 is unchanged, and a search that finds none without hitting its depth bound
 still proves that none exists at any depth.  Open nodes stay exact-keyed.
 Pruning a node because an isomorphic ancestor is still on the stack skips
-runs the unpruned search finds first, and so changes the witness.  Solo
-searches have one unit and no symmetry, so they keep no class memo.
-
-Solo searches are shared across queries instead.  A single-unit `_Search`
-keeps no class memo and uses no coverage test; it reads only the unit's state
-id, the registers and the spec's tables, and starts from an empty written set.
-So its result, the actions of the least run (or none) and the cutoff flag, is
-a function of (state, registers, target, depth) alone: not of the unit's pids,
-nor of whether it is one process or a pair, since a pair moves as one.
-`_solo_run` keeps that result in the spec's `solo` memo and, on a hit, binds
-the stored actions to the queried unit and builds the witness through
-`materialize` as on a miss, so the model's step semantics still re-check every
-step and every pair's lockstep on the real configuration, and every
-certificate, report and verdict is the same as without the memo.  The oracle
-decides solo termination by its own exact closure (`oracle.solo_returns`) and
-never reads this memo.
+runs the unpruned search finds first, and so changes the witness.  For one
+unit the class key is the exact key, and the class memo prunes nothing more.
 
 The argument does not fix which run is found first.  Nor does it fix the
 cutoff flag of a search that finds no run: the class memo can prune every
@@ -69,6 +69,7 @@ reference.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -115,7 +116,6 @@ class Witness:
 class Tri:
     status: str  # "proven" | "refuted" | "unknown"
     witness: Optional[Witness] = None
-    depth: Optional[int] = None
 
     @property
     def proven(self):
@@ -211,18 +211,15 @@ def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs)
 
 
 class _Search:
-    """One exhaustive DFS for a target decision (or any termination), run on
-    the spec's integer tables; see the module docstring."""
+    """One exhaustive reserving DFS for a target decision (or any return),
+    run on the spec's integer tables; see the module docstring."""
 
-    def __init__(self, spec, units, target, coverage):
+    def __init__(self, spec, units, target):
         self.spec = spec
         self.units = sorted(units)
         self.target = target
-        self.coverage = coverage
         self.memo: dict = {}
-        # symmetry class -> the largest budget its exploration failed at; a
-        # single unit has no symmetry, so its search keeps no class memo
-        self.failed: Optional[dict] = {} if len(self.units) > 1 else None
+        self.failed: dict = {}  # symmetry class -> largest budget it failed at
         self.matchable: dict = {}  # (sorted cover masks, written) -> bool
         self.cutoff = False
 
@@ -257,28 +254,25 @@ class _Search:
         if self.memo.get(key, -1) >= budget:
             return None
         failed = self.failed
-        if failed is not None:
-            cls = (tuple(sorted(states)), regs, written)
-            if failed.get(cls, -1) >= budget:
-                return None
+        cls = (tuple(sorted(states)), regs, written)
+        if failed.get(cls, -1) >= budget:
+            return None
         self.memo[key] = budget
         if budget <= 0:
             # every unit is active at every node (a return ends the search)
             # and every state has an action, so some move is cut off here
             self.cutoff = True
             return None
-        rows, covers, units = self.rows, self.covers, self.units
-        target, coverage = self.target, self.coverage
+        rows, covers, units, target = self.rows, self.covers, self.units, self.target
         for i, s in enumerate(states):
             for kind, reg, arg, action in rows[s]:
                 if kind == RETURN:
                     if target is not None and arg != target:
                         continue
-                    if coverage:
-                        masks = [covers[x] for x in states]
-                        masks[i] = 0  # a returned unit covers nothing
-                        if not self._covered(masks, written):
-                            continue
+                    masks = [covers[x] for x in states]
+                    masks[i] = 0  # a returned unit covers nothing
+                    if not self._covered(masks, written):
+                        continue
                     return [(units[i], action)]
                 if kind == READ:
                     nxt, regs2, written2 = arg[regs[reg]], regs, written
@@ -289,7 +283,7 @@ class _Search:
                 states[i] = nxt
                 # every node's masks match its written set, so a move that
                 # writes no new register and loses no cover keeps the match
-                if coverage and (written2 != written or covers[s] & ~covers[nxt]) \
+                if (written2 != written or covers[s] & ~covers[nxt]) \
                         and not self._covered([covers[x] for x in states], written2):
                     states[i] = s
                     continue
@@ -298,8 +292,7 @@ class _Search:
                     found.append((units[i], action))
                     return found
                 states[i] = s
-        if failed is not None:
-            failed[cls] = budget
+        failed[cls] = budget
         return None
 
 
@@ -350,31 +343,125 @@ def _witness(spec, config, moves, members, kind) -> Witness:
                    steps=steps, decision=last.decision)
 
 
-def _tri(witness: Optional[Witness], cutoff: bool, depth: int) -> Tri:
+def _tri(witness: Optional[Witness], cutoff: bool) -> Tri:
     if witness is not None:
         return Tri("proven", witness)
     if cutoff:
-        return Tri("unknown", depth=depth)
+        return Tri("unknown")
     return Tri("refuted")
+
+
+def _solo_successor(kind, reg, arg, sid, regs) -> tuple:
+    """The node one READ or WRITE row leads a unit alone to."""
+    if kind == READ:
+        return arg[regs[reg]], regs
+    value, nxt = arg
+    return nxt, regs[:reg] + (value,) + regs[reg + 1:]
+
+
+def _solo_distances(spec, sid: int, regs: tuple) -> tuple:
+    """(least moves to a return of 0, of 1) of a unit alone in state id `sid`
+    over the registers `regs`, None where that return is unreachable.
+
+    On a miss in the spec's `solo` memo, which maps `(state id, registers)`
+    nodes to their distances, this explores every node the unit reaches
+    alone, stopping at nodes already in the memo, whose distances it takes
+    as seeds; then one least-distance pass over the reversed moves for each
+    decision, from the RETURN rows and the seeds, settles every explored node,
+    and all of them go into the memo."""
+    memo = spec.memos["solo"]
+    start = (sid, regs)
+    hit = memo.get(start)
+    if hit is not None:
+        return hit
+    rows = spec.tables.rows
+    preds = {start: []}
+    seeds = ([], [])  # per decision: (distance, node) to start from
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for kind, reg, arg, _ in rows[node[0]]:
+            if kind == RETURN:
+                seeds[arg].append((1, node))
+                continue
+            succ = _solo_successor(kind, reg, arg, *node)
+            known = memo.get(succ)
+            if known is not None:
+                for d in (0, 1):
+                    if known[d] is not None:
+                        seeds[d].append((known[d] + 1, node))
+            elif succ in preds:
+                preds[succ].append(node)
+            else:
+                preds[succ] = [node]
+                stack.append(succ)
+    least = ({}, {})
+    for d in (0, 1):
+        heap, dist = seeds[d], least[d]
+        heapq.heapify(heap)
+        while heap:
+            k, node = heapq.heappop(heap)
+            if node in dist:
+                continue
+            dist[node] = k
+            for p in preds[node]:
+                if p not in dist:
+                    heapq.heappush(heap, (k + 1, p))
+    for node in preds:
+        memo[node] = (least[0].get(node), least[1].get(node))
+    return memo[start]
+
+
+def _least(distances, target) -> Optional[int]:
+    """The least number of moves to a return of `target` (of either decision
+    when None) by a node's `_solo_distances`, or None."""
+    if target is not None:
+        return distances[target]
+    return min((k for k in distances if k is not None), default=None)
+
+
+def _solo_actions(spec, sid: int, regs: tuple, target) -> tuple:
+    """The actions of the least solo run returning `target` (any decision
+    when None) from a node that has one: of the least runs, the first in
+    action order, found by following the distances down.  Memoised per
+    (node, target) in the spec's `solo-run` memo."""
+    memo = spec.memos["solo-run"]
+    key = (sid, regs, target)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    rows, distances = spec.tables.rows, spec.memos["solo"]
+    k = _least(distances[sid, regs], target)
+    actions = []
+    while k:
+        for kind, reg, arg, action in rows[sid]:
+            if kind == RETURN:
+                if k == 1 and target in (None, arg):
+                    break
+                continue
+            succ = _solo_successor(kind, reg, arg, sid, regs)
+            if _least(distances[succ], target) == k - 1:
+                sid, regs = succ
+                break
+        actions.append(action)
+        k -= 1
+    hit = memo[key] = tuple(actions)
+    return hit
 
 
 def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
     """(least terminating solo run of `unit` returning `target`, or any
-    decision when target is None, as a Witness or None; cutoff).  A unit that
-    already returned has no run and hits no cutoff.  The search result is
-    shared through the spec's `solo` memo (see the module docstring)."""
+    decision when target is None, as a Witness or None; whether a run exists
+    but is longer than `depth`).  A unit that already returned has no run.
+    Both come from the spec's solo memos (see the module docstring)."""
     if not unit_active(config, unit):
         return None, False
-    key = (config.proc(unit[0]).state, config.registers, target, depth)
-    memo = spec.memos["solo"]
-    hit = memo.get(key)
-    if hit is None:
-        moves, cut = _Search(spec, [unit], target, coverage=False).run(config, depth)
-        hit = memo[key] = (None if moves is None else tuple(a for _, a in moves), cut)
-    actions, cut = hit
-    if actions is None:
-        return None, cut
-    return _witness(spec, config, [(unit, a) for a in actions], [unit], "solo"), cut
+    sid, regs = spec.tables.ids[config.proc(unit[0]).state], config.registers
+    least = _least(_solo_distances(spec, sid, regs), target)
+    if least is None or least > depth:
+        return None, least is not None
+    actions = _solo_actions(spec, sid, regs, target)
+    return _witness(spec, config, [(unit, a) for a in actions], [unit], "solo"), False
 
 
 @dataclass(frozen=True)
@@ -387,17 +474,14 @@ class SoloResult:
 def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> SoloResult:
     """All decisions reachable by terminating solo runs of one unit."""
     (w0, cut0), (w1, cut1) = (_solo_run(spec, config, _as_unit(unit), d, depth) for d in (0, 1))
-    return SoloResult(_tri(w0, cut0, depth), _tri(w1, cut1, depth), cut0 or cut1)
+    return SoloResult(_tri(w0, cut0), _tri(w1, cut1), cut0 or cut1)
 
 
 def solo_terminating(spec, config, unit, depth: int) -> Optional[Witness]:
-    """Least terminating solo run, or None; raises when only a cutoff blocks.
-
-    One DFS for any decision: the least run returning 0 or 1 is the least
-    of the two single-decision searches' runs, and with no run at all both
-    explore the same tree, so they hit a cutoff exactly when this does."""
+    """Least terminating solo run, or None when no solo run returns; raises
+    when the least run is longer than `depth`."""
     witness, cut = _solo_run(spec, config, _as_unit(unit), None, depth)
-    if witness is None and cut:
+    if cut:
         raise Inconclusive(f"no terminating solo run of {unit} within depth")
     return witness
 
@@ -416,8 +500,7 @@ def reserving_search(spec, config, units, m, depth, target) -> tuple:
         raise ValueError(f"negative m {m}")
     if len(units) < m + 1:
         raise ValueError(f"need at least m+1={m + 1} units, got {len(units)}")
-    search = _Search(spec, units, target, coverage=True)
-    return search.run(config, depth)
+    return _Search(spec, units, target).run(config, depth)
 
 
 def is_reserving(spec, config, units, steps, m) -> bool:
@@ -545,7 +628,7 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
                 cutoff = cutoff or cut
                 if witness is not None:
                     break
-            tris[d] = _tri(witness, cutoff, depth)
+            tris[d] = _tri(witness, cutoff)
     elif mode == "reserving":
         if m < 0:
             raise ValueError(f"negative m {m}")
@@ -560,7 +643,7 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
                     if moves is not None:
                         witness = _witness(spec, config, moves, list(subset), "reserving")
                         break
-            tris[d] = _tri(witness, cutoff, depth)
+            tris[d] = _tri(witness, cutoff)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ValencyReport(zero=tris[0], one=tris[1], mode=mode, units=units, m=m, depth=depth)

@@ -16,7 +16,8 @@ from typing import Optional
 from regforce.execution import Step
 from regforce.model import canonicalize, enabled_actions, initial_configuration, step_with_outcome
 from regforce.oracle import OracleVerdict
-from regforce.valency import _Search
+
+from reference_search import ReferenceSearch
 
 
 def reference_oracle_check(spec, inputs, depth: int, max_states: int = 500_000,
@@ -35,8 +36,7 @@ def reference_oracle_check(spec, inputs, depth: int, max_states: int = 500_000,
         hit = solo_memo.get(key, "miss")
         if hit != "miss":
             return hit
-        search = _Search(spec, [(pid,)], None, coverage=False)
-        moves, cut = search.run(config, depth)
+        moves, cut = ReferenceSearch(spec, [(pid,)], None, False, m=None).run(config, depth)
         result = True if moves is not None else (None if cut else False)
         solo_memo[key] = result
         return result

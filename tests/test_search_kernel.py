@@ -1,11 +1,10 @@
-"""The packed search kernel against the dataclass reference search.
+"""The packed search kernels against the dataclass reference search.
 
-The kernel's exact memo key is a bijection of the reference's.  A multi-unit
-kernel search also prunes a node whose symmetry class (sorted unit states,
-registers, written set) already failed with at least its budget.  By the
-argument in the `valency` docstring that keeps whether a run exists, but not
-by itself which run is found first or the cutoff flag of a search that finds
-none, so:
+The reserving kernel's exact memo key is a bijection of the reference's.  It
+also prunes a node whose symmetry class (sorted unit states, registers,
+written set) already failed with at least its budget.  By the argument in the
+`valency` docstring that keeps whether a run exists, but not by itself which
+run is found first or the cutoff flag of a search that finds none, so:
 - on every case of `_cases()` both return identical `(moves, cutoff)`;
 - permuting which unit holds which state keeps whether a run exists, and a
   "refuted" answer holds for every permutation (the cutoff flag depends on
@@ -14,9 +13,13 @@ none, so:
   set, and a guard fails if the class pruning is removed;
 - where the kernel answers "refuted" and the reference "unknown", the
   oracle confirms the refutation.
-The single any-decision DFS of `solo_terminating` must agree with the
-reference's two single-decision searches, and a solo run served by the spec's
-solo memo must equal a fresh search's, bound to the queried unit.
+The exact solo closure must prove exactly what the reference's solo search
+proves, by the run the reference finds at the least depth it proves at; it
+must refute wherever the reference does, and the oracle must confirm every
+refutation where the reference only hits its depth bound.  `solo_terminating`
+must return the shorter of the reference's least runs for the two decisions,
+a solo run served by the spec's solo memos must equal the answer of the same
+spec with empty memos, and it is bound to the queried unit.
 """
 
 import dataclasses
@@ -34,7 +37,6 @@ from regforce.valency import (
     _apply_move,
     _matchable,
     _solo_run,
-    _witness,
     solo_terminating,
     unit_active,
     unit_state,
@@ -79,10 +81,10 @@ def _cases():
                     yield spec, config, active
 
 
-def _both(spec, config, units, target, coverage, depth):
-    want = ReferenceSearch(spec, units, target, coverage, m=None).run(config, depth)
-    got = _Search(spec, units, target, coverage).run(config, depth)
-    assert got == want, (spec.name, config, units, target, coverage, depth)
+def _both(spec, config, units, target, depth):
+    want = ReferenceSearch(spec, units, target, True, m=None).run(config, depth)
+    got = _Search(spec, units, target).run(config, depth)
+    assert got == want, (spec.name, config, units, target, depth)
     return got
 
 
@@ -91,12 +93,10 @@ def test_kernel_matches_reference_on_every_zoo_spec():
     for spec, config, active in _cases():
         for group in [[u] for u in active] + [active]:
             for target in (0, 1, None):
-                for coverage in (False, True):
-                    for depth in DEPTHS:
-                        moves, cut = _both(spec, config, group, target, coverage, depth)
-                        key = ("found" if moves is not None
-                               else "cutoff" if cut else "refuted")
-                        outcomes[key] += 1
+                for depth in DEPTHS:
+                    moves, cut = _both(spec, config, group, target, depth)
+                    key = "found" if moves is not None else "cutoff" if cut else "refuted"
+                    outcomes[key] += 1
     # every kind of answer, the cutoff included, was compared
     assert all(outcomes.values()), outcomes
 
@@ -118,44 +118,45 @@ def test_outcome_is_the_same_for_every_permutation_of_unit_states():
             continue
         orders = list(itertools.permutations(range(len(active))))
         for target in (0, 1, None):
-            for coverage in (False, True):
-                for depth in DEPTHS:
-                    runs = [_Search(spec, active, target, coverage).run(
-                        _permuted(config, active, order), depth) for order in orders]
-                    found = {moves is not None for moves, _ in runs}
-                    assert len(found) == 1, (spec.name, config, active, target, coverage, depth)
-                    # the cutoff flag depends on the visit order, in the
-                    # reference too; "refuted" must hold for every permutation
-                    if not any(found) and not all(cut for _, cut in runs):
-                        assert all(_Search(spec, active, target, coverage).run(
-                            _permuted(config, active, order), 2 * max(DEPTHS))[0] is None
-                            for order in orders), (spec.name, config, active, target, depth)
-                        outcomes["refuted"] += 1
-                    outcomes["found"] += any(found)
+            for depth in DEPTHS:
+                runs = [_Search(spec, active, target).run(
+                    _permuted(config, active, order), depth) for order in orders]
+                found = {moves is not None for moves, _ in runs}
+                assert len(found) == 1, (spec.name, config, active, target, depth)
+                # the cutoff flag depends on the visit order, in the
+                # reference too; "refuted" must hold for every permutation
+                if not any(found) and not all(cut for _, cut in runs):
+                    assert all(_Search(spec, active, target).run(
+                        _permuted(config, active, order), 2 * max(DEPTHS))[0] is None
+                        for order in orders), (spec.name, config, active, target, depth)
+                    outcomes["refuted"] += 1
+                outcomes["found"] += any(found)
     assert all(outcomes.values()), outcomes
 
 
 def test_class_memo_prunes_multi_unit_searches_only():
-    # with exact keys alone the kernel enters exactly the reference's nodes
+    # with exact keys alone the kernel enters exactly the reference's nodes;
+    # for one unit the class key is the exact key, so it prunes nothing more
     kernel_nodes = reference_nodes = 0
     for spec, config, active in _cases():
-        assert _Search(spec, active[:1], None, True).failed is None
-        if len(active) < 2:
-            continue
         for target in (0, 1, None):
-            for coverage in (False, True):
-                for depth in DEPTHS:
-                    reference = ReferenceSearch(spec, active, target, coverage, m=None)
-                    kernel = _Search(spec, active, target, coverage)
+            for depth in DEPTHS:
+                for group in [active[:1]] + ([active] if len(active) > 1 else []):
+                    reference = ReferenceSearch(spec, group, target, True, m=None)
+                    kernel = _Search(spec, group, target)
                     assert kernel.run(config, depth) == reference.run(config, depth)
-                    kernel_nodes += len(kernel.memo)
-                    reference_nodes += len(reference.memo)
+                    if len(group) == 1:
+                        assert len(kernel.memo) == len(reference.memo)
+                    else:
+                        kernel_nodes += len(kernel.memo)
+                        reference_nodes += len(reference.memo)
     assert kernel_nodes < reference_nodes, (kernel_nodes, reference_nodes)
 
 
-# two units, S and the idler X; S reaches T twice, and only the second T wins:
-# with the registers (or the written set) left out of the class key, the
-# first T's failure would prune the second
+# two units, S and the idler X, which covers r0 by a write of 1 it repeats
+# forever; S reaches T twice, and only the second T wins: with the registers
+# (or the written set) left out of the class key, the first T's failure would
+# prune the second
 REGISTERS_IN_CLASS_KEY = """\
 algorithm registers-in-class-key
 values 1 2
@@ -167,7 +168,7 @@ state S: write r0 := 2 -> T
 state T: read r0 ? { 2 -> Z ; * -> L }
 state Z: return 0
 state L: return 1
-state X: read r0 ? { * -> X }
+state X: write r0 := 1 -> X
 """
 # r0 already holds 1; after S writes it nobody covers it, so T may not return
 WRITTEN_IN_CLASS_KEY = """\
@@ -186,12 +187,11 @@ state X: read r0 ? { * -> X }
 
 
 def test_class_key_keeps_registers_and_written_set():
-    for text, registers, coverage in ((REGISTERS_IN_CLASS_KEY, ("_",), False),
-                                      (WRITTEN_IN_CLASS_KEY, ("1",), True)):
+    for text, registers in ((REGISTERS_IN_CLASS_KEY, ("_",)), (WRITTEN_IN_CLASS_KEY, ("1",))):
         spec = load_algorithm(text)
         config = Configuration(registers, (Proc(0, "S"), Proc(1, "X")))
         for depth in (3, 8):
-            moves, _ = _both(spec, config, [(0,), (1,)], 0, coverage, depth)
+            moves, _ = _both(spec, config, [(0,), (1,)], 0, depth)
             # the run takes S's second action, to the T that wins
             assert moves[0] == ((0,), spec.actions("S")[1]), (spec.name, moves)
 
@@ -207,14 +207,60 @@ def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
         config = Configuration(("1", "_"), tuple(Proc(pid % 2, state)
                                                  for pid, state in enumerate(states)))
         assert ReferenceSearch(spec, units, 0, True, m=None).run(config, depth) == (None, True)
-        assert _Search(spec, units, 0, True).run(config, depth) == (None, False)
+        assert _Search(spec, units, 0).run(config, depth) == (None, False)
         assert not oracle_valency(spec, config, units, "reserving", m=len(units) - 1)[0]
 
 
 def test_negative_depth_is_refused():
     spec, config, active = next(_cases())
     with pytest.raises(ValueError, match="negative depth"):
-        _Search(spec, active, None, True).run(config, -1)
+        _Search(spec, active, None).run(config, -1)
+
+
+def test_solo_closure_matches_the_reference_search():
+    # the closure's least run, found with no depth cap, is the run the
+    # reference finds at the least depth at which it proves; at every depth
+    # the closure proves exactly where the reference does, by that run, and
+    # refutes wherever the reference does; where the reference only hits its
+    # depth bound and the closure refutes, the oracle confirms it
+    outcomes = {"proven": 0, "unknown": 0, "refuted": 0, "sharpened": 0}
+    for spec, config, active in _cases():
+        for unit in active:
+            exact = None
+            for target in (0, 1, None):
+                def reference(depth):
+                    return ReferenceSearch(spec, [unit], target, False, m=None).run(config, depth)
+
+                least, _ = _solo_run(spec, config, unit, target, 10 ** 9)
+                if least is not None:
+                    k = len(least.moves)
+                    assert target in (None, least.decision)
+                    assert reference(k)[0] == least.moves and reference(k - 1)[0] is None, \
+                        (spec.name, config, unit, target)
+                for depth in DEPTHS:
+                    moves, cut = reference(depth)
+                    got = _solo_run(spec, config, unit, target, depth)
+                    where = (spec.name, config, unit, target, depth)
+                    if moves is not None:
+                        assert got == (least, False), where
+                        outcomes["proven"] += 1
+                    elif not cut:
+                        assert got == (None, False), where
+                        outcomes["refuted"] += 1
+                    elif got[1]:
+                        assert got[0] is None and len(least.moves) > depth, where
+                        outcomes["unknown"] += 1
+                    else:
+                        assert got == (None, False), where
+                        exact = exact or oracle_valency(spec, config, [unit], "solo")
+                        assert not any(exact[d] for d in (0, 1) if target in (None, d)), where
+                        outcomes["sharpened"] += 1
+                    if target is None and got[1]:
+                        with pytest.raises(Inconclusive):
+                            solo_terminating(spec, config, unit, depth)
+                    elif target is None:
+                        assert solo_terminating(spec, config, unit, depth) == got[0], where
+    assert all(outcomes.values()), outcomes
 
 
 def _replay(spec, config, moves):
@@ -228,44 +274,58 @@ def _replay(spec, config, moves):
 
 
 def test_solo_terminating_is_the_least_of_both_reference_decisions():
+    # for each decision, the reference's run at the least depth at which it
+    # proves; solo_terminating must return the shorter of the two, the first
+    # in action order on a tie, with its steps
     outcomes = {"found": 0, "cutoff": 0, "refuted": 0}
     for spec, config, active in _cases():
         for unit in active:
+            searches = [ReferenceSearch(spec, [unit], d, False, m=None) for d in (0, 1)]
+            first = [next(((k, moves) for k in range(max(DEPTHS) + 1)
+                           for moves in [search.run(config, k)[0]] if moves is not None),
+                          None) for search in searches]
             for depth in DEPTHS:
-                runs = [ReferenceSearch(spec, [unit], d, False, m=None).run(config, depth)
-                        for d in (0, 1)]
-                found = [moves for moves, _ in runs if moves is not None]
+                found = [moves for hit in first if hit is not None and hit[0] <= depth
+                         for moves in [hit[1]]]
+                where = (spec.name, config, unit, depth)
                 if not found:
-                    if any(cut for _, cut in runs):
-                        with pytest.raises(Inconclusive):
-                            solo_terminating(spec, config, unit, depth)
-                        outcomes["cutoff"] += 1
+                    if any(search.run(config, depth)[1] for search in searches):
+                        try:
+                            got = solo_terminating(spec, config, unit, depth)
+                        except Inconclusive:
+                            outcomes["cutoff"] += 1
+                            continue
+                        # refuted past the reference's depth bound: only if
+                        # no solo run returns at all
+                        assert got is None, where
+                        assert not any(oracle_valency(spec, config, [unit], "solo")[d]
+                                       for d in (0, 1)), where
                     else:
-                        assert solo_terminating(spec, config, unit, depth) is None
-                        outcomes["refuted"] += 1
+                        assert solo_terminating(spec, config, unit, depth) is None, where
+                    outcomes["refuted"] += 1
                     continue
-                least = min(found, key=lambda moves: _replay(spec, config, moves)[0])
+                least = min(found, key=lambda moves: (len(moves), _replay(spec, config, moves)[0]))
                 got = solo_terminating(spec, config, unit, depth)
-                assert (got.moves, got.steps) == (least, _replay(spec, config, least)[1]), \
-                    (spec.name, config, unit, depth)
+                assert (got.moves, got.steps) == (least, _replay(spec, config, least)[1]), where
                 outcomes["found"] += 1
     assert all(outcomes.values()), outcomes
 
 
 def test_solo_memo_answers_as_a_fresh_search():
-    # every unit is queried once to fill the memo and once more to read it;
-    # both answers must be the fresh search's witness and cutoff flag
+    # every unit is queried once to fill the memos and once more to read
+    # them; both answers must be those of the same spec with empty memos
     hits = 0
     for spec, config, active in _cases():
         queries = [(unit, target, depth) for unit in active
                    for target in (0, 1, None) for depth in DEPTHS]
         for _ in range(2):
             for unit, target, depth in queries:
-                key = (config.proc(unit[0]).state, config.registers, target, depth)
+                key = (spec.tables.ids[config.proc(unit[0]).state], config.registers)
                 hits += key in spec.memos["solo"]
-                moves, cut = _Search(spec, [unit], target, coverage=False).run(config, depth)
-                want = None if moves is None else _witness(spec, config, moves, [unit], "solo")
-                assert _solo_run(spec, config, unit, target, depth) == (want, cut), \
+                fresh = dataclasses.replace(spec)
+                assert not fresh.memos["solo"] and not fresh.memos["solo-run"]
+                want = _solo_run(fresh, config, unit, target, depth)
+                assert _solo_run(spec, config, unit, target, depth) == want, \
                     (spec.name, config, unit, target, depth)
     assert hits
 

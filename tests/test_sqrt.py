@@ -42,11 +42,13 @@ def test_base_validity_violation():
 
 
 def test_base_solo_termination_violation():
+    # no solo run returns at all, so no depth bound, not even 0, hides it
     spin = zoo.get_zoo("spin-reader")
-    out = sqrt_base(spin, depth=32)
-    assert isinstance(out, ViolationReport) and out.kind == "solo-termination"
-    ok, detail = replay_violation(out)
-    assert ok, detail
+    for depth in (32, 0):
+        out = sqrt_base(spin, depth=depth)
+        assert isinstance(out, ViolationReport) and out.kind == "solo-termination"
+        ok, detail = replay_violation(out)
+        assert ok, detail
 
 
 def test_step_on_trivial_decider_reports_confined_witness(trivial):

@@ -109,8 +109,9 @@ def test_replay_rejects_stepless_sections_stray_records_and_bad_stuck_pids(race3
 def _single_field_edits(records):
     """(field, file) for files that differ from `records` in one field of one
     record: the first record of each kind and every step of the first
-    witness, with each field set to each of a few mistyped or out-of-range
-    values; each of those steps also gets another process's pid."""
+    witness, with each field deleted or set to each of a few mistyped or
+    out-of-range values; each of those steps also gets another process's
+    pid."""
     firsts = {}
     for i, rec in enumerate(records):
         firsts.setdefault(rec["record"], i)
@@ -125,24 +126,27 @@ def _single_field_edits(records):
                  for value in (None, -1, 99, "x", [])]
         if records[i]["record"] == "step":
             edits.append(("pid", (records[i]["pid"] + 1) % pids))
-        for field, value in edits:
-            edited = list(records)
-            edited[i] = dict(records[i], **{field: value})
+        variants = [(field, dict(records[i], **{field: value})) for field, value in edits]
+        variants += [(field, {k: v for k, v in records[i].items() if k != field})
+                     for field in records[i]]
+        for field, changed in variants:
+            edited = records[:i] + [changed] + records[i + 1:]
             yield field, "".join(json.dumps(rec) + "\n" for rec in edited)
 
 
 def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch, capsys):
-    # a certificate, a linear certificate with a closing block write, and an
-    # agreement report: every edit replays as confirmed or as a replay error,
-    # or, for an algorithm text that does not parse, as an error.  Building
-    # the argument parser costs as much as replaying a small file, so every
-    # call shares one.
+    # a certificate, a linear certificate with a closing block write, an
+    # agreement report and an inconclusive file: every edit, a deleted field
+    # included, replays as confirmed or as a replay error, or, for an
+    # algorithm text that does not parse, as an error.  Building the argument
+    # parser costs as much as replaying a small file, so every call shares one.
     monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
     emitted = tmp_path / "emitted.jsonl"
     edited = tmp_path / "edited.jsonl"
     for args, code in ((["attack", "sqrt", "zoo:of-race-3", "--target-r", "1"], 0),
                        (["attack", "linear", "zoo:claim-commit", "--m", "2"], 0),
-                       (["check", "zoo:of-race-3", "--inputs", "011"], 2)):
+                       (["check", "zoo:of-race-3", "--inputs", "011"], 2),
+                       (["attack", "linear", "zoo:of-race-3", "--m", "1"], 3)):
         assert cli.main([*args, "--out", str(emitted)]) == code
         records = [json.loads(line) for line in emitted.read_text().splitlines()]
         capsys.readouterr()

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from regforce import valency as valency_module
 from regforce import zoo
 from regforce.execution import Execution
 from regforce.model import EngineError, Return, Write, enabled_actions, initial_configuration
 from regforce.reports import Inconclusive
 from regforce.valency import (
-    _Search,
     compose_prefix,
     construct_reserving,
     disjoint_witnesses,
@@ -58,18 +58,19 @@ def test_negative_m_is_refused(race3):
 
 def test_solo_valency_searches_once_per_state(race3, monkeypatch):
     # three units in one state: target 0 is proven by the first unit, target
-    # 1 is refuted for each of them, yet each target is searched only once
-    searched = []
-    run = _Search.run
+    # 1 is refuted for each of them, yet their solo graph is closed only once,
+    # by the first query, and read from the memo by the other three
+    misses = []
+    closure = valency_module._solo_distances
 
-    def counting(self, config, depth):
-        searched.append(self.target)
-        return run(self, config, depth)
+    def counting(spec, sid, regs):
+        misses.append((sid, regs) not in spec.memos["solo"])
+        return closure(spec, sid, regs)
 
-    monkeypatch.setattr(_Search, "run", counting)
+    monkeypatch.setattr(valency_module, "_solo_distances", counting)
     report = valency(race3, initial_configuration(race3, [0, 0, 0]), [0, 1, 2], None, 64, "solo")
     assert report.classify() == "0-univalent"
-    assert searched == [0, 1]
+    assert misses == [True, False, False, False]
 
 
 def test_of_race_solo_decision_equals_own_input(race3):
