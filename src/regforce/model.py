@@ -173,13 +173,6 @@ def initial_configuration(spec: AlgorithmSpec, inputs: Sequence[int]) -> Configu
     return Configuration(registers=(BOTTOM,) * spec.register_count, procs=tuple(procs))
 
 
-def enabled_actions(spec: AlgorithmSpec, config: Configuration, pid: int) -> tuple:
-    p = config.proc(pid)
-    if not p.active:
-        return ()
-    return spec.actions(p.state)
-
-
 def step_in_place(spec: AlgorithmSpec, registers: list, procs: list, pid: int, action: Action):
     """The step semantics: apply one enabled action of `pid` to the register
     contents and processes of a configuration, given as two lists that are
@@ -208,15 +201,12 @@ def step_with_outcome(spec: AlgorithmSpec, config: Configuration, pid: int, acti
     return Configuration(tuple(registers), tuple(procs)), outcome
 
 
-def proc_key(p: Proc) -> tuple:
-    # status encoded so Active sorts apart from Returned(b)
-    return (p.input, p.state, -1 if p.decided is None else p.decided)
-
-
 def canonicalize(config: Configuration) -> tuple:
     """Pid-permutation-invariant form: register contents plus the multiset of
-    (input, state, status) classes."""
-    return (config.registers, tuple(sorted(proc_key(p) for p in config.procs)))
+    (input, state, status) classes, status -1 while active so an active
+    process sorts apart from one that returned."""
+    return (config.registers, tuple(sorted(
+        (p.input, p.state, -1 if p.decided is None else p.decided) for p in config.procs)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,7 @@ def sqrt_base(spec, depth: int) -> Union[SqrtLevel, ViolationReport]:
     witnesses = {}
     for pid, want in ((0, 0), (1, 1)):
         res = solo_search(spec, exec_.final, pid, depth)
-        side = res.zero if want == 0 else res.one
-        other = res.one if want == 0 else res.zero
+        side, other = res.side(want), res.side(1 - want)
         if side.proven:
             witnesses[want] = side.witness
             continue
@@ -246,7 +245,7 @@ def _switching_point(level, classes, cls_final, b_seq, wp, depth):
             )
         last_exec, _ = classes[-1]
         res = solo_search(spec, last_exec.final, p, depth)
-        if res.cutoff:
+        if res.classify() == "unknown":
             raise Inconclusive("terminating solo run search for the flip hit depth")
         if not (res.zero.proven or res.one.proven):
             return ViolationReport(

@@ -35,9 +35,14 @@ and a revisit with no larger budget is pruned.  A pair is checked in sync
 once, at the root.  It cannot diverge afterwards: the clone repeats the
 leader's action on the register contents the leader left, so a read sees the
 value the leader saw and a write stores the value the leader stored, and
-both land in the same state.  The coverage test matches the written
-registers to the units' cover bitmasks and is memoised on (sorted masks,
-written).
+both land in the same state.
+
+Coverage has one rule.  A unit's cover mask is the spec's bitmask of the
+registers its state has a write to (`_cover_masks`), 0 once it has returned,
+and the written registers are covered when `_match` gives each its own mask
+covering it.  The search memoises that test on (sorted masks, written);
+`reserving_replay` checks a recorded run by it, refreshing only the mask of
+the unit that moved; `covered_injectively` reads the assignment off it.
 
 The reserving search also prunes by symmetry.  Units are anonymous: a unit's
 moves (its table row) and its cover mask depend only on its state, and a
@@ -179,35 +184,51 @@ def _apply_move(spec: AlgorithmSpec, config: Configuration, unit: Unit, action):
     return config, steps
 
 
-def unit_covers(spec: AlgorithmSpec, config: Configuration, unit: Unit, reg: int) -> bool:
-    state, decided = unit_state(config, unit)
-    if decided is not None:
+def _cover_masks(spec: AlgorithmSpec, config: Configuration, units) -> list:
+    """Each unit's cover bitmask (bit r set when it is poised on a write to
+    r), 0 once it has returned; raises when a pair's members are out of sync."""
+    tables = spec.tables
+    masks = []
+    for unit in units:
+        state, decided = unit_state(config, unit)
+        masks.append(0 if decided is not None else tables.covers[tables.ids[state]])
+    return masks
+
+
+def _match(masks, written) -> Optional[list]:
+    """The register bit each mask serves (0 for none) in an assignment giving
+    every register bit of `written` its own mask covering it, or None when
+    there is none.  Simple augmenting-path matching, registers in increasing
+    order and masks in list order; both sides stay tiny here."""
+    owner = [0] * len(masks)
+
+    def augment(bit, seen):
+        for j, mask in enumerate(masks):
+            if mask & bit and j not in seen:
+                seen.add(j)
+                if not owner[j] or augment(owner[j], seen):
+                    owner[j] = bit
+                    return True
         return False
-    return any(isinstance(a, Write) and a.reg == reg for a in spec.actions(state))
+
+    while written:
+        bit = written & -written
+        written ^= bit
+        if not augment(bit, set()):
+            return None
+    return owner
 
 
 def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs) -> Optional[dict]:
-    """Injective assignment register -> covering unit, or None.
-
-    Simple augmenting-path matching; both sides stay tiny here.
-    """
-    regs = sorted(regs)
-    match: dict = {}
-
-    def augment(reg, seen):
-        for unit in units:
-            if unit in seen or not unit_covers(spec, config, unit, reg):
-                continue
-            seen.add(unit)
-            if unit not in match or augment(match[unit], seen):
-                match[unit] = reg
-                return True
-        return False
-
+    """Injective assignment register -> covering unit, or None."""
+    units = list(units)
+    written = 0
     for reg in regs:
-        if not augment(reg, set()):
-            return None
-    return {reg: unit for unit, reg in match.items()}
+        written |= 1 << reg
+    owner = _match(_cover_masks(spec, config, units), written)
+    if owner is None:
+        return None
+    return dict(sorted((bit.bit_length() - 1, unit) for unit, bit in zip(units, owner) if bit))
 
 
 class _Search:
@@ -245,7 +266,7 @@ class _Search:
         key = (tuple(sorted(masks)), written)
         hit = self.matchable.get(key)
         if hit is None:
-            hit = self.matchable[key] = _matchable(masks, written)
+            hit = self.matchable[key] = _match(masks, written) is not None
         return hit
 
     def _dfs(self, states, regs, written, budget) -> Optional[list]:
@@ -294,28 +315,6 @@ class _Search:
                 states[i] = s
         failed[cls] = budget
         return None
-
-
-def _matchable(masks, written) -> bool:
-    """Whether every register bit of `written` can get its own mask covering
-    it (augmenting paths, as in `covered_injectively`)."""
-    owner = [0] * len(masks)  # mask index -> register bit it serves, 0 if free
-
-    def augment(bit, seen):
-        for j, mask in enumerate(masks):
-            if mask & bit and j not in seen:
-                seen.add(j)
-                if not owner[j] or augment(owner[j], seen):
-                    owner[j] = bit
-                    return True
-        return False
-
-    while written:
-        bit = written & -written
-        written ^= bit
-        if not augment(bit, set()):
-            return False
-    return True
 
 
 def materialize(spec: AlgorithmSpec, config: Configuration, moves) -> tuple:
@@ -464,17 +463,9 @@ def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
     return _witness(spec, config, [(unit, a) for a in actions], [unit], "solo"), False
 
 
-@dataclass(frozen=True)
-class SoloResult:
-    zero: Tri
-    one: Tri
-    cutoff: bool
-
-
-def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> SoloResult:
+def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> ValencyReport:
     """All decisions reachable by terminating solo runs of one unit."""
-    (w0, cut0), (w1, cut1) = (_solo_run(spec, config, _as_unit(unit), d, depth) for d in (0, 1))
-    return SoloResult(_tri(w0, cut0), _tri(w1, cut1), cut0 or cut1)
+    return _valency_uncached(spec, config, (_as_unit(unit),), None, depth, "solo")
 
 
 def solo_terminating(spec, config, unit, depth: int) -> Optional[Witness]:
@@ -514,27 +505,37 @@ def reserving_replay(spec, config, units, steps, m, first: int = 0) -> tuple:
     (so errors name the step index counted from `first`), and check on the
     way that they are a reserving interval of at least m+1 `units`: whole
     unit moves, a return only as the last, and after each move the written
-    registers covered injectively by the units.  Returns (the configuration
+    registers matched to the units' cover masks, as in the reserving search.
+    Pairs are checked in sync once, at the root (see the module docstring);
+    a move changes only its own unit's mask.  Returns (the configuration
     after the last step, whether they are)."""
     units = sorted(_as_unit(u) for u in units)
     steps = tuple(steps)
+    masks = _cover_masks(spec, config, units)
     moves = group_moves(units, steps) if len(units) >= m + 1 else None
     reserving = moves is not None
     registers, procs = list(config.registers), list(config.procs)
     replayed = replay_steps(spec, registers, procs, steps, first)
-    written = set()
+    tables = spec.tables
+    index = {unit: j for j, unit in enumerate(units)}
+    written = 0
     for i, (unit, action) in enumerate(moves or ()):
         if isinstance(action, Return) and i != len(moves) - 1:
             reserving = False
             break
         for _ in unit:
             next(replayed)
-        if isinstance(action, Write):
-            written.add(action.reg)
-        cfg = Configuration(tuple(registers), tuple(procs))
-        if covered_injectively(spec, cfg, units, written) is None:
+        j, p = index[unit], procs[unit[0]]
+        lost = masks[j]
+        masks[j] = 0 if p.decided is not None else tables.covers[tables.ids[p.state]]
+        lost &= ~masks[j]
+        grown = written | 1 << action.reg if isinstance(action, Write) else written
+        # as in the search, a move that writes no new register and uncovers
+        # no written one keeps the match
+        if (grown != written or lost & written) and _match(masks, grown) is None:
             reserving = False
             break
+        written = grown
     for _ in replayed:
         pass
     return Configuration(tuple(registers), tuple(procs)), reserving
@@ -769,7 +770,7 @@ def compose_prefix(spec, config, write_unit, write_action, coverer, inner: Witne
         raise ValueError("leading step must be a write")
     if write_unit in inner.members or coverer in inner.members or write_unit == coverer:
         raise ValueError("prefix units must be outside the inner witness set")
-    if not unit_covers(spec, config, coverer, write_action.reg):
+    if not _cover_masks(spec, config, [coverer])[0] >> write_action.reg & 1:
         raise ValueError(f"unit {coverer} does not cover r{write_action.reg}")
     members = sorted(inner.members + (write_unit, coverer))
     moves = ((write_unit, write_action),) + inner.moves

@@ -4,7 +4,7 @@ import pytest
 
 from regforce import zoo
 from regforce.execution import Execution
-from regforce.model import Write, enabled_actions, initial_configuration
+from regforce.model import Write, initial_configuration
 
 # no zoo state can both write and return, or holds more than one action; here
 # a returning unit may be the only one covering a written register, and every
@@ -58,6 +58,14 @@ def write_loop(k: int, tail: str) -> str:
 RETURN_HERE = "state A: return 0"
 RETURN_AFTER_READ = "state A: read r0 ? { 1 -> R ; * -> A }\nstate R: return 0"
 NO_RETURN = ""
+
+
+def enabled_actions(spec, config, pid: int) -> tuple:
+    """The actions `pid` may take next: its state's, none once it returned."""
+    p = config.proc(pid)
+    if not p.active:
+        return ()
+    return spec.actions(p.state)
 
 
 @pytest.fixture

@@ -14,9 +14,10 @@ from collections import deque
 from typing import Optional
 
 from regforce.execution import Step
-from regforce.model import canonicalize, enabled_actions, initial_configuration, step_with_outcome
+from regforce.model import canonicalize, initial_configuration, step_with_outcome
 from regforce.oracle import OracleVerdict
 
+from conftest import enabled_actions
 from reference_search import ReferenceSearch
 
 

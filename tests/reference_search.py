@@ -2,8 +2,12 @@
 
 The same search as `valency._Search`, but every edge builds the successor
 `Configuration` through the model's step semantics and re-runs the coverage
-matching (`covered_injectively`) from scratch.  It is slow; the tests compare
-the integer-table kernel against it.
+matching from scratch.  That matching (`reference_cover`) is its own: it reads
+each unit's coverage off `spec.actions` of its state on the `Configuration`,
+not off the spec's cover masks, so the reference never checks the kernel's
+matcher (`valency._match`) against itself.  It is slow; the tests compare the
+integer-table kernel, `valency.covered_injectively` and
+`valency.reserving_replay` against it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,37 @@ from __future__ import annotations
 from typing import Optional
 
 from regforce.model import Configuration, Return, Write
-from regforce.valency import _apply_move, covered_injectively, unit_active, unit_state
+from regforce.valency import _apply_move, unit_active, unit_state
+
+
+def unit_covers(spec, config: Configuration, unit, reg: int) -> bool:
+    """Whether `unit` is active and has a write to `reg` among its actions."""
+    state, decided = unit_state(config, unit)
+    if decided is not None:
+        return False
+    return any(isinstance(a, Write) and a.reg == reg for a in spec.actions(state))
+
+
+def reference_cover(spec, config: Configuration, units, regs) -> Optional[dict]:
+    """Injective assignment register -> covering unit, or None, by simple
+    augmenting paths over registers in increasing order and units in list
+    order."""
+    match: dict = {}
+
+    def augment(reg, seen):
+        for unit in units:
+            if unit in seen or not unit_covers(spec, config, unit, reg):
+                continue
+            seen.add(unit)
+            if unit not in match or augment(match[unit], seen):
+                match[unit] = reg
+                return True
+        return False
+
+    for reg in sorted(regs):
+        if not augment(reg, set()):
+            return None
+    return {reg: unit for unit, reg in match.items()}
 
 
 class ReferenceSearch:
@@ -60,7 +94,7 @@ class ReferenceSearch:
                     if self.target is not None and action.decision != self.target:
                         continue
                     cfg2, _ = _apply_move(self.spec, config, unit, action)
-                    if self.coverage and covered_injectively(
+                    if self.coverage and reference_cover(
                             self.spec, cfg2, self.units, written) is None:
                         continue
                     self.found = tuple(path + [(unit, action)])
@@ -69,7 +103,7 @@ class ReferenceSearch:
                 written2 = written
                 if isinstance(action, Write):
                     written2 = written | {action.reg}
-                if self.coverage and covered_injectively(
+                if self.coverage and reference_cover(
                         self.spec, cfg2, self.units, written2) is None:
                     continue
                 path.append((unit, action))

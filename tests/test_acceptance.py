@@ -18,7 +18,6 @@ from regforce.linear_attack import linear_run, verify_properties
 from regforce.model import (
     Write,
     canonicalize,
-    enabled_actions,
     initial_configuration,
     load_algorithm,
     step_with_outcome,
@@ -29,7 +28,7 @@ from regforce.reports import LinearChainCertificate, ViolationReport
 from regforce.sqrt_attack import sqrt_run
 from regforce.valency import construct_reserving, is_reserving, valency
 
-from conftest import block_write
+from conftest import block_write, enabled_actions
 from reference_valency import oracle_valency
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -18,7 +18,6 @@ from regforce.model import (
     Return,
     Write,
     canonicalize,
-    enabled_actions,
     initial_configuration,
     load_algorithm,
     step_with_outcome,
@@ -26,7 +25,7 @@ from regforce.model import (
 from regforce.linear_attack import linear_run
 from regforce.sqrt_attack import sqrt_run
 from regforce.traceio import _dump, _step_record, execution_lines
-from conftest import block_write, random_execution
+from conftest import block_write, enabled_actions, random_execution
 
 
 def start(spec, inputs):

@@ -4,7 +4,7 @@ import pytest
 
 from regforce import zoo
 from regforce.execution import Execution
-from regforce.model import Write, enabled_actions, initial_configuration
+from regforce.model import Write, initial_configuration
 from regforce.oracle import replay_violation
 from regforce.pairs import members, pair_of, pair_step, split_pair, splits, unite_pair
 from regforce.reports import Inconclusive, LinearChainCertificate, ViolationReport
@@ -30,6 +30,8 @@ from regforce.linear_attack import (
 )
 from regforce.model import ContradictionError
 from regforce.valency import Tri, ValencyReport, is_reserving
+
+from conftest import enabled_actions
 
 
 def test_base_level_counts_m1(flag):

@@ -10,12 +10,13 @@ from regforce.model import (
     SpecError,
     Write,
     canonicalize,
-    enabled_actions,
     format_algorithm,
     initial_configuration,
     load_algorithm,
     step_with_outcome,
 )
+
+from conftest import enabled_actions
 
 TRIVIAL = zoo.TRIVIAL_DECIDER
 

@@ -6,7 +6,6 @@ from regforce.model import (
     Return,
     Write,
     canonicalize,
-    enabled_actions,
     initial_configuration,
 )
 from regforce.pairs import (
@@ -18,6 +17,8 @@ from regforce.pairs import (
     splits,
     unite_pair,
 )
+
+from conftest import enabled_actions
 
 
 def paired_start(spec, inputs_per_pair):

@@ -20,6 +20,9 @@ refutation where the reference only hits its depth bound.  `solo_terminating`
 must return the shorter of the reference's least runs for the two decisions,
 a solo run served by the spec's solo memos must equal the answer of the same
 spec with empty memos, and it is bound to the queried unit.
+The cover-mask matcher must agree with a brute-force search, and
+`covered_injectively` and `is_reserving`, which run on it, with the
+reference's own matcher on `Configuration`s.
 """
 
 import dataclasses
@@ -30,20 +33,22 @@ import zlib
 import pytest
 
 from regforce import zoo
-from regforce.model import Configuration, Proc, initial_configuration, load_algorithm
+from regforce.model import Configuration, Proc, Return, Write, initial_configuration, load_algorithm
 from regforce.reports import Inconclusive
 from regforce.valency import (
     _Search,
     _apply_move,
-    _matchable,
+    _match,
     _solo_run,
+    covered_injectively,
+    is_reserving,
     solo_terminating,
     unit_active,
     unit_state,
 )
 
 from conftest import WRITE_OR_RETURN
-from reference_search import ReferenceSearch
+from reference_search import ReferenceSearch, reference_cover
 from reference_valency import oracle_valency
 
 # unit layouts: (inputs, units); pairs start in sync and move in lockstep
@@ -359,4 +364,80 @@ def test_matchable_agrees_with_brute_force():
                 regs = [r for r in range(3) if written >> r & 1]
                 want = any(all(masks[j] >> r & 1 for r, j in zip(regs, chosen))
                            for chosen in itertools.permutations(range(n), len(regs)))
-                assert _matchable(list(masks), written) == want, (masks, written)
+                owner = _match(list(masks), written)
+                assert (owner is not None) == want, (masks, written)
+                if owner is not None:
+                    # each register bit of `written` has its own covering mask
+                    served = [bit for bit in owner if bit]
+                    assert sorted(served) == [1 << r for r in regs], (masks, written, owner)
+                    assert all(mask & bit for mask, bit in zip(masks, owner) if bit)
+
+
+def _layout_units(config):
+    """Every unit of the layout `config` was made from, returned ones too."""
+    return next(units for inputs, units in LAYOUTS.values() if len(inputs) == len(config.procs))
+
+
+def test_covered_injectively_matches_the_reference_matcher():
+    # every subset of the units, returned ones too, and every register set
+    outcomes = {"covered": 0, "uncovered": 0}
+    for spec, config, _ in _cases():
+        all_regs = range(spec.register_count)
+        every = _layout_units(config)
+        for n in range(len(every) + 1):
+            for units in itertools.combinations(every, n):
+                for k in range(len(all_regs) + 1):
+                    for regs in itertools.combinations(all_regs, k):
+                        want = reference_cover(spec, config, units, regs)
+                        got = covered_injectively(spec, config, units, regs)
+                        assert got == want, (spec.name, config, units, regs)
+                        outcomes["covered" if got is not None else "uncovered"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def _reference_reserving(spec, config, units, moves, m) -> str:
+    """Why `moves` are or are not a reserving interval of at least m+1
+    `units`, each prefix checked on `Configuration`s by the reference's
+    matcher."""
+    if len(units) < m + 1:
+        return "too-few"
+    written = set()
+    for i, (unit, action) in enumerate(moves):
+        if unit not in units:
+            return "outsider"
+        if isinstance(action, Return) and i != len(moves) - 1:
+            return "mid-return"
+        config, _ = _apply_move(spec, config, unit, action)
+        if isinstance(action, Write):
+            written.add(action.reg)
+        if reference_cover(spec, config, units, written) is None:
+            return "uncovered"
+    return "reserving"
+
+
+def test_is_reserving_matches_the_reference_predicate():
+    # random moves of the active units, checked for a random subset of the
+    # units, returned ones too (so some moves are an outsider's), and a
+    # random m, reserving or not
+    outcomes = dict.fromkeys(("reserving", "too-few", "outsider", "mid-return", "uncovered"), 0)
+    for spec, config, active in _cases():
+        rng = random.Random(zlib.crc32(f"is-reserving/{spec.name}/{config}".encode()))
+        every = _layout_units(config)
+        for _ in range(12):
+            units = sorted(rng.sample(every, rng.randrange(1, len(every) + 1)))
+            m = rng.randrange(0, len(units) + 1)
+            cfg, moves, steps = config, [], []
+            for _ in range(rng.randrange(0, 10)):
+                live = [u for u in active if unit_active(cfg, u)]
+                if not live:
+                    break
+                unit = rng.choice(live)
+                action = rng.choice(spec.actions(unit_state(cfg, unit)[0]))
+                cfg, s = _apply_move(spec, cfg, unit, action)
+                moves.append((unit, action))
+                steps.extend(s)
+            want = _reference_reserving(spec, config, units, moves, m)
+            assert is_reserving(spec, config, units, steps, m) == (want == "reserving"), \
+                (spec.name, config, units, moves, m, want)
+            outcomes[want] += 1
+    assert all(outcomes.values()), outcomes

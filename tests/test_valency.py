@@ -5,11 +5,12 @@ import pytest
 from regforce import valency as valency_module
 from regforce import zoo
 from regforce.execution import Execution
-from regforce.model import EngineError, Return, Write, enabled_actions, initial_configuration
+from regforce.model import EngineError, Return, Write, initial_configuration, load_algorithm
 from regforce.reports import Inconclusive
 from regforce.valency import (
     compose_prefix,
     construct_reserving,
+    covered_injectively,
     disjoint_witnesses,
     is_reserving,
     reserving_search,
@@ -17,7 +18,7 @@ from regforce.valency import (
     solo_terminating,
     valency,
 )
-from conftest import random_execution
+from conftest import WRITE_OR_RETURN, enabled_actions, random_execution
 from reference_valency import oracle_valency
 
 
@@ -34,7 +35,7 @@ def test_solo_search_spin_reader_refutes_both_without_cutoff():
     config = initial_configuration(spin, [0, 1])
     res = solo_search(spin, config, 0, depth=50)
     assert res.zero.refuted and res.one.refuted
-    assert not res.cutoff and solo_terminating(spin, config, 0, 50) is None
+    assert res.classify() == "degenerate" and solo_terminating(spin, config, 0, 50) is None
 
 
 def test_reserving_search_rejects_out_of_sync_and_overlapping_units(race3):
@@ -126,6 +127,31 @@ def test_is_reserving_rejects_mid_trace_return(trivial):
     exec_ = exec_.extend(1, Return(0))
     assert not is_reserving(trivial, config, [(0,), (1,)], exec_.steps, m=0)
     assert is_reserving(trivial, config, [(0,), (1,)], exec_.steps[:1], m=0)
+
+
+def test_is_reserving_sees_a_return_uncover_a_register():
+    # pid 0 writes r0 := 2 while pid 1, in B, covers r0; then pid 1 returns,
+    # and pid 0, in C, covers only r1, so r0 is left uncovered
+    spec = load_algorithm(WRITE_OR_RETURN)
+    config = initial_configuration(spec, [1, 1])
+    exec_ = Execution.start(spec, config).extend(0, Write(0, "2", "C")).extend(1, Return(1))
+    units = [(0,), (1,)]
+    assert is_reserving(spec, config, units, exec_.steps[:1], m=1)
+    assert not is_reserving(spec, config, units, exec_.steps, m=1)
+
+
+def test_out_of_sync_pair_is_refused_even_without_a_write(race3):
+    root = initial_configuration(race3, [0, 0, 1])
+    # the leader of the pair (0, 1) reads alone, so the pair sits in two states
+    exec_ = Execution.start(race3, root).extend(0, enabled_actions(race3, root, 0)[0])
+    config = exec_.final
+    read = exec_.extend(2, enabled_actions(race3, config, 2)[0]).steps[-1:]
+    units = [(0, 1), (2,)]
+    for steps in ((), read):
+        with pytest.raises(EngineError, match="out of sync"):
+            is_reserving(race3, config, units, steps, m=1)
+    with pytest.raises(EngineError, match="out of sync"):
+        covered_injectively(race3, config, units, ())
 
 
 def test_reserving_prefix_closure(flag):
