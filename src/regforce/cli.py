@@ -62,7 +62,7 @@ def _emit(lines, out_path):
     if out_path:
         traceio.write_lines(out_path, lines)
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        traceio.stream_lines(sys.stdout, lines)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
             code = _cmd_replay(args)
         else:
             code = _cmd_zoo(args)
-    except (SpecError, FileNotFoundError, KeyError, UsageError) as e:
+    except (SpecError, OSError, UnicodeDecodeError, KeyError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = USAGE
     except traceio.ReplayError as e:

@@ -7,8 +7,11 @@ kernel (`model.step_in_place`) over one list of register contents and one of
 processes.  `Execution.extend_steps` is that loop, building a single
 `Configuration` at the end, and `from_steps` is it run from the initial
 configuration; `extend` takes one step through `model.step_with_outcome`,
-the kernel's one-step wrapper.  So every disabled action or diverging read
-surfaces as an `EngineError` naming the absolute step index.  Each surgery
+the kernel's one-step wrapper.  `prefix_configurations` is the same loop
+keeping the configuration after every prefix and no steps, for a caller
+that queries many prefixes of one step list but keeps few of them as
+executions.  So every disabled action or diverging read surfaces as an
+`EngineError` naming the absolute step index.  Each surgery
 (inserting shadow steps, uniting a stale pair mid-trace) rebuilds the step
 list and is one full replay, which also checks that no process that gained
 no step can tell the difference - replay is the single source of truth.
@@ -123,6 +126,18 @@ def replay_steps(spec: AlgorithmSpec, registers: list, procs: list, steps: Itera
                                   f"recorded {step.outcome!r}")
             step = Step(step.pid, step.action, outcome)
         yield step
+
+
+def prefix_configurations(spec: AlgorithmSpec, config: Configuration, steps: Sequence[Step],
+                          first: int = 0) -> list:
+    """The configuration after each prefix of `steps` from `config`, the
+    empty prefix first: `steps` stepped once by `replay_steps`, which raises
+    its errors with indices counted from `first`."""
+    registers, procs = list(config.registers), list(config.procs)
+    out = [config]
+    for _ in replay_steps(spec, registers, procs, steps, first):
+        out.append(Configuration(tuple(registers), tuple(procs)))
+    return out
 
 
 def _replay_failed(i: int, error: ValueError) -> EngineError:

@@ -12,6 +12,7 @@ violation instead of an abort.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,6 +22,7 @@ from .execution import (
     Step,
     add_process,
     mirror_history,
+    prefix_configurations,
     restricted_replay,
 )
 from .reports import Inconclusive, SqrtChainCertificate, ViolationReport
@@ -183,49 +185,59 @@ def sqrt_step(level: SqrtLevel, depth: int) -> Union[SqrtLevel, ViolationReport]
     beta_pre, wq = beta.steps[:ib], beta.steps[ib]
 
     # candidates: E_r a' B_i w_p for prefixes B_i of (gamma b' w_q), then
-    # E_r a' B_len without w_p; first bivalent one becomes the next level
+    # E_r a' B_len without w_p; first bivalent one becomes the next level.
+    # b_seq is stepped once, all of it before the first query, keeping only
+    # each prefix's configuration; a candidate's Execution, base extended by
+    # B_i w_p, is built only for the next level or the switching point
     b_seq = gamma + list(beta_pre) + [Step(wq.pid, wq.action)]
     base = exec_.extend_steps(alpha_pre)
-    prefixes = [base]
-    for step in b_seq:
-        prefixes.append(prefixes[-1].extend_steps([step]))
+    first = len(base.steps)
+    configs = prefix_configurations(exec_.spec, base.final, b_seq, first)
+
+    def candidate(i):
+        return base.extend_steps(b_seq[:i] + [wp])
 
     classes = []
-    for i, prefix in enumerate(prefixes):
-        cand = prefix.extend(wp.pid, wp.action)
-        new, info = _next_level(level, cand, wp.action.reg, depth)
+    for i, config in enumerate(configs):
+        cand = prefix_configurations(exec_.spec, config, [wp], first + i)[-1]
+        new, info = _next_level(level, cand, functools.partial(candidate, i), wp.action.reg,
+                                depth)
         if new is not None:
             return new
         cls, report = info
         if cls in ("unknown", "degenerate"):
             raise Inconclusive(f"candidate {i}: valency {cls} at depth {depth}")
-        classes.append((cand, report))
+        classes.append((i, report))
 
-    new, info = _next_level(level, prefixes[-1], wq.action.reg, depth)
+    new, info = _next_level(level, configs[-1], functools.partial(base.extend_steps, b_seq),
+                            wq.action.reg, depth)
     if new is not None:
         return new
     cls_final, _ = info
     if cls_final in ("unknown", "degenerate"):
         raise Inconclusive(f"full-restore candidate: valency {cls_final}")
 
-    return _switching_point(level, classes, cls_final, b_seq, wp, depth)
+    return _switching_point(level, candidate, classes, cls_final, b_seq, wp, depth)
 
 
-def _next_level(level: SqrtLevel, exec_, reg: int, depth: int) -> tuple:
-    """(level r + 1 at exec_, which adds `reg` to R, or None; the valency
-    information) by whether exec_ ends bivalent with distinct witnesses."""
-    found, info = _distinct_bivalency(exec_.spec, exec_.final, depth)
+def _next_level(level: SqrtLevel, config, build, reg: int, depth: int) -> tuple:
+    """(level r + 1 at the execution `build()`, which ends in `config` and
+    adds `reg` to R, or None; the valency information) by whether `config`
+    is bivalent with distinct witnesses."""
+    found, info = _distinct_bivalency(level.exec.spec, config, depth)
     if found is None:
         return None, info
-    new = SqrtLevel(r=level.r + 1, exec=exec_, regs=tuple(sorted(set(level.regs) | {reg})),
+    new = SqrtLevel(r=level.r + 1, exec=build(), regs=tuple(sorted(set(level.regs) | {reg})),
                     w0=found[0], w1=found[1])
     check_level(new)
     return new, info
 
 
-def _switching_point(level, classes, cls_final, b_seq, wp, depth):
+def _switching_point(level, candidate, classes, cls_final, b_seq, wp, depth):
     """All candidates univalent: locate the adjacent flip and realize the
-    commuting contradiction as a pair of conflicting continuations."""
+    commuting contradiction as a pair of conflicting continuations.
+    `classes` holds (i, report) for candidate i, whose execution is
+    `candidate(i)`."""
     spec = level.exec.spec
     p = level.pid0
     labels = [report.classify() for _, report in classes]
@@ -243,7 +255,7 @@ def _switching_point(level, classes, cls_final, b_seq, wp, depth):
             raise ContradictionError(
                 f"restored candidate classified {cls_final}, expected 1-univalent"
             )
-        last_exec, _ = classes[-1]
+        last_exec = candidate(classes[-1][0])
         res = solo_search(spec, last_exec.final, p, depth)
         if res.classify() == "unknown":
             raise Inconclusive("terminating solo run search for the flip hit depth")
@@ -264,8 +276,8 @@ def _switching_point(level, classes, cls_final, b_seq, wp, depth):
             "flip step is invisible to the poised writer; differing univalencies "
             "contradict indistinguishability"
         )
-    x_exec, x_report = classes[flip]
-    y_exec, _ = classes[flip + 1]
+    x_exec, x_report = candidate(flip), classes[flip][1]
+    y_exec = candidate(flip + 1)
     swapped = x_exec.extend(o.pid, o.action)
     if swapped.final != y_exec.final:
         raise EngineError("write steps to distinct registers failed to commute")

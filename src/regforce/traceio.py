@@ -12,7 +12,10 @@ After the header a file is a run of sections: one non-step record (a
 violation, counter, level, witness, closing block write or inconclusive
 marker) and the step records that follow it.  Replay parses the file one
 section at a time, dispatches on the first record after the header, and
-steps every trace through `Execution.extend_steps`.
+steps every trace through `Execution.extend_steps`.  Both directions are
+line-streamed: the emitters return lists of lines, which `write_lines`
+writes out one at a time, and replay splits the file's text into lines
+lazily, so neither builds a second full-size copy of the file.
 
 A linear certificate's `pairs` (in the header and in each level) record the
 pair layout of its processes, [[0, 1], [2, 3], ...]: pair i is leader 2i and
@@ -263,8 +266,17 @@ def inconclusive_lines(spec: AlgorithmSpec, reason: str, depth: int) -> list:
 
 
 def write_lines(path: str, lines) -> None:
+    """Write the records to `path`, one line each, as `stream_lines` does."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        stream_lines(fh, lines)
+
+
+def stream_lines(fh, lines) -> None:
+    """Write the records to the text stream `fh` line by line, each ending in
+    a newline, without joining them into one string."""
+    for line in lines:
+        fh.write(line)
+        fh.write("\n")
 
 
 # -- replay -------------------------------------------------------------------
@@ -273,11 +285,26 @@ class ReplayError(Exception):
     pass
 
 
+def _lines(text: str):
+    r"""The lines of `text`, split on "\n" one at a time, as `splitlines`
+    would number them for a file of "\n" or "\r\n" line ends."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
+
+
 def _sections(text: str):
-    """Yield (record, its step records) for each section of a file, parsing
-    one section at a time; step records before the first record get None."""
+    r"""Yield (record, its step records) for each section of a file, parsing
+    one section at a time from lines read lazily, each stripped of the
+    whitespace around it (a "\r" of a "\r\n" line end too); blank lines
+    count in line numbers and are skipped.  Step records before the first
+    record get None."""
     meta, steps = None, []
-    for n, line in enumerate(text.splitlines(), start=1):
+    for n, line in enumerate(_lines(text), start=1):
         line = line.strip()
         if not line:
             continue

@@ -200,6 +200,14 @@ def test_parse_error_exits_one(tmp_path):
               ["valency", "zoo:of-race-3", "--mode", "reserving", "--m", "-1"]]
     cases += [["check", "zoo:of-race-3", "--max-states", "-1"]]
     cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
+    # input that cannot be read as text: a file that is not UTF-8, and a
+    # directory, each given as an algorithm, a file to replay and a trace
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes("algorithm caf\u00e9\n".encode("latin-1"))
+    for path in (str(latin1), str(tmp_path)):
+        cases += [["check", path], ["attack", "sqrt", path, "--target-r", "1"],
+                  ["attack", "linear", path, "--m", "1"], ["valency", path], ["replay", path],
+                  ["valency", "zoo:of-race-3", "--trace", path]]
     for args in cases:
         out = run_cli(*args)
         assert out.returncode == 1, args

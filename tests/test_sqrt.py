@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
-from regforce import zoo
-from regforce.execution import Execution
-from regforce.model import EngineError
+from regforce import sqrt_attack, zoo
+from regforce.execution import Execution, Step, add_process, mirror_history
+from regforce.model import EngineError, load_algorithm
 from regforce.oracle import replay_violation
 from regforce.reports import SqrtChainCertificate, ViolationReport
 from regforce.sqrt_attack import (
@@ -123,3 +125,107 @@ def test_deterministic_runs(race3):
     b = sqrt_run(race3, 2, depth=64)
     assert [l.exec.steps for l in a.levels] == [l.exec.steps for l in b.levels]
     assert [l.w0.steps for l in a.levels] == [l.w0.steps for l in b.levels]
+
+
+def test_sqrt_step_builds_a_constant_number_of_executions(monkeypatch):
+    # the candidate walk keeps one configuration per prefix of the interleaved
+    # steps; an Execution is built only for the clones' mirrored history, the
+    # base the candidates share, the candidate that becomes the next level,
+    # and the two witness replays of that level's check: five per level,
+    # however long the prefixes grow
+    counts = []
+    extend_steps, extend, step = Execution.extend_steps, Execution.extend, sqrt_step
+
+    def counted(method):
+        def wrapper(*args):
+            if counts:
+                counts[-1] += 1
+            return method(*args)
+        return wrapper
+
+    def counting_step(level, depth):
+        counts.append(0)
+        return step(level, depth)
+
+    monkeypatch.setattr(Execution, "extend_steps", counted(extend_steps))
+    monkeypatch.setattr(Execution, "extend", counted(extend))
+    monkeypatch.setattr(sqrt_attack, "sqrt_step", counting_step)
+    out = sqrt_run(load_algorithm(zoo.of_race(5)), 5, depth=64)
+    assert isinstance(out, SqrtChainCertificate) and out.levels[-1].r == 5
+    assert len(counts) == 5 and max(counts) <= 5, counts
+
+
+def _candidate_parts(level):
+    """(base, b_seq, w_p) of the step from `level`, rebuilt from the level:
+    base is its execution with a clone per register of R mirroring that
+    register's last writer up to the write, then p's steps before its first
+    write outside R (w_p); b_seq is the clones' poised writes, then q's steps
+    up to and including its first write outside R."""
+    regs = set(level.regs)
+    exec_, shadows, gamma = level.exec, [], []
+    for reg in sorted(regs):
+        n = max(n for n, s in enumerate(level.exec.steps)
+                if s.kind == "write" and s.action.reg == reg)
+        writer = level.exec.steps[n]
+        ordinal = sum(1 for s in level.exec.steps[:n] if s.pid == writer.pid)
+        exec_, clone = add_process(exec_, exec_.initial.proc(writer.pid).input)
+        shadows.append((writer.pid, ordinal, clone))
+        gamma.append(Step(clone, writer.action))
+    exec_ = mirror_history(exec_, shadows)
+    ia, ib = level.w0.first_write_outside(regs), level.w1.first_write_outside(regs)
+    base = exec_.extend_steps(level.w0.steps[:ia])
+    return base, gamma + list(level.w1.steps[:ib + 1]), level.w0.steps[ia]
+
+
+def test_switching_point_acts_on_the_candidate_executions(race3, monkeypatch):
+    # no zoo spec reaches the switching point, so the candidates' valencies
+    # are scripted: candidate i is base B_i w_p for the prefixes B_i of
+    # b_seq, then the full restore base b_seq; every execution the switching
+    # point acts on must be one of them, step for step
+    level = sqrt_run(race3, 1, depth=64).levels[-1]
+    base, b_seq, wp = _candidate_parts(level)
+    n = len(b_seq)
+    candidates = [base.extend_steps(b_seq[:i] + [wp]) for i in range(n + 1)]
+    restored = base.extend_steps(b_seq)
+    assert b_seq[0].kind == "write" and b_seq[0].action.reg != wp.action.reg
+
+    def script(labels, **searches):
+        seen, calls = [], []
+
+        def classify(spec, config, depth):
+            label = labels[len(seen)]
+            seen.append(config)
+            report = SimpleNamespace(classify=lambda: label,
+                                     zero=SimpleNamespace(witness=SimpleNamespace(steps=())))
+            return None, (label, report)
+
+        monkeypatch.setattr(sqrt_attack, "_distinct_bivalency", classify)
+        for name, result in searches.items():
+            monkeypatch.setattr(sqrt_attack, name,
+                                lambda spec, config, pid, depth, result=result:
+                                calls.append((config, pid)) or result)
+        out = sqrt_step(level, depth=64)
+        assert seen == [c.final for c in candidates] + [restored.final]
+        return out, calls
+
+    # a flip between candidates 0 and 1, on the first clone's write: its owner
+    # has no terminating run from candidate 1 ...
+    flip = ["0-univalent"] + ["1-univalent"] * (n + 1)
+    out, calls = script(flip, solo_terminating=None)
+    assert out.kind == "solo-termination" and out.stuck_pids == (b_seq[0].pid,)
+    assert out.trace == candidates[1] and out.trace.steps == candidates[1].steps
+    assert calls == [(candidates[1].final, b_seq[0].pid)]
+    # ... or returns 1 at once, which continues candidate 0 with that write,
+    # while candidate 0's own 0-returning run is empty here
+    out, calls = script(flip, solo_terminating=SimpleNamespace(steps=(), decision=1))
+    assert out.kind == "agreement" and out.prefix_len == len(candidates[0].steps)
+    assert out.counter_trace.steps == candidates[0].steps
+    assert out.trace.steps == candidates[0].steps + (b_seq[0],)
+    # every candidate 0-univalent but the full restore 1-univalent: p, with no
+    # terminating solo run from the last candidate, is stuck there
+    stuck = SimpleNamespace(classify=lambda: "univalent", zero=SimpleNamespace(proven=False),
+                            one=SimpleNamespace(proven=False))
+    out, calls = script(["0-univalent"] * (n + 1) + ["1-univalent"], solo_search=stuck)
+    assert out.kind == "solo-termination" and out.stuck_pids == (level.pid0,)
+    assert out.trace == candidates[n] and out.trace.steps == candidates[n].steps
+    assert calls == [(candidates[n].final, level.pid0)]

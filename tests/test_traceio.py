@@ -134,6 +134,44 @@ def _single_field_edits(records):
             yield field, "".join(json.dumps(rec) + "\n" for rec in edited)
 
 
+def test_replay_reads_every_line_shape_of_an_emitted_file(race3, tmp_path, monkeypatch, capsys):
+    # replay through the entry point, in this process: CRLF line ends, no
+    # final newline, blank or whitespace-only lines, and the emitter's lines
+    # joined by "\n" all give the emitted file's summary; a file cut inside a
+    # record names the line it was cut in, blank lines counted
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    emitted, shaped = tmp_path / "emitted.jsonl", tmp_path / "shaped.jsonl"
+    assert cli.main(["attack", "sqrt", "zoo:of-race-3", "--target-r", "2",
+                     "--out", str(emitted)]) == 0
+    data = emitted.read_bytes()
+    lines = data.decode().split("\n")[:-1]
+    emitter = traceio.sqrt_certificate_lines(sqrt_run(race3, 2, depth=64))
+    assert data == ("\n".join(emitter) + "\n").encode() and lines == emitter
+    capsys.readouterr()
+
+    def replay(raw: bytes):
+        shaped.write_bytes(raw)
+        code = cli.main(["replay", str(shaped)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    want = replay(data)
+    assert want[0] == 0 and want[2] == ""
+    spaced = "\n \n".join(lines) + "\n\t\n\n"
+    for text in ("\r\n".join(lines) + "\r\n", data.decode()[:-1], spaced,
+                 "\n".join(emitter)):
+        assert replay(text.encode()) == want, text[:80]
+        assert traceio.replay_file(text) == json.loads(want[1])
+    # record 5 cut in half is line 5, or line 9 with a blank line after each
+    cut = lines[4][:len(lines[4]) // 2]
+    for text, n in (("\n".join(lines[:4] + [cut]), 5),
+                    ("\n \n".join(lines[:4] + [cut]) + "\n", 9),
+                    ("\r\n".join(lines[:-1] + [lines[-1][:-1]]), len(lines))):
+        code, out, err = replay(text.encode())
+        assert (code, out) == (1, "")
+        assert err.startswith(f"replay error: line {n}: not a JSON record"), err
+
+
 def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch, capsys):
     # a certificate, a linear certificate with a closing block write, an
     # agreement report and an inconclusive file: every edit, a deleted field
