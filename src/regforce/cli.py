@@ -11,6 +11,7 @@ a flag, nothing reads the clock or the environment.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 
@@ -24,6 +25,8 @@ from . import traceio, zoo
 from .valency import valency
 
 OK, USAGE, VIOLATION, INCONCLUSIVE = 0, 1, 2, 3
+
+_CHECK_CHUNK = 1 << 16  # bytes checked as UTF-8 at a time
 
 DEPTH_HELP = ("move bound of a reserving search; for a solo query only a cap on "
               "the witness length, since a solo refutation is exact")
@@ -56,6 +59,26 @@ def _load_spec(path: str):
         return zoo.get_zoo(path[4:])
     with open(path, "r", encoding="utf-8") as fh:
         return load_algorithm(fh.read())
+
+
+def _read_file(path: str) -> bytes:
+    """The bytes of a file to replay, read once; raises UnicodeDecodeError,
+    at its offset in the file, when they are not all UTF-8.  They are checked
+    a chunk at a time, so no text of the whole file is built: replay decodes
+    one line at a time, and a bad byte must end in an error whatever the
+    lines before it hold."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    view, start = memoryview(data), 0
+    while start < len(data):
+        end = start + _CHECK_CHUNK
+        try:
+            _, used = codecs.utf_8_decode(view[start:end], "strict", end >= len(data))
+        except UnicodeDecodeError as e:
+            raise UnicodeDecodeError("utf-8", data, start + e.start, start + e.end,
+                                     e.reason) from None
+        start += used
+    return data
 
 
 def _emit(lines, out_path):
@@ -178,8 +201,7 @@ def _cmd_attack(args) -> int:
 def _cmd_valency(args) -> int:
     spec = _load_spec(args.spec)
     if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            config = traceio.first_trace(spec, fh.read(), args.at).final
+        config = traceio.first_trace(spec, _read_file(args.trace), args.at).final
     else:
         config = initial_configuration(spec, _bits(args.inputs))
     if args.pidset:
@@ -207,9 +229,7 @@ def _cmd_valency(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    summary = traceio.replay_file(text)
+    summary = traceio.replay_file(_read_file(args.file))
     print(json.dumps(summary, sort_keys=True))
     return OK
 

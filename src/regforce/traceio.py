@@ -12,10 +12,10 @@ After the header a file is a run of sections: one non-step record (a
 violation, counter, level, witness, closing block write or inconclusive
 marker) and the step records that follow it.  Replay parses the file one
 section at a time, dispatches on the first record after the header, and
-steps every trace through `Execution.extend_steps`.  Both directions are
-line-streamed: the emitters return lists of lines, which `write_lines`
-writes out one at a time, and replay splits the file's text into lines
-lazily, so neither builds a second full-size copy of the file.
+steps every trace through `Execution.extend_steps`.  The emitters return
+lists of lines, which `write_lines` writes out one at a time without
+joining them.  Replay takes the file's bytes (or its text) and decodes and
+splits it one line at a time, so it holds the file once.
 
 A linear certificate's `pairs` (in the header and in each level) record the
 pair layout of its processes, [[0, 1], [2, 3], ...]: pair i is leader 2i and
@@ -45,6 +45,7 @@ raised as a ReplayError.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 from typing import Optional
@@ -285,26 +286,24 @@ class ReplayError(Exception):
     pass
 
 
-def _lines(text: str):
-    r"""The lines of `text`, split on "\n" one at a time, as `splitlines`
-    would number them for a file of "\n" or "\r\n" line ends."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        yield text[start:stop]
-        start = stop + 1
+def _lines(data):
+    r"""The lines of a file's bytes, decoded as strict UTF-8, or of its text,
+    read one at a time with universal newlines: "\r\n", "\r" and "\n" each
+    end a line, as in a read in text mode, and a final line end starts no
+    line.  Bytes are read where they lie; text is copied into a buffer, so
+    the CLI passes bytes."""
+    if isinstance(data, str):
+        return io.StringIO(data, newline=None)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
-def _sections(text: str):
-    r"""Yield (record, its step records) for each section of a file, parsing
-    one section at a time from lines read lazily, each stripped of the
-    whitespace around it (a "\r" of a "\r\n" line end too); blank lines
-    count in line numbers and are skipped.  Step records before the first
-    record get None."""
+def _sections(data):
+    """Yield (record, its step records) for each section of a file, given as
+    bytes or text, parsing one section at a time from lines read lazily, each
+    stripped of the whitespace around it; blank lines count in line numbers
+    and are skipped.  Step records before the first record get None."""
     meta, steps = None, []
-    for n, line in enumerate(_lines(text), start=1):
+    for n, line in enumerate(_lines(data), start=1):
         line = line.strip()
         if not line:
             continue
@@ -451,7 +450,7 @@ def _witness(spec, meta: dict, steps, where: str, exec_: Execution, kind: str,
     moves = group_moves(units, taken)
     if moves is None or _count(meta, "depth", where) != len(moves):
         raise ReplayError(f"{where}: its steps are not `depth` moves of P")
-    return Witness(kind, tuple(units), tuple(moves), tuple(taken), decision)
+    return Witness(kind, tuple(units), decision, moves=tuple(moves), steps=tuple(taken))
 
 
 def _replay_errors(replay):
@@ -467,10 +466,11 @@ def _replay_errors(replay):
 
 
 @_replay_errors
-def replay_file(text: str) -> dict:
-    """Re-execute a serialized certificate or report; raises ReplayError on
-    any divergence.  Returns a summary dict."""
-    sections = _sections(text)
+def replay_file(data) -> dict:
+    """Re-execute a serialized certificate or report, given as the file's
+    bytes or text; raises ReplayError on any divergence.  Returns a summary
+    dict."""
+    sections = _sections(data)
     header = _header(sections)
     spec = _algorithm(header)
     first, steps = next(sections, ({}, []))
@@ -487,12 +487,13 @@ def replay_file(text: str) -> dict:
 
 
 @_replay_errors
-def first_trace(spec, text: str, at: Optional[int] = None) -> Execution:
-    """The first trace of a file, replayed for `spec`, which must be the
-    file's own algorithm: a violation's main trace under the header's
-    inputs, or a certificate's first level execution under that level's own
-    inputs, even when it holds no steps; `at` keeps only its first steps."""
-    sections = _sections(text)
+def first_trace(spec, data, at: Optional[int] = None) -> Execution:
+    """The first trace of a file, given as bytes or text, replayed for
+    `spec`, which must be the file's own algorithm: a violation's main trace
+    under the header's inputs, or a certificate's first level execution
+    under that level's own inputs, even when it holds no steps; `at` keeps
+    only its first steps."""
+    sections = _sections(data)
     header = _header(sections)
     if _algorithm(header) != spec:
         raise ReplayError(f"the file's algorithm is not {spec.name!r}")

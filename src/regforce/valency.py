@@ -6,9 +6,11 @@ such run exists), or unknown (a run may exist, but none was found within the
 depth bound).  Searches operate on *units*: a unit is one pid, or a
 process-clone pair that moves in lockstep and counts as a single process.
 Both kinds of search run on the integer tables a spec compiles on first use
-(`AlgorithmSpec.tables`), not on `Configuration`s.  Witness steps are built
-afterwards by the model's own step semantics (`materialize`), which re-checks
-every pair's lockstep outcome.
+(`AlgorithmSpec.tables`), not on `Configuration`s.  A proven witness keeps
+the configuration it starts from and its actions; its steps are built by the
+model's own step semantics (`materialize`), which re-checks every pair's
+lockstep outcome, only when they are first read, since most witnesses a
+query proves are never read.
 
 Solo queries are exact.  One unit alone moves in a finite graph of
 `(state id, registers)` nodes: what it can do depends on nothing else, not on
@@ -20,7 +22,8 @@ reachable at all, whatever the depth; it is "proven" when the least run has
 at most `depth` moves and "unknown" when it is longer: for solo queries the
 depth only caps the length of a witness.  The witness is the least run that
 comes first in action order; its actions are kept once per node and decision
-(the `solo-run` memo) and bound to the queried unit by `materialize`.
+(the `solo-run` memo), shared by every witness that starts there, and bound
+to the queried unit when the witness's moves are first read.
 The oracle decides solo termination by its own closure
 (`oracle.solo_returns`) and never reads these memos.
 
@@ -97,13 +100,64 @@ from .reports import Inconclusive
 Unit = tuple  # (pid,) or (leader_pid, clone_pid)
 
 
-@dataclass(frozen=True)
 class Witness:
-    kind: str  # "solo" | "reserving"
-    members: tuple  # units permitted to move
-    moves: tuple  # ((unit, action), ...)
-    steps: tuple  # materialized Steps from the root configuration
-    decision: int
+    """A run ending in a return of `decision` in which only the units
+    `members` move: `moves`, ((unit, action), ...), and `steps`, their Steps
+    from the configuration the run starts from.
+
+    A witness a search proves (`_witness`) records that configuration and
+    its actions only: a solo witness its unit and the actions tuple the
+    `solo-run` memo shares, a reserving one its moves.  Most proven
+    witnesses are never read, so `steps`, and a solo witness's `moves`, are
+    built by `materialize` on first read and kept; a pair diverging from
+    its leader raises then.  A witness given its steps, one rebuilt from a
+    file or composed by `compose_prefix`, keeps them as given.  Witnesses
+    are equal when their kind, members, moves, steps and decision are."""
+
+    __slots__ = ("kind", "members", "decision", "_start", "_actions", "_moves", "_steps")
+
+    def __init__(self, kind: str, members: tuple, decision: int, *, moves=None, steps=None,
+                 start=None, actions=None):
+        """Given `steps`, `moves` too; otherwise `start`, (spec, configuration),
+        and either `moves` or, for a solo witness, its unit's `actions`."""
+        self.kind = kind  # "solo" | "reserving"
+        self.members = members  # units permitted to move
+        self.decision = decision
+        self._start = start
+        self._actions = actions
+        self._moves = moves
+        self._steps = steps
+
+    @property
+    def moves(self) -> tuple:
+        if self._moves is None:
+            unit = self.members[0]
+            self._moves = tuple([(unit, action) for action in self._actions])
+            self._actions = None
+        return self._moves
+
+    @property
+    def steps(self) -> tuple:
+        if self._steps is None:
+            spec, config = self._start
+            self._steps = materialize(spec, config, self.moves)
+            self._start = None
+        return self._steps
+
+    def _fields(self) -> tuple:
+        return self.kind, self.members, self.moves, self.steps, self.decision
+
+    def __eq__(self, other):
+        if not isinstance(other, Witness):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.kind, self.members, self.moves, self.decision))
+
+    def __repr__(self):
+        return "Witness(kind={!r}, members={!r}, moves={!r}, steps={!r}, decision={!r})".format(
+            *self._fields())
 
     @property
     def decider(self) -> Unit:
@@ -333,13 +387,18 @@ def materialize(spec: AlgorithmSpec, config: Configuration, moves) -> tuple:
     return tuple(steps)
 
 
-def _witness(spec, config, moves, members, kind) -> Witness:
-    steps = materialize(spec, config, moves)
-    last = moves[-1][1]
+def _decision(last) -> int:
+    """The decision of a witness's last action, which must be a return."""
     if not isinstance(last, Return):
         raise EngineError("witness does not end with a return")
-    return Witness(kind=kind, members=tuple(sorted(members)), moves=tuple(moves),
-                   steps=steps, decision=last.decision)
+    return last.decision
+
+
+def _witness(spec, config, moves, members, kind) -> Witness:
+    """The witness of `moves` from `config`; its steps are built on first read."""
+    moves = tuple(moves)
+    return Witness(kind, tuple(sorted(members)), _decision(moves[-1][1]), moves=moves,
+                   start=(spec, config))
 
 
 def _tri(witness: Optional[Witness], cutoff: bool) -> Tri:
@@ -460,7 +519,8 @@ def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
     if least is None or least > depth:
         return None, least is not None
     actions = _solo_actions(spec, sid, regs, target)
-    return _witness(spec, config, [(unit, a) for a in actions], [unit], "solo"), False
+    return Witness("solo", (unit,), _decision(actions[-1]), start=(spec, config),
+                   actions=actions), False
 
 
 def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> ValencyReport:
@@ -775,8 +835,7 @@ def compose_prefix(spec, config, write_unit, write_action, coverer, inner: Witne
     members = sorted(inner.members + (write_unit, coverer))
     moves = ((write_unit, write_action),) + inner.moves
     steps = materialize(spec, config, moves)
-    w = Witness(kind="reserving", members=tuple(members), moves=moves,
-                steps=steps, decision=inner.decision)
+    w = Witness("reserving", tuple(members), inner.decision, moves=moves, steps=steps)
     if not is_reserving(spec, config, members, steps, m):
         raise EngineError("composed execution is not reserving")
     return w

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from regforce import sqrt_attack, zoo
+from regforce import sqrt_attack, valency, zoo
 from regforce.execution import Execution, Step, add_process, mirror_history
 from regforce.model import EngineError, load_algorithm
 from regforce.oracle import replay_violation
@@ -153,6 +153,23 @@ def test_sqrt_step_builds_a_constant_number_of_executions(monkeypatch):
     out = sqrt_run(load_algorithm(zoo.of_race(5)), 5, depth=64)
     assert isinstance(out, SqrtChainCertificate) and out.levels[-1].r == 5
     assert len(counts) == 5 and max(counts) <= 5, counts
+
+
+def test_sqrt_run_steps_only_the_witnesses_its_levels_keep(monkeypatch):
+    # the candidates' solo queries prove many witnesses, but a witness is
+    # stepped only when its steps are read, and only each level's two are:
+    # by that level's check
+    calls = []
+    materialize = valency.materialize
+
+    def counted(*args):
+        calls.append(args)
+        return materialize(*args)
+
+    monkeypatch.setattr(valency, "materialize", counted)
+    out = sqrt_run(load_algorithm(zoo.of_race(5)), 5, depth=64)
+    assert isinstance(out, SqrtChainCertificate) and len(out.levels) == 6
+    assert len(calls) == 2 * len(out.levels)
 
 
 def _candidate_parts(level):

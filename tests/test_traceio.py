@@ -135,10 +135,12 @@ def _single_field_edits(records):
 
 
 def test_replay_reads_every_line_shape_of_an_emitted_file(race3, tmp_path, monkeypatch, capsys):
-    # replay through the entry point, in this process: CRLF line ends, no
-    # final newline, blank or whitespace-only lines, and the emitter's lines
-    # joined by "\n" all give the emitted file's summary; a file cut inside a
-    # record names the line it was cut in, blank lines counted
+    # replay through the entry point, in this process: CRLF or lone CR line
+    # ends (the ones a read in text mode turns into "\n"), no final newline,
+    # blank or whitespace-only lines, and the emitter's lines joined by "\n"
+    # all give the emitted file's summary; a file cut inside a record, or
+    # opening with a UTF-8 byte-order mark, names the line it fails at, blank
+    # lines counted.  `replay_file` gives the same from the bytes and the text.
     monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
     emitted, shaped = tmp_path / "emitted.jsonl", tmp_path / "shaped.jsonl"
     assert cli.main(["attack", "sqrt", "zoo:of-race-3", "--target-r", "2",
@@ -155,21 +157,37 @@ def test_replay_reads_every_line_shape_of_an_emitted_file(race3, tmp_path, monke
         out = capsys.readouterr()
         return code, out.out, out.err
 
+    def direct(data):
+        try:
+            return traceio.replay_file(data)
+        except traceio.ReplayError as e:
+            return f"replay error: {e}"
+
     want = replay(data)
     assert want[0] == 0 and want[2] == ""
     spaced = "\n \n".join(lines) + "\n\t\n\n"
-    for text in ("\r\n".join(lines) + "\r\n", data.decode()[:-1], spaced,
-                 "\n".join(emitter)):
+    for text in ("\r\n".join(lines) + "\r\n", "\r".join(lines) + "\r", "\r".join(lines),
+                 data.decode()[:-1], spaced, "\n".join(emitter)):
         assert replay(text.encode()) == want, text[:80]
-        assert traceio.replay_file(text) == json.loads(want[1])
+        assert direct(text) == direct(text.encode()) == json.loads(want[1])
     # record 5 cut in half is line 5, or line 9 with a blank line after each
     cut = lines[4][:len(lines[4]) // 2]
     for text, n in (("\n".join(lines[:4] + [cut]), 5),
                     ("\n \n".join(lines[:4] + [cut]) + "\n", 9),
-                    ("\r\n".join(lines[:-1] + [lines[-1][:-1]]), len(lines))):
+                    ("\r".join(lines[:4] + [cut]), 5),
+                    ("\r\n".join(lines[:-1] + [lines[-1][:-1]]), len(lines)),
+                    ("\ufeff" + "\n".join(lines) + "\n", 1)):
         code, out, err = replay(text.encode())
         assert (code, out) == (1, "")
         assert err.startswith(f"replay error: line {n}: not a JSON record"), err
+        assert direct(text) == direct(text.encode()) == err[:-1]
+    # a file that is not all UTF-8 is an error before any line replays: a
+    # UTF-16 copy, or one whose last line holds a \xff byte although its
+    # first record is no JSON
+    for raw in (data.decode().encode("utf-16"),
+                ("{\n" + "\n".join(lines[1:-1]) + "\n").encode() + b"\xff\n"):
+        code, out, err = replay(raw)
+        assert (code, out) == (1, "") and err.startswith("error:"), err
 
 
 def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch, capsys):

@@ -5,9 +5,13 @@ import pytest
 from regforce import valency as valency_module
 from regforce import zoo
 from regforce.execution import Execution
+from regforce.linear_attack import linear_run
 from regforce.model import EngineError, Return, Write, initial_configuration, load_algorithm
-from regforce.reports import Inconclusive
+from regforce.reports import Inconclusive, LinearChainCertificate, SqrtChainCertificate
+from regforce.sqrt_attack import sqrt_run
 from regforce.valency import (
+    Witness,
+    _witness,
     compose_prefix,
     construct_reserving,
     covered_injectively,
@@ -232,7 +236,6 @@ def test_disjoint_witnesses_identity_when_disjoint(flag):
     p, q = [(0,), (1,)], [(2,), (3,)]
     moves0, _ = reserving_search(flag, config, p, 1, 32, 0)
     moves1, _ = reserving_search(flag, config, q, 1, 32, 1)
-    from regforce.valency import _witness
     w0 = _witness(flag, config, moves0, p, "reserving")
     w1 = _witness(flag, config, moves1, q, "reserving")
     p2, q2, w0b, w1b = disjoint_witnesses(flag, config, units, p, q, w0, w1, 1, 32)
@@ -246,7 +249,6 @@ def test_disjoint_witnesses_substitutes_fresh_set(flag):
     moves0, _ = reserving_search(flag, config, [(0,), (3,)], 1, 32, 0)
     moves1, _ = reserving_search(flag, config, [(0,), (3,)], 1, 32, 1)
     assert moves0 and moves1
-    from regforce.valency import _witness
     w0 = _witness(flag, config, moves0, [(0,), (3,)], "reserving")
     w1 = _witness(flag, config, moves1, [(0,), (3,)], "reserving")
     p2, q2, w0b, w1b = disjoint_witnesses(
@@ -277,7 +279,6 @@ def test_disjoint_witnesses_size_bounds_on_random_instances(flag):
         moves1, _ = reserving_search(flag, config, q, 1, 32, 1)
         if not (moves0 and moves1):
             continue
-        from regforce.valency import _witness
         w0 = _witness(flag, config, moves0, p, "reserving")
         w1 = _witness(flag, config, moves1, q, "reserving")
         p2, q2, _, _ = disjoint_witnesses(flag, config, units, p, q, w0, w1, 1, 32)
@@ -300,7 +301,6 @@ def test_compose_prefix_all_reads(flag):
     after = exec_.extend(0, write)
     moves, _ = reserving_search(flag, after.final, [(2,), (3,)], 1, 16, 0)
     assert moves is not None
-    from regforce.valency import _witness
     inner = _witness(flag, after.final, moves, [(2,), (3,)], "reserving")
     assert all(not isinstance(a, Write) for _, a in inner.moves)
     composed = compose_prefix(flag, exec_.final, (0,), write, (1,), inner, m=1)
@@ -318,7 +318,56 @@ def test_compose_prefix_rejects_non_coverer(flag):
     write = enabled_actions(flag, exec_.final, 0)[0]
     after = exec_.extend(0, write)
     moves, _ = reserving_search(flag, after.final, [(2,), (3,)], 1, 16, 0)
-    from regforce.valency import _witness
     inner = _witness(flag, after.final, moves, [(2,), (3,)], "reserving")
     with pytest.raises(ValueError, match="cover"):
         compose_prefix(flag, exec_.final, (0,), write, (1,), inner, m=1)
+
+
+def test_a_proven_witness_is_stepped_when_its_steps_are_first_read(flag):
+    # a witness checks that it ends with a return when it is made, but steps
+    # its moves only when its steps are first read, so a pair out of sync is
+    # caught then; once stepped, it equals a witness given those steps
+    config = initial_configuration(flag, [0, 1, 0])
+    look0 = flag.actions("LOOK0")[0]
+    with pytest.raises(EngineError, match="does not end with a return"):
+        _witness(flag, config, [((0, 1), look0)], [(0, 1)], "reserving")
+    unsynced = _witness(flag, config, [((0, 1), look0), ((0, 1), Return(0))], [(0, 1)],
+                        "reserving")
+    assert unsynced.decision == 0 and unsynced.decider == (0, 1)
+    with pytest.raises(ValueError, match="not enabled"):
+        unsynced.steps
+    w = solo_terminating(flag, config, 2, depth=8)
+    assert w.moves[0] == ((2,), look0) and w.decision == 0
+    eager = Witness(w.kind, w.members, w.decision, moves=w.moves, steps=w.steps)
+    assert w == eager and hash(w) == hash(eager)
+    assert w.steps == valency_module.materialize(flag, config, w.moves)
+
+
+def test_memoised_witnesses_step_their_moves_from_their_configuration(monkeypatch):
+    # after whole runs, each report's witnesses, solo and reserving, read as
+    # their moves stepped from the configuration that was queried, whether
+    # or not anything read them before
+    seen = []
+    uncached = valency_module._valency_uncached
+
+    def recording(spec, config, *args):
+        report = uncached(spec, config, *args)
+        seen.append((spec, config, report))
+        return report
+
+    monkeypatch.setattr(valency_module, "_valency_uncached", recording)
+    chain_spec, pair_spec = load_algorithm(zoo.of_race(5)), load_algorithm(zoo.CLAIM_COMMIT)
+    assert isinstance(sqrt_run(chain_spec, 5, depth=64), SqrtChainCertificate)
+    assert isinstance(linear_run(pair_spec, 2, depth=64), LinearChainCertificate)
+    recorded = {id(report) for _, _, report in seen}
+    for spec in (chain_spec, pair_spec):
+        memo = spec.memos["query"]
+        assert memo and all(id(report) in recorded for report in memo.values())
+    kinds = set()
+    for spec, config, report in seen:
+        for side in (report.zero, report.one):
+            if side.witness is not None:
+                kinds.add(side.witness.kind)
+                assert side.witness.steps == valency_module.materialize(
+                    spec, config, side.witness.moves)
+    assert kinds == {"solo", "reserving"}
