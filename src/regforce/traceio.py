@@ -14,8 +14,9 @@ marker) and the step records that follow it.  Replay parses the file one
 section at a time, dispatches on the first record after the header, and
 steps every trace through `Execution.extend_steps`.  The emitters return
 lists of lines, which `write_lines` writes out one at a time without
-joining them.  Replay takes the file's bytes (or its text) and decodes and
-splits it one line at a time, so it holds the file once.
+joining them.  Replay takes the file's bytes (text is encoded to them
+first) and decodes and splits them one line at a time, so it holds the file
+once.
 
 A linear certificate's `pairs` (in the header and in each level) record the
 pair layout of its processes, [[0, 1], [2, 3], ...]: pair i is leader 2i and
@@ -287,13 +288,13 @@ class ReplayError(Exception):
 
 
 def _lines(data):
-    r"""The lines of a file's bytes, decoded as strict UTF-8, or of its text,
-    read one at a time with universal newlines: "\r\n", "\r" and "\n" each
-    end a line, as in a read in text mode, and a final line end starts no
-    line.  Bytes are read where they lie; text is copied into a buffer, so
-    the CLI passes bytes."""
+    r"""The lines of a file's bytes, or of its text encoded as UTF-8, decoded
+    as strict UTF-8 one at a time with universal newlines: "\r\n", "\r" and
+    "\n" each end a line, as in a read in text mode, and a final line end
+    starts no line.  Bytes are read where they lie, so the CLI passes
+    bytes."""
     if isinstance(data, str):
-        return io.StringIO(data, newline=None)
+        data = data.encode()
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
