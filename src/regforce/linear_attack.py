@@ -23,7 +23,7 @@ invisibly to everyone else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .model import ContradictionError, EngineError, Write, initial_configuration
 from .execution import Execution, insert_step, restricted_replay
@@ -57,19 +57,27 @@ class LinearLevel:
     r: int
     m: int
     exec: Execution
-    pair_ids: tuple  # U
     split_regs: tuple  # registers with a fresh split pair (R_s)
     covered_regs: tuple  # registers covered by united pairs (R_c)
     cover: dict  # reg -> pair id, for every register in the two sets
-    cover_actions: dict  # reg -> poised Write, for covered_regs
     p_ids: tuple
     q_ids: tuple
     alpha: Witness  # reserving over P's units, returns 0
     beta: Witness  # reserving over Q's units, returns 1
     case_tag: str = "base"
 
+    @property
+    def pair_ids(self) -> range:
+        """U: every pair of the level's processes."""
+        return range(len(self.exec.initial.procs) // 2)
+
     def units(self, ids) -> list:
         return [members(i) for i in ids]
+
+    def cover_write(self, reg: int) -> Optional[Write]:
+        """The block write to the R_c register `reg`: the first write to it
+        in the state of its cover pair's leader, or None when there is none."""
+        return _poised_write(self.exec.spec, self.exec.final, members(self.cover[reg]), reg)
 
     @property
     def regs(self) -> tuple:
@@ -123,7 +131,6 @@ def verify_properties(level: LinearLevel) -> list:
         detail1 = f"fresh splits {sorted(fresh)} vs R_s covers {sorted(rs_pairs)}"
     for reg in sorted(rs | rc):
         pid_ = level.cover.get(reg)
-        action = level.cover_actions.get(reg)
         if pid_ is None:
             ok1, detail1 = False, f"r{reg} has no covering pair"
         elif reg in rs:
@@ -131,10 +138,8 @@ def verify_properties(level: LinearLevel) -> list:
                 ok1, detail1 = False, f"pair {pid_} not split on r{reg}"
         elif pid_ in split:
             ok1, detail1 = False, f"covering pair {pid_} is split"
-        elif action is None or action.reg != reg:
-            ok1, detail1 = False, f"no poised write recorded for r{reg}"
-        elif action not in exec_.spec.actions(exec_.final.proc(members(pid_)[0]).state):
-            ok1, detail1 = False, f"pair {pid_} no longer poised on r{reg}"
+        elif level.cover_write(reg) is None:
+            ok1, detail1 = False, f"pair {pid_} not poised on r{reg}"
     cover_ids = list(level.cover.values())
     if len(set(cover_ids)) != len(cover_ids):
         ok1, detail1 = False, "cover assignment not injective"
@@ -181,30 +186,28 @@ def verify_properties(level: LinearLevel) -> list:
     return checks
 
 
-def recorded_cover(exec_: Execution, split_regs, covered_regs, cover_ids) -> tuple:
-    """(cover, cover_actions) of a level known only by its trace, its R_s
-    and R_c, and its cover pairs `cover_ids` (V), as a certificate records
-    it.  A register of R_s is covered by the fresh split on it, which is
-    unique, since a later write to the register makes an earlier split stale;
-    the registers of R_c are matched injectively to the united pairs of V
-    poised on them.  A register with no such cover stays out of the map,
-    which `verify_properties` then rejects."""
+def recorded_cover(exec_: Execution, split_regs, covered_regs, cover_ids) -> dict:
+    """The cover map (register -> pair id) of a level known only by its
+    trace, its R_s and R_c, and its cover pairs `cover_ids` (V), as a
+    certificate records it.  A register of R_s is covered by the fresh split
+    on it, which is unique, since a later write to the register makes an
+    earlier split stale; the registers of R_c are matched injectively to the
+    united pairs of V poised on them, and each one's block write is read off
+    its pair's state (`LinearLevel.cover_write`).  A register with no such
+    cover stays out of the map, which `verify_properties` then rejects."""
     split = splits(exec_)
     fresh = {write.reg: i for i, (write, status) in split.items() if status == "fresh"}
     cover = {reg: fresh[reg] for reg in split_regs if reg in fresh}
     united = [members(i) for i in cover_ids if i not in split]
     matched = covered_injectively(exec_.spec, exec_.final, united, covered_regs) or {}
-    cover_actions = {}
-    for reg, unit in matched.items():
-        cover[reg] = pair_of(unit[0])
-        cover_actions[reg] = _poised_write(exec_.spec, exec_.final, unit, reg)
-    return cover, cover_actions
+    cover.update((reg, pair_of(unit[0])) for reg, unit in matched.items())
+    return cover
 
 
-def _poised_write(spec, config, unit, reg: int) -> Write:
-    """The first write to `reg` that `unit` is poised on."""
-    return next(a for a in spec.actions(config.proc(unit[0]).state)
-                if isinstance(a, Write) and a.reg == reg)
+def _poised_write(spec, config, unit, reg: int) -> Optional[Write]:
+    """The first write to `reg` that `unit` is poised on, or None."""
+    return next((a for a in spec.actions(config.proc(unit[0]).state)
+                 if isinstance(a, Write) and a.reg == reg), None)
 
 
 def assert_properties(level: LinearLevel) -> LinearLevel:
@@ -260,8 +263,7 @@ def linear_base(spec, m: int, depth: int) -> Union[LinearLevel, ViolationReport]
 
     level = LinearLevel(
         r=0, m=m, exec=exec_,
-        pair_ids=tuple(range(n_pairs)),
-        split_regs=(), covered_regs=(), cover={}, cover_actions={},
+        split_regs=(), covered_regs=(), cover={},
         p_ids=p_ids, q_ids=q_ids,
         alpha=witnesses[0], beta=witnesses[1], case_tag="base",
     )
@@ -287,7 +289,7 @@ def gamma_c(level: LinearLevel, exec_=None):
     if exec_ is None:
         exec_ = level.exec
     for reg in sorted(level.covered_regs):
-        exec_ = split_pair(exec_, level.cover[reg], level.cover_actions[reg])
+        exec_ = split_pair(exec_, level.cover[reg], level.cover_write(reg))
     return exec_
 
 
@@ -367,7 +369,7 @@ def _step_oriented(level, orient, split_at, t_ids, depth):
         restore = sorted(_written(pre_steps) & set(level.split_regs))
         split = splits(level.exec)
         plan = [("unite", level.cover[reg], split[level.cover[reg]][0]) for reg in restore]
-        plan += [("split", level.cover[reg], level.cover_actions[reg])
+        plan += [("split", level.cover[reg], level.cover_write(reg))
                  for reg in sorted(level.covered_regs)]
         return _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan,
                      "2", "cleanup", sd, depth)
@@ -397,15 +399,11 @@ class _Assembly:
     """The scan prefix a new level is built on."""
     case_tag: str
     exec_now: Execution  # ends at the candidate configuration
-    wp_unit: tuple
-    wp_action: Write  # the poised write to the register joining the covered sets
+    wp_unit: tuple  # the pair poised on the write to `reg`
+    reg: int  # the register joining the covered sets
     touched: frozenset  # split registers the extension overwrote
     wp_done: bool  # the poised write is part of the extension
     split_now: tuple  # covered registers whose covering pair the scan split
-
-    @property
-    def reg(self) -> int:
-        return self.wp_action.reg
 
 
 def _advance(exec_, step):
@@ -440,7 +438,7 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
         taken = plan[:j]
         return _Assembly(
             case_tag=f"{tag}.{outcome}", exec_now=exec_now,
-            wp_unit=wp_unit, wp_action=wp_action,
+            wp_unit=wp_unit, reg=wp_action.reg,
             touched=frozenset(_written(exec_now.steps[len(level.exec.steps):])
                               & set(level.split_regs)),
             wp_done=any(kind == "pair" for kind, _, _ in taken),
@@ -449,7 +447,7 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
 
     for j, rep in enumerate(reports):
         exec_now = prefixes[j]
-        for d in sorted(_returned_decisions(exec_now.final, orient.scanned_ids, level)):
+        for d in sorted(_returned_decisions(exec_now.final, orient.scanned_ids)):
             if rep.side(1 - d).proven:
                 trace = exec_now.extend_steps(rep.side(1 - d).witness.steps)
                 return ViolationReport(
@@ -473,7 +471,7 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
                           flip_side=start, depth=depth)
 
 
-def _returned_decisions(config, ids, level) -> set:
+def _returned_decisions(config, ids) -> set:
     out = set()
     for pid_ in ids:
         entry = config.proc(members(pid_)[0])
@@ -499,28 +497,25 @@ def _find_flip(reports, first_cls: str, last_cls: str) -> int:
 # -- shared level assembly ----------------------------------------------------
 
 def _match_scanned_coverers(level, orient, assembly) -> dict:
-    """Unique covering pairs from the scanned side for the overwritten split
-    registers (and the new register), guaranteed by the witness being a
-    reserving execution; reg itself falls to the poised writer when it is
-    still unwritten."""
+    """{reg: unit}: unique covering pairs from the scanned side for the
+    overwritten split registers (and the new register), guaranteed by the
+    witness being a reserving execution; reg itself falls to the poised
+    writer when it is still unwritten."""
     spec = level.exec.spec
     config = assembly.exec_now.final
     need = sorted(assembly.touched | ({assembly.reg} if assembly.wp_done else set()))
     pool = level.units(orient.scanned_ids)
     out = {}
     if not assembly.wp_done:
-        writes = [a for a in spec.actions(config.proc(assembly.wp_unit[0]).state)
-                  if isinstance(a, Write) and a.reg == assembly.reg]
-        if assembly.wp_action not in writes:
+        if _poised_write(spec, config, assembly.wp_unit, assembly.reg) is None:
             raise ContradictionError("poised writer no longer covers the new register")
-        out[assembly.reg] = (assembly.wp_unit, assembly.wp_action)
+        out[assembly.reg] = assembly.wp_unit
         pool = [u for u in pool if u != assembly.wp_unit]
     matched = covered_injectively(spec, config, pool, need)
     if matched is None:
         raise ContradictionError(
             f"no injective cover of {need} by the scanned side at the candidate")
-    for reg, unit in matched.items():
-        out[reg] = (unit, _poised_write(spec, config, unit, reg))
+    out.update(matched)
     return out
 
 
@@ -649,12 +644,9 @@ def _build_level(level, assembly, exec_, matched, p_units, q_units, w0, w1):
     fresh = [reg for reg in level.split_regs if reg not in assembly.touched]
     cover = {reg: level.cover[reg] for reg in fresh + list(assembly.split_now)}
     split_regs = tuple(sorted(cover))
-    cover_actions = {reg: level.cover_actions[reg] for reg in level.covered_regs
-                     if reg not in assembly.split_now}
-    cover.update((reg, level.cover[reg]) for reg in cover_actions)
-    for reg, (unit, action) in matched.items():
-        cover[reg] = pair_of(unit[0])
-        cover_actions[reg] = action
+    cover.update((reg, level.cover[reg]) for reg in level.covered_regs
+                 if reg not in assembly.split_now)
+    cover.update((reg, pair_of(unit[0])) for reg, unit in matched.items())
     covered_regs = tuple(sorted(set(cover) - set(split_regs)))
 
     def ids_of(units):
@@ -662,9 +654,7 @@ def _build_level(level, assembly, exec_, matched, p_units, q_units, w0, w1):
 
     new = LinearLevel(
         r=level.r + 1, m=level.m, exec=exec_,
-        pair_ids=tuple(range(len(exec_.initial.procs) // 2)),
-        split_regs=split_regs, covered_regs=covered_regs,
-        cover=cover, cover_actions=cover_actions,
+        split_regs=split_regs, covered_regs=covered_regs, cover=cover,
         p_ids=ids_of(p_units), q_ids=ids_of(q_units),
         alpha=w0, beta=w1, case_tag=assembly.case_tag,
     )

@@ -40,8 +40,8 @@ class LinearChainCertificate:
     m: int
     levels: list  # of LinearLevel
     depth: int
-    final: Optional[Execution] = None  # after the closing block write
-    registers_written: Optional[int] = None
+    final: Execution  # after the closing block write
+    registers_written: int
 
 
 class Inconclusive(Exception):

@@ -37,8 +37,8 @@ rebuilt level's: a sqrt level's `budget` its process count, a linear level's
 `U`, `V` and `L` its pair ids, cover pairs and stale pairs.  A linear
 certificate's closing block write must be the one the attack makes on the
 rebuilt top level (`linear_attack.corollary_finish`): one write per `R_c`
-register in ascending order, each the poised write of the leader of that
-register's cover pair, after which `registers_written` registers, exactly
+register in ascending order, each the first write to the register in its
+cover pair leader's state, after which `registers_written` registers, exactly
 `m`, have been written.  Any EngineError met while re-executing a file is
 raised as a ReplayError.
 """
@@ -249,11 +249,10 @@ def linear_certificate_lines(cert: LinearChainCertificate) -> list:
         lines.extend(execution_lines(level.exec, roles, memo=memo))
         lines.extend(witness_lines(level.alpha, level.exec, roles, memo))
         lines.extend(witness_lines(level.beta, level.exec, roles, memo))
-    if cert.final is not None:
-        lines.append(_dump({"record": "closing-block-write",
-                            "registers_written": cert.registers_written}))
-        closing = _tail(top.exec, cert.final.steps[len(top.exec.steps):])
-        lines.extend(execution_lines(closing, roles, len(top.exec.steps), memo))
+    lines.append(_dump({"record": "closing-block-write",
+                        "registers_written": cert.registers_written}))
+    closing = _tail(top.exec, cert.final.steps[len(top.exec.steps):])
+    lines.extend(execution_lines(closing, roles, len(top.exec.steps), memo))
     return lines
 
 
@@ -623,11 +622,9 @@ def _check_level(level, sqrt: bool, m: int):
     split_regs = tuple(_registers(meta, "R_s", where))
     covered_regs = tuple(_registers(meta, "R_c", where))
     cover_ids = _pids(meta, "V", where, count // 2, "pair ids")
-    cover, cover_actions = recorded_cover(exec_, split_regs, covered_regs, cover_ids)
+    cover = recorded_cover(exec_, split_regs, covered_regs, cover_ids)
     rebuilt = LinearLevel(
-        r=r, m=m, exec=exec_, pair_ids=tuple(range(count // 2)),
-        split_regs=split_regs, covered_regs=covered_regs,
-        cover=cover, cover_actions=cover_actions,
+        r=r, m=m, exec=exec_, split_regs=split_regs, covered_regs=covered_regs, cover=cover,
         p_ids=_pids(meta, "P", where, count // 2, "pair ids"),
         q_ids=_pids(meta, "Q", where, count // 2, "pair ids"),
         alpha=witnesses[0], beta=witnesses[1], case_tag=meta.get("case"),

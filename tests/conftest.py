@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from regforce import zoo
 from regforce.execution import Execution
@@ -44,6 +45,26 @@ state C: write r1 := 1 -> A
 state W: read r1 ? { 2 -> S ; * -> W }
 state R: return 0
 state S: return 1
+"""
+
+
+# state S0 holds two writes to r0 by nondeterministic choice: the pair the
+# linear attack leaves covering r0 sits there poised on both, and its block
+# write is the first
+TWO_WRITES_ONE_REGISTER = """\
+algorithm fuzzed
+values 0 1
+registers 1
+input 0 -> S0
+input 1 -> S3
+state S0: write r0 := 1 -> S0
+state S0: write r0 := 1 -> S1
+state S1: return 0
+state S1: read r0 ? { 1 -> S3 ; * -> S4 }
+state S2: read r0 ? { _ -> S1 ; 0 -> S1 ; * -> S0 }
+state S3: return 1
+state S3: return 1
+state S4: read r0 ? { * -> S0 }
 """
 
 
@@ -116,3 +137,35 @@ def block_write(exec_: Execution, writers) -> Execution:
             raise ValueError(f"pid {pid} does not cover r{reg}")
         out = out.extend(pid, action)
     return out
+
+
+@st.composite
+def algorithm_texts(draw):
+    """Random small valid algorithms: every referenced state and value exists
+    and every read is total or carries a default."""
+    n_states = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    alphabet = ["0", "1"]
+    names = [f"S{i}" for i in range(n_states)]
+    lines = ["algorithm fuzzed", "values 0 1", f"registers {k}"]
+    lines.append(f"input 0 -> {draw(st.sampled_from(names))}")
+    lines.append(f"input 1 -> {draw(st.sampled_from(names))}")
+    for name in names:
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(["return", "write", "read"]))
+            if kind == "return":
+                lines.append(f"state {name}: return {draw(st.integers(0, 1))}")
+            elif kind == "write":
+                reg = draw(st.integers(0, k - 1))
+                val = draw(st.sampled_from(alphabet))
+                nxt = draw(st.sampled_from(names))
+                lines.append(f"state {name}: write r{reg} := {val} -> {nxt}")
+            else:
+                reg = draw(st.integers(0, k - 1))
+                branches = [
+                    f"{label} -> {draw(st.sampled_from(names))}"
+                    for label in draw(st.sets(st.sampled_from(alphabet + ['_'])))
+                ]
+                branches.append(f"* -> {draw(st.sampled_from(names))}")
+                lines.append(f"state {name}: read r{reg} ? {{ " + " ; ".join(branches) + " }")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from importlib import resources
 import regforce
 from regforce import cli, zoo
 
-from conftest import RETURN_AFTER_READ, RETURN_HERE, write_loop
+from conftest import RETURN_AFTER_READ, RETURN_HERE, TWO_WRITES_ONE_REGISTER, write_loop
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -137,6 +137,35 @@ def _attack_pinned(tmp_path, kind, option, pins):
 
 def test_attack_linear_outputs_are_pinned(tmp_path):
     _attack_pinned(tmp_path, "linear", "--m", ATTACK_LINEAR_PINS)
+
+
+# (exit code, last stderr line, SHA-256 of the --out file) of `attack linear`
+# on TWO_WRITES_ONE_REGISTER by m: the attack and replay read the block write
+# to r0 off its cover pair's state alike, so every file replays
+TWO_WRITES_PINS = {
+    1: (0, "chain complete: r=1, pairs=13, registers written=1",
+        "1d831f00be0f824d67d87b6c22524e81732e93957cde4431f227e5b530ed35f2"),
+    2: (2, "violation: agreement",
+        "3139566db687616c2eedfa5419eb04276ccf550b7e689f39497e9db59e1c6b98"),
+    3: (2, "violation: agreement",
+        "e0c7504c55fad64e6b6bc7715fc9057e5e4cac04677404a69b0c215b6c4706dd"),
+}
+
+
+def test_attack_linear_on_two_writes_to_one_register_replays(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "two-writes.alg"
+    spec.write_text(TWO_WRITES_ONE_REGISTER)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    for m, (code, said, digest) in TWO_WRITES_PINS.items():
+        target = tmp_path / f"m{m}.jsonl"
+        capsys.readouterr()
+        assert cli.main(["attack", "linear", str(spec), "--m", str(m),
+                         "--out", str(target)]) == code
+        assert capsys.readouterr().err.splitlines()[-1] == said
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, m
+        assert cli.main(["replay", str(target)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["kind"] == ("certificate" if code == 0 else "violation"), m
 
 
 ATTACK_SQRT_PINS = {

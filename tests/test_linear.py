@@ -145,8 +145,8 @@ def test_two_stale_pairs_on_one_register_fails_property_two(flag):
     for pid in (2, 3, 4):
         exec_ = split_pair(exec_, pid, writes[pid])
     bad = LinearLevel(
-        r=1, m=1, exec=exec_, pair_ids=base.pair_ids,
-        split_regs=(0,), covered_regs=(), cover={0: 4}, cover_actions={},
+        r=1, m=1, exec=exec_,
+        split_regs=(0,), covered_regs=(), cover={0: 4},
         p_ids=base.p_ids, q_ids=base.q_ids,
         alpha=base.alpha, beta=base.beta, case_tag="1.1",
     )
@@ -158,8 +158,8 @@ def test_two_stale_pairs_on_one_register_fails_property_two(flag):
 def test_oversized_p_q_fails_property_three(flag):
     level = linear_base(flag, m=1, depth=32)
     bloated = LinearLevel(
-        r=0, m=1, exec=level.exec, pair_ids=level.pair_ids,
-        split_regs=(), covered_regs=(), cover={}, cover_actions={},
+        r=0, m=1, exec=level.exec,
+        split_regs=(), covered_regs=(), cover={},
         p_ids=level.p_ids + (2, 3, 4), q_ids=level.q_ids,
         alpha=level.alpha, beta=level.beta,
     )
@@ -174,13 +174,25 @@ def test_a_level_rebuilt_from_its_record_passes_and_its_case_is_checked(flag):
     cert = linear_run(flag, m=1, depth=32)
     assert [level.covered_regs for level in cert.levels] == [(), (0,)]
     for level in cert.levels:
-        cover, actions = recorded_cover(level.exec, level.split_regs, level.covered_regs,
-                                        sorted(set(level.cover.values())))
-        assert (cover, actions) == (level.cover, level.cover_actions)
+        cover = recorded_cover(level.exec, level.split_regs, level.covered_regs,
+                               sorted(set(level.cover.values())))
+        assert cover == level.cover
         for tag, want in (("base", level.r == 0), ("2.2", level.r > 0), ("x", False)):
             report = dict((name, ok) for name, ok, _ in
                           verify_properties(dataclasses.replace(level, case_tag=tag)))
             assert report["case"] is want, (level.r, tag)
+
+
+def test_a_cover_pair_at_a_read_fails_property_one(flag):
+    # level 1 covers r0 with a pair poised on the flag write; pool pair 3 sits
+    # at its first read, so as r0's cover it has no block write to make
+    level = linear_run(flag, m=1, depth=32).levels[1]
+    assert level.covered_regs == (0,) and 3 in level.pool_ids()
+    assert isinstance(level.cover_write(0), Write)
+    bad = dataclasses.replace(level, cover={0: 3})
+    assert bad.cover_write(0) is None
+    report = {name: (ok, detail) for name, ok, detail in verify_properties(bad)}
+    assert report["property-1"] == (False, "pair 3 not poised on r0")
 
 
 # -- switching-point machinery -------------------------------------------------
@@ -231,10 +243,10 @@ def test_finish_switch_builds_a_verified_level():
 
     # treat the covering block write as the flip step o: one step beyond the
     # prefix the pool is univalent the other way
-    o_step = ("split", level1.cover[0], level1.cover_actions[0])
+    o_step = ("split", level1.cover[0], level1.cover_write(0))
     assembly = _Assembly(
         case_tag="2.2", exec_now=exec_now,
-        wp_unit=wp_unit, wp_action=wp_action,
+        wp_unit=wp_unit, reg=wp_action.reg,
         touched=frozenset(), wp_done=False, split_now=(),
     )
     new = _finish_switch(level1, orient, t_ids, assembly, o_step, flip_side=1, depth=64)
@@ -315,7 +327,7 @@ def test_scripted_flips_reach_the_switch_finisher(monkeypatch):
     assert _step_oriented(level1, orient, split_at, t_ids, 64) == "switch"
     (_, _, _, assembly, o_step), kwargs = captured.pop()
     assert assembly.case_tag == "2.2"
-    assert o_step == ("split", level1.cover[0], level1.cover_actions[0])
+    assert o_step == ("split", level1.cover[0], level1.cover_write(0))
     assert kwargs["flip_side"] == 1 and not assembly.wp_done
     assert assembly.split_now == () and assembly.exec_now == run_pairs(split_at)
 
@@ -359,15 +371,15 @@ def test_stale_repair_unites_colliding_pair(flag):
     exec_ = split_pair(exec_, 1, writes[1])
     assert splits(exec_)[0][1] == "stale"
     level = LinearLevel(
-        r=1, m=1, exec=exec_, pair_ids=(0, 1, 2),
-        split_regs=(0,), covered_regs=(), cover={0: 1}, cover_actions={},
+        r=1, m=1, exec=exec_,
+        split_regs=(0,), covered_regs=(), cover={0: 1},
         p_ids=(), q_ids=(), alpha=None, beta=None,
     )
     # the extension overwrites r0 again via the third pair's lockstep write
     ext = pair_step(exec_, 2, writes[2])
     assembly = _Assembly(
         case_tag="1.1", exec_now=ext,
-        wp_unit=(4, 5), wp_action=writes[2],
+        wp_unit=(4, 5), reg=writes[2].reg,
         touched=frozenset({0}), wp_done=True, split_now=(),
     )
     before = ext.final
@@ -382,7 +394,7 @@ def test_stale_repair_unites_colliding_pair(flag):
     # no collision: nothing inserted
     assembly2 = _Assembly(
         case_tag="1.1", exec_now=ext,
-        wp_unit=(4, 5), wp_action=writes[2],
+        wp_unit=(4, 5), reg=writes[2].reg,
         touched=frozenset(), wp_done=True, split_now=(),
     )
     same = _repair_stale(level, assembly2)
@@ -400,8 +412,8 @@ def test_gamma_c_splits_each_covering_pair(flag):
     assert level.covered_regs == (0,)
     exec_d = gamma_c(level)
     assert len(exec_d.steps) == len(level.exec.steps) + 1
-    assert splits(exec_d)[level.cover[0]] == (level.cover_actions[0], "fresh")
-    assert exec_d.final.registers[0] == level.cover_actions[0].value
+    assert splits(exec_d)[level.cover[0]] == (level.cover_write(0), "fresh")
+    assert exec_d.final.registers[0] == level.cover_write(0).value
 
 
 def test_gamma_s_identity_when_nothing_overwritten(flag):
@@ -415,8 +427,8 @@ def test_gamma_s_restores_the_level_contents(flag):
     exec_, w1 = _drive_pair_to_flag_write(exec_, 1)
     exec_ = split_pair(exec_, 0, w0)
     level = LinearLevel(
-        r=1, m=1, exec=exec_, pair_ids=(0, 1),
-        split_regs=(0,), covered_regs=(), cover={0: 0}, cover_actions={},
+        r=1, m=1, exec=exec_,
+        split_regs=(0,), covered_regs=(), cover={0: 0},
         p_ids=(), q_ids=(), alpha=None, beta=None,
     )
     at_level = exec_.final.registers

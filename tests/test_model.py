@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from regforce import zoo
 from regforce.model import (
@@ -16,7 +15,7 @@ from regforce.model import (
     step_with_outcome,
 )
 
-from conftest import enabled_actions
+from conftest import algorithm_texts, enabled_actions
 
 TRIVIAL = zoo.TRIVIAL_DECIDER
 
@@ -47,38 +46,6 @@ def test_zoo_round_trip_parse_print(name):
     spec = load_algorithm(zoo.CATALOG[name].text)
     again = load_algorithm(format_algorithm(spec))
     assert again == spec
-
-
-@st.composite
-def algorithm_texts(draw):
-    """Random small valid algorithms: every referenced state and value exists
-    and every read is total or carries a default."""
-    n_states = draw(st.integers(2, 5))
-    k = draw(st.integers(1, 3))
-    alphabet = ["0", "1"]
-    names = [f"S{i}" for i in range(n_states)]
-    lines = ["algorithm fuzzed", "values 0 1", f"registers {k}"]
-    lines.append(f"input 0 -> {draw(st.sampled_from(names))}")
-    lines.append(f"input 1 -> {draw(st.sampled_from(names))}")
-    for name in names:
-        for _ in range(draw(st.integers(1, 2))):
-            kind = draw(st.sampled_from(["return", "write", "read"]))
-            if kind == "return":
-                lines.append(f"state {name}: return {draw(st.integers(0, 1))}")
-            elif kind == "write":
-                reg = draw(st.integers(0, k - 1))
-                val = draw(st.sampled_from(alphabet))
-                nxt = draw(st.sampled_from(names))
-                lines.append(f"state {name}: write r{reg} := {val} -> {nxt}")
-            else:
-                reg = draw(st.integers(0, k - 1))
-                branches = [
-                    f"{label} -> {draw(st.sampled_from(names))}"
-                    for label in draw(st.sets(st.sampled_from(alphabet + ['_'])))
-                ]
-                branches.append(f"* -> {draw(st.sampled_from(names))}")
-                lines.append(f"state {name}: read r{reg} ? {{ " + " ; ".join(branches) + " }")
-    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=120, derandomize=True)
