@@ -418,20 +418,17 @@ def _advance(exec_, step):
 
 
 def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, start, depth):
-    """Classify the pool's valency after every prefix of the plan, starting
-    `start`-univalent.  The first bivalent prefix becomes the next level
-    (case `tag`.1); with none, the adjacent univalency flip does (`tag`.2).
-    Every prefix is queried before any is classified, so the witnesses the
-    valency memos hand out do not depend on where the scan stops."""
+    """Classify the pool's valency after each prefix of the plan in turn,
+    starting `start`-univalent.  The first bivalent prefix becomes the next
+    level (case `tag`.1); with none, the adjacent univalency flip does
+    (`tag`.2).  A prefix is stepped and queried only once the one before it
+    classified univalent.  A valency answer is the same whether a memo or a
+    fresh search gives it, so where the scan stops changes no answer."""
     spec = level.exec.spec
     wp_unit, wp_action = orient.scanned.moves[split_at]
     t_units = level.units(t_ids)
     prefixes = [exec_pre]
     reports = [rep_pre]
-    for step in plan:
-        prefixes.append(_advance(prefixes[-1], step))
-        reports.append(valency(spec, prefixes[-1].final, t_units, level.m, depth,
-                               "reserving"))
 
     def assembly(j, outcome):
         exec_now = prefixes[j]
@@ -445,8 +442,12 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
             split_now=tuple(action.reg for kind, _, action in taken if kind == "split"),
         )
 
-    for j, rep in enumerate(reports):
-        exec_now = prefixes[j]
+    for j in range(len(plan) + 1):
+        if j:
+            prefixes.append(_advance(prefixes[-1], plan[j - 1]))
+            reports.append(valency(spec, prefixes[-1].final, t_units, level.m, depth,
+                                   "reserving"))
+        exec_now, rep = prefixes[j], reports[j]
         for d in sorted(_returned_decisions(exec_now.final, orient.scanned_ids)):
             if rep.side(1 - d).proven:
                 trace = exec_now.extend_steps(rep.side(1 - d).witness.steps)
@@ -461,7 +462,7 @@ def _scan(level, orient, t_ids, split_at, exec_pre, rep_pre, plan, tag, word, st
         if cls == "unknown":
             raise Inconclusive(f"{word} prefix {j}: valency unknown")
         if cls == "degenerate":
-            raise Inconclusive(f"{word} prefix {j}: no reserving execution within depth")
+            raise Inconclusive(f"{word} prefix {j}: no reserving execution at all")
 
     flip = _find_flip(reports, f"{start}-univalent", f"{1 - start}-univalent")
     if not isinstance(plan[flip][2], Write):

@@ -115,8 +115,10 @@ class AlgorithmSpec:
 
     @functools.cached_property
     def memos(self) -> dict:
-        """Search memos by name (`valency` keeps its query, profile, solo and
-        solo-run memos here); they live exactly as long as the spec."""
+        """Search memos by name (`valency` keeps its query, profile, solo,
+        solo-run and class-tables memos here, and `dead`, the classes from
+        which no reserving run returns each target); they live exactly as
+        long as the spec."""
         return collections.defaultdict(dict)
 
 

@@ -2,8 +2,8 @@
 decision-reachability (valency) classification built on them.
 
 Results are three-valued: proven (with a replayable witness), refuted (no
-such run exists), or unknown (a run may exist, but none was found within the
-depth bound).  Searches operate on *units*: a unit is one pid, or a
+such run exists), or unknown (runs exist, but each is longer than the depth
+bound).  Searches operate on *units*: a unit is one pid, or a
 process-clone pair that moves in lockstep and counts as a single process.
 Both kinds of search run on the integer tables a spec compiles on first use
 (`AlgorithmSpec.tables`), not on `Configuration`s.  A proven witness keeps
@@ -27,18 +27,31 @@ to the queried unit when the witness's moves are first read.
 The oracle decides solo termination by its own closure
 (`oracle.solo_returns`) and never reads these memos.
 
-The reserving search (`_Search`) is exhaustive depth-first over scheduling
-and nondeterministic choice, in lexicographic (pid, action-index) order and
-bounded by the depth, so the first witness found is the least one and
-repeated runs are identical.  Its state is a list of unit state ids, the
-register contents and a bitmask of the registers written so far.  The exact
-memo key `(state ids, registers, written)` maps one to one onto (state
-names, registers, written set); a node is entered at most once per budget,
-and a revisit with no larger budget is pruned.  A pair is checked in sync
-once, at the root.  It cannot diverge afterwards: the clone repeats the
-leader's action on the register contents the leader left, so a read sees the
-value the leader saw and a write stores the value the leader stored, and
-both land in the same state.
+The reserving search (`_Search`) is exact too.  It first closes the query's
+class graph, whose nodes are the symmetry classes `(sorted state ids,
+registers, written)` below, with no depth bound and by the goal and cover
+rules of the DFS.  A class is one int: the unit count, the registers as
+digits, the written bits and the sorted state ids (`_class_tables` builds
+the digit form once per spec).  When no goal is reachable the answer is
+"refuted", and every class the closure visited joins the spec's `dead` memo
+for the target: no run from it reaches the goal, whatever the pids, and a
+later closure stops there.  Otherwise the search is exhaustive depth-first
+over scheduling and nondeterministic choice, units in (state name, unit)
+order and each unit's actions in declaration order, bounded by the depth, so
+the first witness found is the least one and repeated runs are identical;
+finding none, it answers "unknown", since every run is longer than the
+depth.  The (state name, unit) order is the one the `profile` memo binds a
+found run's movers by, so a memo hit equals a fresh search of the queried
+subset, and the order in which queries are asked changes no answer.  The
+DFS's state is a list of unit state ids, the register contents and a bitmask
+of the registers written so far.  The exact memo key `(state ids,
+registers, written)` maps one to one onto (state names, registers, written
+set); a node is entered at most once per budget, and a revisit with no
+larger budget is pruned.  A pair is checked in sync once, at the root.  It
+cannot diverge afterwards: the clone repeats the leader's action on the
+register contents the leader left, so a read sees the value the leader saw
+and a write stores the value the leader stored, and both land in the same
+state.
 
 Coverage has one rule.  A unit's cover mask is the spec's bitmask of the
 registers its state has a write to (`_cover_masks`), 0 once it has returned,
@@ -60,29 +73,32 @@ exists from a node iff one exists from every node of its symmetry class
 A node whose exploration failed with budget b found no run except through
 nodes that were still open, and every node its search skipped was open or had
 failed with at least its budget.  So a class memo written only on failure may
-prune a later node of that class with budget at most b: whether a run exists
-is unchanged, and a search that finds none without hitting its depth bound
-still proves that none exists at any depth.  Open nodes stay exact-keyed.
-Pruning a node because an isomorphic ancestor is still on the stack skips
-runs the unpruned search finds first, and so changes the witness.  For one
-unit the class key is the exact key, and the class memo prunes nothing more.
+prune a later node of that class with budget at most b: whether a run within
+the depth exists is unchanged.  Open nodes stay exact-keyed.  Pruning a node
+because an isomorphic ancestor is still on the stack skips runs the unpruned
+search finds first, and so changes the witness.  For one unit the class key
+is the exact key, and the class memo prunes nothing more.
 
-The argument does not fix which run is found first.  Nor does it fix the
-cutoff flag of a search that finds no run: the class memo can prune every
-node that would hit the depth bound, and then answers "refuted" (soundly)
-where the exact-keyed search answers "unknown".  `tests/test_search_kernel.py`
-checks the witness and the cutoff flag against the exact-keyed dataclass
-reference.
+The argument does not fix which run is found first: the unit order does, and
+permuting which unit holds which state changes only which pids the witness
+moves.  Nor does the DFS's cutoff flag alone tell "refuted" from "unknown":
+the class memo can prune every node that would hit the depth bound.  The
+closure does, so a verdict depends only on the class of the query and the
+depth.  `tests/test_search_kernel.py` checks the witness against the
+exact-keyed dataclass reference and every verdict against the oracle's
+reachability.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    BOTTOM,
     READ,
     RETURN,
     AlgorithmSpec,
@@ -286,12 +302,13 @@ def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs)
 
 
 class _Search:
-    """One exhaustive reserving DFS for a target decision (or any return),
-    run on the spec's integer tables; see the module docstring."""
+    """One exhaustive reserving search for a target decision (or any return),
+    run on the spec's integer tables: a closure of the class graph, then,
+    when some run exists, the depth-bounded DFS; see the module docstring."""
 
     def __init__(self, spec, units, target):
         self.spec = spec
-        self.units = sorted(units)
+        self.units = list(units)
         self.target = target
         self.memo: dict = {}
         self.failed: dict = {}  # symmetry class -> largest budget it failed at
@@ -303,16 +320,72 @@ class _Search:
             raise ValueError(f"negative depth {depth}")
         members = [pid for unit in self.units for pid in unit]
         if len(set(members)) != len(members):
-            raise ValueError(f"units {self.units} overlap")
+            raise ValueError(f"units {sorted(self.units)} overlap")
         for unit in self.units:
             # unit_state raises when the members of a pair are out of sync
             if not unit_active(config, unit):
                 raise ValueError(f"unit {unit} already returned")
+        # the order the profile memo binds a run's movers by
+        self.units.sort(key=lambda unit: (config.proc(unit[0]).state, unit))
         tables = self.spec.tables
         self.rows, self.covers = tables.rows, tables.covers
         states = [tables.ids[config.proc(u[0]).state] for u in self.units]
+        if not self._reaches(states, config.registers):
+            return None, False
         found = self._dfs(states, config.registers, 0, depth)
         return (None if found is None else tuple(reversed(found))), self.cutoff
+
+    def _reaches(self, states, registers) -> bool:
+        """Whether a goal is reachable from the root's symmetry class, by a
+        closure of the class graph with no depth bound that stops at the
+        classes of the spec's dead set for this target.  A closure that
+        reaches no goal adds every class it visited to that set."""
+        spec, target, covers = self.spec, self.target, self.covers
+        rows, pack, span = _class_tables(spec)
+        dead = spec.memos["dead"].setdefault(target, set())
+        shift, width = spec.register_count, len(rows)
+        head = len(states) * span  # the unit count leads every key
+        states = tuple(sorted(states))
+        regs = pack(registers)
+        k = (head + regs) << shift
+        for s in states:
+            k = k * width + s
+        if k in dead:
+            return False
+        seen = {k}
+        stack = [(states, regs, 0)]
+        while stack:
+            states, regs, written = stack.pop()
+            for i, s in enumerate(states):
+                if i and states[i - 1] == s:
+                    continue  # a unit in the same state has the same moves
+                rest = states[:i] + states[i + 1:]
+                for kind, weight, digit_span, arg, bit in rows[s]:
+                    if kind == RETURN:
+                        if target is None or arg == target:
+                            masks = [covers[x] for x in rest]
+                            if self._covered(masks, written):
+                                return True
+                        continue
+                    digit = regs % digit_span // weight
+                    if kind == READ:
+                        nxt, regs2, written2 = arg[digit], regs, written
+                    else:
+                        value, nxt = arg
+                        regs2, written2 = regs + (value - digit) * weight, written | bit
+                    j = bisect.bisect(rest, nxt)
+                    succ = rest[:j] + (nxt,) + rest[j:]
+                    if (written2 != written or covers[s] & ~covers[nxt]) \
+                            and not self._covered([covers[x] for x in succ], written2):
+                        continue
+                    k = (head + regs2) << shift | written2
+                    for x in succ:
+                        k = k * width + x
+                    if k not in seen and k not in dead:
+                        seen.add(k)
+                        stack.append((succ, regs2, written2))
+        dead |= seen
+        return False
 
     def _covered(self, masks, written) -> bool:
         if not written:
@@ -369,6 +442,46 @@ class _Search:
                 states[i] = s
         failed[cls] = budget
         return None
+
+
+def _class_tables(spec) -> tuple:
+    """`(rows, pack, span)`: the spec's table rows in the digit form the
+    class closure runs on, the function that packs a registers tuple into
+    one int, and the number of register vectors.  Built once per spec and
+    kept in its `class-tables` memo; the oracle packs by its own tables.
+
+    A register vector is one int in base `len(alphabet) + 1`, register r
+    being its digit of weight `base**r`: `_` is digit 0, then the alphabet's
+    values in order.  `rows[id]` holds the state's actions in declaration
+    order as `(kind, weight, weight * base, arg, bit)`, with the weight and
+    the bit of the register acted on (0 for a return), where `arg` is a
+    read's next ids indexed by the digit read, a write's `(value digit, next
+    id)` or a return's decision.
+    """
+    memo = spec.memos["class-tables"]
+    if not memo:
+        base = len(spec.alphabet) + 1
+        digits = {value: d for d, value in enumerate((BOTTOM,) + spec.alphabet)}
+        weights = [base ** reg for reg in range(spec.register_count)]
+        rows = []
+        for row in spec.tables.rows:
+            packed = []
+            for kind, reg, arg, _ in row:
+                if kind == RETURN:
+                    packed.append((kind, 0, 0, arg, 0))
+                    continue
+                if kind == READ:
+                    arg = tuple(arg[value] for value in digits)
+                else:
+                    arg = (digits[arg[0]], arg[1])
+                packed.append((kind, weights[reg], weights[reg] * base, arg, 1 << reg))
+            rows.append(tuple(packed))
+
+        def pack(registers: tuple) -> int:
+            return sum(digits[value] * weight for value, weight in zip(registers, weights))
+
+        memo["tables"] = (tuple(rows), pack, base ** spec.register_count)
+    return memo["tables"]
 
 
 def materialize(spec: AlgorithmSpec, config: Configuration, moves) -> tuple:
@@ -635,7 +748,8 @@ def _subset_search(spec, config, units, m, depth, target):
     """Reserving search memoized on the anonymity profile of the subset:
     subsets whose members sit in the same multiset of states share results.
     A found run is stored by each mover's position in the (state, unit)
-    order, and a hit binds those positions to the queried subset."""
+    order, the order `_Search` moves units in, and a hit binds those
+    positions to the queried subset, so it equals a fresh search."""
     profile = sorted([(config.proc(u[0]).state, u) for u in units])
     key = (config.registers, tuple([state for state, _ in profile]), m, depth, target)
     memo = spec.memos["profile"]

@@ -1,6 +1,7 @@
 """Reference implementation of the reserving/solo DFS over the dataclass model.
 
-The same search as `valency._Search`, but every edge builds the successor
+The same depth-bounded DFS as `valency._Search`, without its class-graph
+closure and class memo, but every edge builds the successor
 `Configuration` through the model's step semantics and re-runs the coverage
 matching from scratch.  That matching (`reference_cover`) is its own: it reads
 each unit's coverage off `spec.actions` of its state on the `Configuration`,
@@ -65,6 +66,8 @@ class ReferenceSearch:
         for unit in self.units:
             if not unit_active(config, unit):
                 raise ValueError(f"unit {unit} already returned")
+        # units move in (state name, pid) order, as in the kernel
+        self.units.sort(key=lambda unit: (config.proc(unit[0]).state, unit))
         self._dfs(config, frozenset(), depth, [])
         return self.found, self.cutoff
 

@@ -113,7 +113,7 @@ ATTACK_LINEAR_PINS = {
     ("claim-commit", 2): (0, "c6e1aa20499b57d0d92e2d07bcbeea18fa63b7576c095d2ba12d5ed7a2cba613"),
     ("claim-commit", 3): (2, "a3fa5e727b9fcf2b5ce488de883da09ef19fcd6bbd60db18abaf74f747476f61"),
     ("one-register-flag", 1): (0, "f10f0e826175df80a96c3de4f065fde5041ab8e170971f9fa70a55a1b86b1165"),
-    ("one-register-flag", 2): (2, "9cdb138bb448b325dfd7ee0a18cb83684e7cb72f751efae2351aae6dca8ea80f"),
+    ("one-register-flag", 2): (2, "0cffd954656a2515a9c26d315079fb4a0e7a2bb57e8e5b95724baf0a7cfce4f0"),
     ("of-race-3", 1): (3, "0ae33f1d54a3cc85e3c900efe16409fa553c30833de80b1cac4646e9594d2438"),
     ("of-race-3", 3): (0, "4e5b0b48f1938cce58525e35b18663d677853654b5561aaf54f3cd1c76195b5b"),
     ("constant-decider", 1): (2, "ae957e4075d1c40262b20e4be3adfc39450dc5bb38619393660952649cdb1107"),

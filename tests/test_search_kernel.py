@@ -1,18 +1,22 @@
 """The packed search kernels against the dataclass reference search.
 
-The reserving kernel's exact memo key is a bijection of the reference's.  It
-also prunes a node whose symmetry class (sorted unit states, registers,
-written set) already failed with at least its budget.  By the argument in the
-`valency` docstring that keeps whether a run exists, but not by itself which
-run is found first or the cutoff flag of a search that finds none, so:
-- on every case of `_cases()` both return identical `(moves, cutoff)`;
-- permuting which unit holds which state keeps whether a run exists, and a
-  "refuted" answer holds for every permutation (the cutoff flag depends on
-  the visit order, in the reference too);
+The reserving kernel first closes the query's class graph (sorted unit
+states, registers, written set) with no depth bound, and answers "refuted"
+when no goal is reachable; otherwise it runs a DFS whose exact memo key is a
+bijection of the reference's.  The DFS also prunes a node whose symmetry
+class already failed with at least its budget.  By the argument in the
+`valency` docstring that keeps whether a run exists, and the closure makes
+the cutoff flag exact, so:
+- on every case of `_cases()` both return the same moves; the kernel says
+  "refuted" exactly where the oracle finds the target unreachable, which is
+  where the reference says "refuted" or only hits its depth bound;
+- permuting which unit holds which state keeps the found and cutoff flags;
 - hand-made specs fail if the class key drops the registers or the written
   set, and a guard fails if the class pruning is removed;
-- where the kernel answers "refuted" and the reference "unknown", the
-  oracle confirms the refutation.
+- where the DFS alone answers "refuted" and the reference "unknown", the
+  oracle confirms the refutation;
+- every answer the profile memo or the dead-class set gives equals the
+  answer of the same spec with empty memos.
 The exact solo closure must prove exactly what the reference's solo search
 proves, by the run the reference finds at the least depth it proves at; it
 must refute wherever the reference does, and the oracle must confirm every
@@ -32,14 +36,16 @@ import zlib
 
 import pytest
 
-from regforce import zoo
+from regforce import valency, zoo
+from regforce.linear_attack import linear_run
 from regforce.model import Configuration, Proc, Return, Write, initial_configuration, load_algorithm
-from regforce.reports import Inconclusive
+from regforce.reports import Inconclusive, LinearChainCertificate
 from regforce.valency import (
     _Search,
     _apply_move,
     _match,
     _solo_run,
+    _subset_search,
     covered_injectively,
     is_reserving,
     solo_terminating,
@@ -86,23 +92,69 @@ def _cases():
                     yield spec, config, active
 
 
-def _both(spec, config, units, target, depth):
-    want = ReferenceSearch(spec, units, target, True, m=None).run(config, depth)
-    got = _Search(spec, units, target).run(config, depth)
+def _reachability():
+    """Whether a reserving run of a group reaches a target, by the oracle,
+    memoised per configuration and group."""
+    memo = {}
+
+    def reachable(spec, config, units, target) -> bool:
+        key = (spec.name, config, tuple(units))
+        if key not in memo:
+            memo[key] = oracle_valency(spec, config, units, "reserving", m=len(units) - 1)
+        return memo[key][0] or memo[key][1] if target is None else memo[key][target]
+    return reachable
+
+
+def _both(spec, config, units, target, depth, reachable):
+    """The kernel's answer, and the kernel and reference searches after both
+    ran; they return the same moves, and the same cutoff flag except where
+    the reference hits its depth bound and no run reaches the target at all:
+    the kernel refutes."""
+    reference = ReferenceSearch(spec, units, target, True, m=None)
+    kernel = _Search(spec, units, target)
+    want = reference.run(config, depth)
+    got = kernel.run(config, depth)
+    if want == (None, True) and not reachable(spec, config, units, target):
+        want = (None, False)
     assert got == want, (spec.name, config, units, target, depth)
-    return got
+    return got, kernel, reference
+
+
+def _groups(active):
+    """Each active unit alone, then all of them."""
+    return [[u] for u in active] + [active]
 
 
 def test_kernel_matches_reference_on_every_zoo_spec():
-    outcomes = {"found": 0, "cutoff": 0, "refuted": 0}
+    outcomes = {"found": 0, "cutoff": 0, "refuted": 0, "sharpened": 0}
+    reachable = _reachability()
     for spec, config, active in _cases():
-        for group in [[u] for u in active] + [active]:
+        for group in _groups(active):
             for target in (0, 1, None):
                 for depth in DEPTHS:
-                    moves, cut = _both(spec, config, group, target, depth)
-                    key = "found" if moves is not None else "cutoff" if cut else "refuted"
-                    outcomes[key] += 1
+                    _, kernel, reference = _both(spec, config, group, target, depth, reachable)
+                    if reference.found is not None:
+                        outcomes["found"] += 1
+                    elif not reference.cutoff:
+                        outcomes["refuted"] += 1
+                    else:
+                        outcomes["sharpened" if not kernel.cutoff else "cutoff"] += 1
     # every kind of answer, the cutoff included, was compared
+    assert all(outcomes.values()), outcomes
+
+
+def test_kernel_refutes_exactly_where_the_oracle_finds_no_run():
+    outcomes = {"proven": 0, "unknown": 0, "refuted": 0}
+    reachable = _reachability()
+    for spec, config, active in _cases():
+        for group in _groups(active):
+            for target in (0, 1, None):
+                for depth in DEPTHS:
+                    moves, cut = _Search(spec, group, target).run(config, depth)
+                    status = "proven" if moves is not None else "unknown" if cut else "refuted"
+                    assert (status == "refuted") == (not reachable(spec, config, group, target)), \
+                        (spec.name, config, group, target, depth, status)
+                    outcomes[status] += 1
     assert all(outcomes.values()), outcomes
 
 
@@ -117,39 +169,37 @@ def _permuted(config, units, order):
 
 
 def test_outcome_is_the_same_for_every_permutation_of_unit_states():
-    outcomes = {"found": 0, "refuted": 0}
+    outcomes = {"found": 0, "cutoff": 0, "refuted": 0}
     for spec, config, active in _cases():
         if len(active) < 2:
             continue
         orders = list(itertools.permutations(range(len(active))))
         for target in (0, 1, None):
             for depth in DEPTHS:
-                runs = [_Search(spec, active, target).run(
-                    _permuted(config, active, order), depth) for order in orders]
-                found = {moves is not None for moves, _ in runs}
-                assert len(found) == 1, (spec.name, config, active, target, depth)
-                # the cutoff flag depends on the visit order, in the
-                # reference too; "refuted" must hold for every permutation
-                if not any(found) and not all(cut for _, cut in runs):
-                    assert all(_Search(spec, active, target).run(
-                        _permuted(config, active, order), 2 * max(DEPTHS))[0] is None
-                        for order in orders), (spec.name, config, active, target, depth)
-                    outcomes["refuted"] += 1
-                outcomes["found"] += any(found)
+                runs = {(moves is not None, cut) for moves, cut in (
+                    _Search(spec, active, target).run(_permuted(config, active, order), depth)
+                    for order in orders)}
+                # whether a run exists within the depth, and whether one
+                # exists at all, do not depend on which unit holds which state
+                assert len(runs) == 1, (spec.name, config, active, target, depth, runs)
+                found, cut = runs.pop()
+                outcomes["found" if found else "cutoff" if cut else "refuted"] += 1
     assert all(outcomes.values()), outcomes
 
 
 def test_class_memo_prunes_multi_unit_searches_only():
-    # with exact keys alone the kernel enters exactly the reference's nodes;
-    # for one unit the class key is the exact key, so it prunes nothing more
+    # with exact keys alone the DFS enters exactly the reference's nodes; for
+    # one unit the class key is the exact key, so it prunes nothing more.  A
+    # search the closure refutes never reaches the DFS and is not compared
     kernel_nodes = reference_nodes = 0
+    reachable = _reachability()
     for spec, config, active in _cases():
         for target in (0, 1, None):
             for depth in DEPTHS:
                 for group in [active[:1]] + ([active] if len(active) > 1 else []):
-                    reference = ReferenceSearch(spec, group, target, True, m=None)
-                    kernel = _Search(spec, group, target)
-                    assert kernel.run(config, depth) == reference.run(config, depth)
+                    _, kernel, reference = _both(spec, config, group, target, depth, reachable)
+                    if not kernel.memo:
+                        continue
                     if len(group) == 1:
                         assert len(kernel.memo) == len(reference.memo)
                     else:
@@ -192,19 +242,21 @@ state X: read r0 ? { * -> X }
 
 
 def test_class_key_keeps_registers_and_written_set():
+    reachable = _reachability()
     for text, registers in ((REGISTERS_IN_CLASS_KEY, ("_",)), (WRITTEN_IN_CLASS_KEY, ("1",))):
         spec = load_algorithm(text)
         config = Configuration(registers, (Proc(0, "S"), Proc(1, "X")))
         for depth in (3, 8):
-            moves, _ = _both(spec, config, [(0,), (1,)], 0, depth)
+            (moves, _), _, _ = _both(spec, config, [(0,), (1,)], 0, depth, reachable)
             # the run takes S's second action, to the T that wins
             assert moves[0] == ((0,), spec.actions("S")[1]), (spec.name, moves)
 
 
-def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
+def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off(monkeypatch):
     # found by a wider sweep than `_cases()`: on these claim-commit states the
-    # exact-keyed search hits its depth bound, while the class memo prunes
-    # every node that would and proves no 0-run exists; the oracle agrees
+    # exact-keyed search hits its depth bound, while the class memo of the
+    # DFS alone prunes every node that would and proves no 0-run exists; the
+    # closure refutes them too, and the oracle agrees
     spec = zoo.get_zoo("claim-commit")
     for states, units, depth in (
             (("CHK1", "CHK1", "CHK1", "CHK1", "CHK1"), [(0, 1), (2, 3), (4,)], 5),
@@ -213,6 +265,10 @@ def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
                                                  for pid, state in enumerate(states)))
         assert ReferenceSearch(spec, units, 0, True, m=None).run(config, depth) == (None, True)
         assert _Search(spec, units, 0).run(config, depth) == (None, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Search, "_reaches", lambda self, states, registers: True)
+            search = _Search(spec, units, 0)
+            assert search.run(config, depth) == (None, False) and search.memo
         assert not oracle_valency(spec, config, units, "reserving", m=len(units) - 1)[0]
 
 
@@ -441,3 +497,69 @@ def test_is_reserving_matches_the_reference_predicate():
                 (spec.name, config, units, moves, m, want)
             outcomes[want] += 1
     assert all(outcomes.values()), outcomes
+
+
+def _memo_answer(search, spec, config, units, *args):
+    """`search`'s moves, or whether it hit its depth bound when it found none."""
+    moves, cut = search(spec, config, units, *args)
+    return (cut, None) if moves is None else (False, tuple(moves))
+
+
+def _fresh_answer(search, spec, config, units, *args):
+    """`_memo_answer` on a copy of `spec` with empty memos."""
+    fresh = dataclasses.replace(spec)
+    assert not fresh.memos
+    return _memo_answer(search, fresh, config, units, *args)
+
+
+def _answer_by_search(spec, config, units, target, depth):
+    return _Search(spec, units, target).run(config, depth)
+
+
+def test_memo_answers_equal_fresh_searches(monkeypatch):
+    # every answer the profile memo gives, bound to the queried subset, and
+    # every search run past the dead-class sets, equals the answer of the
+    # same spec with empty memos: on every subset of `_cases()`, queried
+    # twice, and on the subset queries and searches of a linear run
+    hits = 0
+    for spec, config, active in _cases():
+        queries = [(list(subset), m, depth, target) for m in range(len(active))
+                   for subset in itertools.combinations(active, m + 1)
+                   for target in (0, 1, None) for depth in DEPTHS]
+        fresh = [_fresh_answer(_subset_search, spec, config, *query) for query in queries]
+        for _ in range(2):
+            for query, want in zip(queries, fresh):
+                hits += bool(spec.memos["profile"])
+                assert _memo_answer(_subset_search, spec, config, *query) == want, \
+                    (spec.name, config, query)
+    assert hits
+
+    subset_queries, searches = {}, set()
+    subset_search, run = valency._subset_search, _Search.run
+
+    def recorded_subset_search(spec, config, units, m, depth, target):
+        # subsets whose units hold the same states in the same pid order get
+        # the same answers, fresh or from the memo, up to which pids move;
+        # one of each is replayed
+        states = tuple(config.proc(u[0]).state for u in sorted(units))
+        subset_queries.setdefault((config.registers, states, m, depth, target),
+                                  (config, list(units), m, depth, target))
+        return subset_search(spec, config, units, m, depth, target)
+
+    def recorded_run(self, config, depth):
+        searches.add((config, tuple(self.units), self.target, depth))
+        return run(self, config, depth)
+
+    monkeypatch.setattr(valency, "_subset_search", recorded_subset_search)
+    monkeypatch.setattr(_Search, "run", recorded_run)
+    spec = load_algorithm(zoo.of_race(3))
+    assert isinstance(linear_run(spec, 3, 64), LinearChainCertificate)
+    monkeypatch.undo()
+    assert len(subset_queries) > len(searches) > 0 and spec.memos["dead"]
+    for query in subset_queries.values():
+        assert _memo_answer(_subset_search, spec, *query) \
+            == _fresh_answer(_subset_search, spec, *query), query
+    for config, units, target, depth in searches:
+        assert _memo_answer(_answer_by_search, spec, config, units, target, depth) \
+            == _fresh_answer(_answer_by_search, spec, config, units, target, depth), \
+            (config, units, target, depth)
