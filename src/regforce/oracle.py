@@ -9,8 +9,12 @@ decided by its own exact closure (`solo_returns`), not by their searches.
 
 Both run on ints built per sweep (`sweep_tables`): a register vector is one
 int with a digit per register, so a read or a write is digit arithmetic, and
-a configuration's dedup key is one int, its packed registers followed by its
-sorted process codes.  A state explored costs one int in the seen set.
+a solo node is one int, registers and state id.  A configuration's dedup key
+is one int too: its packed registers above the sum of one table entry per
+process code (`multiset_key_tables`), which names the multiset of codes by
+their power sums.  The key thus stands one to one for `model.canonicalize`'s
+key, and a move changes it by a few additions, with no sort.  A state
+explored costs one int in the seen set.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class OracleVerdict:
     def ok(self) -> bool:
         return (self.agreement, self.validity, self.solo_termination) == ("ok", "ok", "ok")
 
-
-# decision by node code % 6: (status * 2 + input) -> None while active
-_DECIDED = (None, None, 0, 0, 1, 1)
 
 # the default state bound of a sweep, and the node bound of a replayed solo
 # closure
@@ -94,21 +95,45 @@ def sweep_tables(spec: AlgorithmSpec) -> tuple:
     return tuple(rows), pack
 
 
+def multiset_key_tables(n: int, code_base: int) -> tuple:
+    """`(table, span)`: an additive key for a multiset of `n` codes below
+    `code_base`.  The multiset's key is the sum of `table[c]` over its
+    codes, and it is below `span`; equal keys mean equal multisets.
+
+    `table[c]` holds the powers c, c**2, ..., c**n as the digits of a
+    mixed-radix int, the k-th digit in radix n * (code_base - 1)**k + 1, so
+    a sum of n entries never carries and its digits are the power sums
+    p_1, ..., p_n of the codes.  By Newton's identities these give the
+    elementary symmetric polynomials, hence the polynomial whose roots are
+    the codes: the multiset.  A key takes about n(n+1)/2 * log2(code_base)
+    bits.
+    """
+    weights, span = [], 1
+    for k in range(1, n + 1):
+        weights.append(span)
+        span *= n * (code_base - 1) ** k + 1
+    table = [sum(c ** k * weight for k, weight in enumerate(weights, 1))
+             for c in range(code_base)]
+    return table, span
+
+
 def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[bool]:
     """Whether a process in state id `sid` can still return when it runs
     alone from the packed registers `regs`, on the `sweep_tables` rows
     `rows`: exact reachability of a RETURN row, with no depth bound.
 
     One process alone moves in a finite graph of `(state id, registers)`
-    nodes.  On a miss in `memo`, which maps such nodes to their answers,
-    this explores every node the process reaches alone without passing a
-    node that has a RETURN row, marks by a reverse pass over the recorded
-    predecessors each node from which a RETURN row is reachable, and writes
-    every explored node into `memo`.  A node already in `memo` is not
-    explored again: its answer is exact.  Returns None, and writes nothing,
-    when the exploration would hold more than `limit` nodes.
+    nodes, each one int, `registers * len(rows) + state id`.  On a miss in
+    `memo`, which maps such nodes to their answers, this explores every node
+    the process reaches alone without passing a node that has a RETURN row,
+    marks by a reverse pass over the recorded predecessors each node from
+    which a RETURN row is reachable, and writes every explored node into
+    `memo`.  A node already in `memo` is not explored again: its answer is
+    exact.  Returns None, and writes nothing, when the exploration would hold
+    more than `limit` nodes.
     """
-    start = (sid, regs)
+    states = len(rows)
+    start = regs * states + sid
     known = memo.get(start)
     if known is not None:
         return known
@@ -117,16 +142,18 @@ def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[
     stack = [start]
     while stack:
         node = stack.pop()
-        s, r = node
-        if any(row[0] == RETURN for row in rows[s]):
+        r, s = divmod(node, states)
+        row = rows[s]
+        if any(action[0] == RETURN for action in row):
             returns.append(node)
             continue  # what lies beyond does not change this node's answer
-        for kind, weight, span, arg, _ in rows[s]:
+        here = node - s  # the registers, in state id 0
+        for kind, weight, span, arg, _ in row:
             if kind == READ:
-                succ = (arg[r % span // weight], r)
+                succ = here + arg[r % span // weight]
             else:
                 value, s2 = arg
-                succ = (s2, r + (value - r % span // weight) * weight)
+                succ = here + (value - r % span // weight) * weight * states + s2
             known = memo.get(succ)
             if known is not None:
                 if known:
@@ -165,23 +192,33 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
     schedule tree instead; tiny instances must reach the same verdicts
     either way.
 
-    The sweep runs on `sweep_tables`.  A node is the packed registers plus
-    one code per pid, `(state id * 3 + status) * 2 + input`, where status 0
-    is active and 1 + b means returned b.  The dedup key is one int, the
-    packed registers followed by the sorted codes as digits in base
-    `6 * state count`; it maps one to one onto `model.canonicalize`'s key.
-    Each node keeps only its parent's index and the move
-    `pid * width + action index` that reached it; a trace's `Step`s are
-    re-stepped from the root by the model's `step_with_outcome` when it is
-    recorded.
+    The sweep runs on `sweep_tables`.  A node's processes are one code per
+    pid, `(state id * 3 + status) * 2 + input`, where status 0 is active and
+    1 + b means returned b.  Its dedup key is one int, `regs * W + csum`:
+    the packed registers `regs`, and the `multiset_key_tables` sum `csum` of
+    its codes, which names their multiset.  So the key maps one to one onto
+    `model.canonicalize`'s key, the registers and the sorted processes.  A
+    move of one process changes one code and at most one register digit, so
+    a child's key is its parent's plus `table[new code] - table[old code]`
+    plus the register change times `W`, and no codes are sorted.
+
+    A queue entry is `(key, codes, decided)`: `key // W` gives back the
+    registers, and `decided` has bit b set when some process returned b (a
+    return move ORs in its bit), which agreement and validity test against
+    masks.  A child's codes are built only when the child is new.  A node's
+    index is its place in the queue's order, so it needs no field; it
+    indexes the `parent` and `move` arrays, which keep the parent's index
+    and the move `pid * width + action index` that reached the node.  A
+    trace's `Step`s are re-stepped from the root by the model's
+    `step_with_outcome` when it is recorded.
     """
     root = initial_configuration(spec, inputs)
     ids = spec.tables.ids
     rows, pack = sweep_tables(spec)
+    states = len(rows)
     width = max(map(len, rows))
-    code_base = 6 * len(rows)  # the codes are digits of a dedup key in this base
-    regs0 = pack(root.registers)
     codes0 = tuple(ids[p.state] * 6 + p.input for p in root.procs)
+    table, W = multiset_key_tables(len(codes0), 6 * states)
     parent, move = array("l", [-1]), array("l", [-1])
 
     def path(node) -> tuple:
@@ -198,43 +235,51 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
             steps.append(Step(pid, action, outcome))
         return tuple(steps)
 
-    # solo termination per (state id, registers), for every node any solo
+    # solo termination per `solo_returns` node, for every node any solo
     # closure of this sweep explored; `room` is what the state bound leaves
     # the closures, 0 once one of them outgrew it
     solo_memo: dict = {}
     room = max_states
 
     verdict = OracleVerdict("ok", "ok", "ok")
-    key0 = regs0
-    for c in sorted(codes0):
-        key0 = key0 * code_base + c
+    key0 = pack(root.registers) * W + sum(table[c] for c in codes0)
     seen = {key0}
-    input_set = set(inputs)
+    valid = sum(1 << b for b in set(inputs))  # the decisions validity allows
     truncated = False
-    queue = deque([(regs0, codes0, 0, 0)])
-    explored = 0
+    queue = deque([(key0, codes0, 0)])
+    # a node's index is its place in the queue's order, and the nodes of one
+    # depth are consecutive: `used` is the depth of the node popped, and
+    # `level_end` the index of the first node one deeper
+    explored = used = 0
+    level_end = 1
     while queue:
-        regs, codes, used, node = queue.popleft()
+        key, codes, decided = queue.popleft()
+        node = explored
         explored += 1
         if explored > max_states:
             truncated = True
             break
+        if node == level_end:
+            used += 1
+            level_end = len(parent)
 
-        decisions = {_DECIDED[c % 6] for c in codes}
-        decisions.discard(None)
-        if len(decisions) > 1 and verdict.agreement == "ok":
-            verdict.agreement = "violated"
-            verdict.agreement_trace = path(node)
-        if decisions - input_set and verdict.validity == "ok":
-            verdict.validity = "violated"
-            verdict.validity_trace = path(node)
+        if decided:
+            if decided == 3 and verdict.agreement == "ok":
+                verdict.agreement = "violated"
+                verdict.agreement_trace = path(node)
+            if decided & ~valid and verdict.validity == "ok":
+                verdict.validity = "violated"
+                verdict.validity_trace = path(node)
 
+        regs = key // W
+        solo_node = regs * states  # plus a state id: a `solo_returns` node
+        deep = used >= depth
         for pid, code in enumerate(codes):
             if code % 6 > 1:
                 continue  # returned
             sid = code // 6
             # the memo hit is read here, on the sweep's hot path
-            ok = solo_memo.get((sid, regs))
+            ok = solo_memo.get(solo_node + sid)
             if ok is None and room:
                 ok = solo_returns(rows, solo_memo, sid, regs, room)
                 room = max_states - len(solo_memo) if ok is not None else 0
@@ -243,29 +288,32 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
             elif not ok and verdict.solo_termination == "ok":
                 verdict.solo_termination = "stuck"
                 verdict.stuck = (path(node), pid)
+            if deep:
+                truncated = True
+                continue
             inp = code & 1
+            rest = key - table[code]  # the key without this process
             for j, (kind, weight, span, arg, _) in enumerate(rows[sid]):
-                if used >= depth:
-                    truncated = True
-                    break
-                regs2 = regs
+                decided2 = decided
                 if kind == READ:
                     code2 = arg[regs % span // weight] * 6 + inp
+                    key2 = rest + table[code2]
                 elif kind == WRITE:
                     value, s2 = arg
-                    regs2 = regs + (value - regs % span // weight) * weight
                     code2 = s2 * 6 + inp
+                    key2 = rest + table[code2] + (value - regs % span // weight) * weight * W
                 else:
                     code2 = code + 2 + 2 * arg  # status 1 + decision
-                codes2 = codes[:pid] + (code2,) + codes[pid + 1:]
+                    key2 = rest + table[code2]
+                    decided2 |= 1 << arg
                 if dedup:
-                    key = regs2
-                    for c in sorted(codes2):
-                        key = key * code_base + c
-                    if key in seen:
+                    if key2 in seen:
                         continue
-                    seen.add(key)
-                queue.append((regs2, codes2, used + 1, len(parent)))
+                    # CPython allocates a sum one digit wider than it
+                    # needs; `| 0` copies it at its exact size
+                    key2 |= 0
+                    seen.add(key2)
+                queue.append((key2, codes[:pid] + (code2,) + codes[pid + 1:], decided2))
                 parent.append(node)
                 move.append(pid * width + j)
 

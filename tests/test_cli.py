@@ -206,14 +206,21 @@ def test_inconclusive_out_file_replays(tmp_path):
     assert json.loads(replay.stdout)["kind"] == "inconclusive"
 
 
-def test_parse_error_exits_one(tmp_path):
+def test_parse_error_exits_one(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algorithm x\nwhat even is this\n")
+    # the real entry point, in its own process
+    out = run_cli("check", str(bad))
+    assert out.returncode == 1
+    assert "error" in out.stderr and "Traceback" not in out.stderr
+    # every case below runs in this process, through `cli.main` with one
+    # shared argument parser, where an exception that escapes it fails the
+    # test as a traceback would
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
     # an inconclusive run's file holds no trace; a header's inputs are no bits
     empty, mistyped = tmp_path / "empty.jsonl", tmp_path / "mistyped.jsonl"
-    assert run_cli("attack", "linear", "zoo:of-race-3", "--m", "1",
-                   "--out", str(empty)).returncode == 3
-    assert run_cli("check", "zoo:trivial-decider", "--out", str(mistyped)).returncode == 2
+    assert cli.main(["attack", "linear", "zoo:of-race-3", "--m", "1", "--out", str(empty)]) == 3
+    assert cli.main(["check", "zoo:trivial-decider", "--out", str(mistyped)]) == 2
     records = [json.loads(line) for line in mistyped.read_text().splitlines()]
     records[0]["inputs"] = "01"
     mistyped.write_text("".join(json.dumps(rec) + "\n" for rec in records))
@@ -237,10 +244,11 @@ def test_parse_error_exits_one(tmp_path):
         cases += [["check", path], ["attack", "sqrt", path, "--target-r", "1"],
                   ["attack", "linear", path, "--m", "1"], ["valency", path], ["replay", path],
                   ["valency", "zoo:of-race-3", "--trace", path]]
+    capsys.readouterr()
     for args in cases:
-        out = run_cli(*args)
-        assert out.returncode == 1, args
-        assert "error" in out.stderr and "Traceback" not in out.stderr, args
+        assert cli.main(args) == 1, args
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err, args
 
 
 def test_replay_of_a_non_object_record_exits_one(tmp_path, monkeypatch, capsys):

@@ -94,7 +94,8 @@ def test_solo_closure_matches_unbounded_solo_bfs(text):
     names = list(ids)
     assert len(memo) == len(names) * len(values) ** 2
     labels = set()
-    for (sid, packed), label in memo.items():
+    for node, label in memo.items():
+        packed, sid = divmod(node, len(rows))  # a node is `packed * len(rows) + sid`
         regs = unpacked[packed]
         config = Configuration(regs, (Proc(0, names[sid]),))
         exact = oracle_valency(spec, config, [0], "solo")
@@ -110,7 +111,7 @@ def test_solo_closure_stops_at_a_return_row():
     start = (spec.tables.ids["A"], pack((BOTTOM,) * 30))
     memo: dict = {}
     assert solo_returns(rows, memo, *start, 1) is True
-    assert memo == {start: True}
+    assert memo == {start[1] * len(rows) + start[0]: True}
 
 
 def test_solo_closure_past_its_limit_answers_nothing():

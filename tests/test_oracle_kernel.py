@@ -1,14 +1,16 @@
 """The packed oracle sweep against the dataclass reference sweep.
 
 Both must return equal `OracleVerdict`s, every field and trace included: the
-packed dedup key is a bijection of `model.canonicalize`'s key and children
-expand in the same (pid, action-index) order, so even the state counts, the
-truncation flag and the first trace recorded per category agree.  There are
-two exceptions, both in solo termination and both listed case by case: where
-the reference's depth-bounded solo search is cut off, the packed sweep's
-closure is exact (see `CUT_OFF`); and where the packed sweep's closures
-outgrow its state bound, it leaves the check open, while the reference
-charges its solo searches to no bound (see `LEFT_OPEN`).
+packed dedup key, the packed registers and the power sums of the process
+codes, is a bijection of `model.canonicalize`'s key (the registers and the
+sorted processes) and children expand in the same (pid, action-index)
+order, so even the state counts, the truncation flag and the first trace
+recorded per category agree.  There are two exceptions, both in solo
+termination and both listed case by case: where the reference's
+depth-bounded solo search is cut off, the packed sweep's closure is exact
+(see `CUT_OFF`); and where the packed sweep's closures outgrow its state
+bound, it leaves the check open, while the reference charges its solo
+searches to no bound (see `LEFT_OPEN`).
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import pytest
 
 from regforce import zoo
 from regforce.model import load_algorithm
-from regforce.oracle import oracle_check
+from regforce.oracle import multiset_key_tables, oracle_check
 
 from conftest import THREE_VALUES, WRITE_OR_RETURN
 from reference_oracle import reference_oracle_check
@@ -29,6 +31,29 @@ INPUTS = [list(bits) for n in (1, 2, 3) for bits in itertools.product((0, 1), re
 DEPTHS = (0, 1, 2, 5, 8)
 # the default bound, and bounds small enough to trip
 MAX_STATES = (500_000, 1, 10, 100)
+# four processes, where a dedup key must tell multisets of four codes apart,
+# on the specs whose four-process spaces stay small at these depths (at most
+# 9,440 canonical states, at depth 12); the raw tree is swept to depth 4 (at
+# depth 5 it spans up to 78k nodes).  A sweep that packs four codes' key in
+# three codes' radices is caught only from depth 12 on.
+FOUR = [[0, 0, 1, 1], [0, 1, 1, 1]]
+FOUR_DEPTHS = (0, 1, 2, 4, 5, 12)
+FOUR_SPECS = ("of-race-3", "three-values", "write-or-return")
+
+
+def _cases(name):
+    depths = DEPTHS + ((60,) if name == "of-race-3" else ())
+    # write-or-return and three-values branch widely: three processes span
+    # 500k raw nodes by depth 8
+    raw_depth = 5 if name in TEXTS else 8
+    for inputs, depth, max_states in itertools.product(INPUTS, depths, MAX_STATES):
+        for dedup in (True, False) if depth <= raw_depth else (True,):
+            yield inputs, depth, max_states, dedup
+    if name in FOUR_SPECS:
+        for inputs, depth, max_states in itertools.product(FOUR, FOUR_DEPTHS, MAX_STATES):
+            for dedup in (True, False) if depth <= 4 else (True,):
+                yield inputs, depth, max_states, dedup
+
 
 # (name, inputs, depth, max_states, dedup) of every case where the reference's
 # solo search is cut off and the packed sweep's exact closure answers: at
@@ -47,18 +72,8 @@ CUT_OFF = {("spin-reader", tuple(inputs), 0, max_states, dedup)
 # and reports `stuck`.  Every three-values case at bound 10 deep enough to
 # reach W, and no other.
 LEFT_OPEN = {("three-values", tuple(inputs), depth, 10, dedup)
-             for inputs in INPUTS for depth in (1, 2, 5, 8) for dedup in (True, False)
-             if depth >= (1 if 0 in inputs else 2) and (dedup or depth <= 5)}
-
-
-def _cases(name):
-    depths = DEPTHS + ((60,) if name == "of-race-3" else ())
-    # write-or-return and three-values branch widely: three processes span
-    # 500k raw nodes by depth 8
-    raw_depth = 5 if name in TEXTS else 8
-    for inputs, depth, max_states in itertools.product(INPUTS, depths, MAX_STATES):
-        for dedup in (True, False) if depth <= raw_depth else (True,):
-            yield inputs, depth, max_states, dedup
+             for inputs, depth, max_states, dedup in _cases("three-values")
+             if max_states == 10 and depth >= (1 if 0 in inputs else 2)}
 
 
 @pytest.mark.parametrize("name", sorted(zoo.CATALOG) + sorted(TEXTS))
@@ -85,3 +100,15 @@ def test_packed_sweep_matches_reference(name):
     # every listed case ran
     assert cut_off == sum(case[0] == name for case in CUT_OFF)
     assert left_open == sum(case[0] == name for case in LEFT_OPEN)
+
+
+def test_multiset_key_tells_every_multiset_apart():
+    # every multiset of up to four codes below 12: equal keys mean equal
+    # sorted codes, and each key stays below the registers' weight
+    for n in (1, 2, 3, 4):
+        table, span = multiset_key_tables(n, 12)
+        keys = {}
+        for codes in itertools.combinations_with_replacement(range(12), n):
+            key = sum(table[c] for c in codes)
+            assert 0 <= key < span
+            assert keys.setdefault(key, codes) == codes, (key, codes)
