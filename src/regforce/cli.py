@@ -250,12 +250,15 @@ def _cmd_zoo(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # a negative search budget or m would read as "no run exists", and a
-        # negative state bound as a sweep truncated at its root
+        # a negative search budget or m would read as "no run exists", a
+        # negative state bound as a sweep truncated at its root, and a
+        # negative --at as a slice that drops the trace's last steps
         if getattr(args, "depth", 0) < 0:
             raise UsageError(f"--depth must be nonnegative, got {args.depth}")
         if (getattr(args, "m", None) or 0) < 0:
             raise UsageError(f"--m must be nonnegative, got {args.m}")
+        if (getattr(args, "at", None) or 0) < 0:
+            raise UsageError(f"--at must be nonnegative, got {args.at}")
         if getattr(args, "max_states", 0) < 0:
             raise UsageError(f"--max-states must be nonnegative, got {args.max_states}")
         if args.command == "check":

@@ -18,6 +18,16 @@ joining them.  Replay takes the file's bytes (text is encoded to them
 first) and decodes and splits them one line at a time, so it holds the file
 once.
 
+Step records repeat far more than they differ, so both directions work once
+per distinct record.  `i` is the first sorted key, so an emitted step line
+is `{"i":N,` and a tail, the rest of the record.  The emitters encode each
+distinct tail once per file.  Replay decodes and validates each distinct
+tail once per file, and its lines share one Step; every later line with
+that tail checks only what the tail cannot fix, its index and its pid and
+role against its own section.  A step line of any other shape is decoded and
+validated on its own, with the same checks in the same order, so a file
+gives the same summary or the same error either way.
+
 A linear certificate's `pairs` (in the header and in each level) record the
 pair layout of its processes, [[0, 1], [2, 3], ...]: pair i is leader 2i and
 clone 2i+1, so a step's role is its pid's parity and no split is stored, as
@@ -49,6 +59,7 @@ import functools
 import io
 import itertools
 import json
+import re
 from typing import Optional
 
 from .model import (
@@ -104,24 +115,31 @@ def execution_lines(exec_: Execution, roles=None, first_index: int = 0, memo=Non
     were validated when exec_ was built, so each process's states are read
     off its actions and recorded outcomes.
 
-    `memo` maps (step, state_before, role) to the record's encoding after
-    its index and to its state_after; one emitted file shares it, so each
-    distinct record is encoded once per file.  `i` is the first sorted key,
-    so a line is `{"i":N,` followed by that encoding."""
+    `memo` maps (pid, id(action), outcome, state_before, role) to the
+    record's encoding after its index, its state_after and the action; one
+    emitted file shares it, so each distinct record is encoded once per file.
+    Its key holds only ints and strings, so no Step is hashed, and its value
+    holds the action, so no id is reused while the memo lives; an action
+    equal to another but not the same object only misses the memo, and
+    encodes to the same bytes.  `i` is the first sorted key, so a line is
+    `{"i":N,` followed by that encoding."""
     roles = roles or {}
     memo = {} if memo is None else memo
     states = [p.state for p in exec_.initial.procs]
+    role_of = [roles.get(pid, "solo") for pid in range(len(states))]
     lines = []
     for i, step in enumerate(exec_.steps, start=first_index):
-        key = (step, states[step.pid], roles.get(step.pid, "solo"))
+        pid, action = step.pid, step.action
+        before, role = states[pid], role_of[pid]
+        key = (pid, id(action), step.outcome, before, role)
         hit = memo.get(key)
         if hit is None:
-            rec = _step_record(0, *key)
+            rec = _step_record(0, step, before, role)
             del rec["i"]
-            hit = memo[key] = (_dump(rec)[1:], rec["state_after"])
-        tail, after = hit
+            hit = memo[key] = (_dump(rec)[1:], rec["state_after"], action)
+        tail, after, _ = hit
         if after is not None:
-            states[step.pid] = after
+            states[pid] = after
         lines.append(f'{{"i":{i},{tail}')
     return lines
 
@@ -297,19 +315,49 @@ def _lines(data):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
 
 
+# the start of a step line as the emitters write it: an index, then the rest
+# of the record (its tail) as the next key; a longer index than any file
+# holds is left to the decoder, which rejects one too long for an int
+_INDEXED = re.compile(r'\{"i":(0|[1-9][0-9]{0,17}),(?=")')
+
+
+class _Tail:
+    """The step lines of a file that share one tail: its record decoded once,
+    then, once a line of it is validated, only the Step and role it gives."""
+
+    __slots__ = ("rec", "step", "role")
+
+    def __init__(self, rec: dict):
+        self.rec, self.step, self.role = rec, None, None
+
+
 def _sections(data):
     """Yield (record, its step records) for each section of a file, given as
     bytes or text, parsing one section at a time from lines read lazily, each
     stripped of the whitespace around it; blank lines count in line numbers
-    and are skipped.  Step records before the first record get None."""
-    meta, steps = None, []
+    and are skipped.  Step records before the first record get None.
+
+    A step line that opens `{"i":N,` is decoded once per file for each
+    distinct rest of the line (its tail): the section holds (N, the tail's
+    shared `_Tail`), and later lines with that tail are not decoded again.
+    Every other step line is held decoded, and so is one whose tail holds
+    `"i"` or a backslash anywhere: either may make a second key i, which
+    would override N."""
+    meta, steps, tails = None, [], {}
     for n, line in enumerate(_lines(data), start=1):
         line = line.strip()
         if not line:
             continue
+        indexed = _INDEXED.match(line)
+        if indexed:
+            text = line[indexed.end():]
+            tail = tails.get(text)
+            if tail is not None:
+                steps.append((int(indexed[1]), tail))
+                continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or a number too long for an int
             raise ReplayError(f"line {n}: not a JSON record ({e})") from None
         if not isinstance(record, dict):
             raise ReplayError(f"line {n}: not a JSON object")
@@ -317,6 +365,9 @@ def _sections(data):
             if meta is not None or steps:
                 yield meta, steps
             meta, steps = record, []
+        elif indexed and '"i"' not in text and "\\" not in text:
+            tail = tails[text] = _Tail(record)
+            steps.append((int(indexed[1]), tail))
         else:
             steps.append(record)
     if meta is not None or steps:
@@ -369,47 +420,72 @@ _STEP_FIELDS = ("kind", "pid", "reg", "val", "state_before", "state_after")
 
 
 def _steps_from_records(spec, records, pids: int, first: int = 0, roles=None):
-    """Steps of a system of `pids` processes from their records, which must
-    be numbered from `first`.  Given `roles` (pid -> "leader" | "clone"),
-    each step's role must be its pid's, or "solo" for a pid in no pair."""
+    """Steps of a system of `pids` processes from their records, as
+    `_sections` holds them, which must be numbered from `first`.  Given
+    `roles` (pid -> "leader" | "clone"), each step's role must be its pid's,
+    or "solo" for a pid in no pair.
+
+    A tail's record is validated in full once; a later line with that tail
+    checks only its index, its pid against `pids` and its role, in that
+    order, since every other check reads only the tail."""
     steps = []
     for i, rec in enumerate(records, start=first):
-        if type(rec.get("i")) is not int or rec["i"] != i:
+        tail = None
+        if type(rec) is tuple:
+            index, tail = rec
+            if index != i:
+                raise ReplayError(f"step {i}: i is {index!r}, not its index {i}")
+            step = tail.step
+            if step is not None:
+                _check_pid(i, step.pid, pids, roles, tail.role)
+                steps.append(step)
+                continue
+            rec = tail.rec
+        elif type(rec.get("i")) is not int or rec["i"] != i:
             raise ReplayError(f"step {i}: i is {rec.get('i')!r}, not its index {i}")
-        for field in _STEP_FIELDS:
-            if field not in rec:
-                raise ReplayError(f"step {i}: no {field} field")
-        kind = rec["kind"]
-        state = rec["state_before"]
-        pid = rec["pid"]
-        outcome = rec.get("outcome")
-        if type(pid) is not int or not 0 <= pid < pids:
-            raise ReplayError(f"step {i}: pid {pid!r} is not one of {pids} pids")
-        if roles is not None and rec.get("role") != roles.get(pid, "solo"):
-            raise ReplayError(f"step {i}: role {rec.get('role')!r} is not pid {pid}'s "
-                              f"{roles.get(pid, 'solo')!r}")
-        if not isinstance(state, str):
-            raise ReplayError(f"step {i}: state_before is not a string")
-        # a read records the value it saw; nothing else records an outcome
-        if type(outcome) is not (str if kind == "read" else type(None)):
-            raise ReplayError(f"step {i}: outcome {outcome!r} does not fit a {kind} step")
-        action = None
-        for a in spec.actions(state):
-            if kind == "read" and isinstance(a, Read) and a.reg == rec["reg"] \
-                    and a.target(outcome) == rec["state_after"]:
-                action = a
-                break
-            if kind == "write" and isinstance(a, Write) and a.reg == rec["reg"] \
-                    and a.value == rec["val"] and a.next_state == rec["state_after"]:
-                action = a
-                break
-            if kind == "return" and isinstance(a, Return) and a.decision == rec["val"]:
-                action = a
-                break
-        if action is None:
-            raise ReplayError(f"step {i}: no matching action in state {state!r}")
-        steps.append(Step(pid, action, outcome))
+        step = _step(spec, rec, i, pids, roles)
+        if tail is not None:
+            tail.rec, tail.step, tail.role = None, step, rec.get("role")
+        steps.append(step)
     return steps
+
+
+def _check_pid(i: int, pid, pids: int, roles, role) -> None:
+    """Step i's pid must be one of `pids`, and its role the pid's."""
+    if type(pid) is not int or not 0 <= pid < pids:
+        raise ReplayError(f"step {i}: pid {pid!r} is not one of {pids} pids")
+    if roles is not None and role != roles.get(pid, "solo"):
+        raise ReplayError(f"step {i}: role {role!r} is not pid {pid}'s "
+                          f"{roles.get(pid, 'solo')!r}")
+
+
+def _step(spec, rec: dict, i: int, pids: int, roles) -> Step:
+    """The Step of step record i, whose index the caller checked: every
+    field present, then its pid and role, its state and outcome, and one
+    action of its state that it matches."""
+    for field in _STEP_FIELDS:
+        if field not in rec:
+            raise ReplayError(f"step {i}: no {field} field")
+    kind = rec["kind"]
+    state = rec["state_before"]
+    pid = rec["pid"]
+    outcome = rec.get("outcome")
+    _check_pid(i, pid, pids, roles, rec.get("role"))
+    if not isinstance(state, str):
+        raise ReplayError(f"step {i}: state_before is not a string")
+    # a read records the value it saw; nothing else records an outcome
+    if type(outcome) is not (str if kind == "read" else type(None)):
+        raise ReplayError(f"step {i}: outcome {outcome!r} does not fit a {kind} step")
+    for a in spec.actions(state):
+        if kind == "read" and isinstance(a, Read) and a.reg == rec["reg"] \
+                and a.target(outcome) == rec["state_after"]:
+            return Step(pid, a, outcome)
+        if kind == "write" and isinstance(a, Write) and a.reg == rec["reg"] \
+                and a.value == rec["val"] and a.next_state == rec["state_after"]:
+            return Step(pid, a, outcome)
+        if kind == "return" and isinstance(a, Return) and a.decision == rec["val"]:
+            return Step(pid, a, outcome)
+    raise ReplayError(f"step {i}: no matching action in state {state!r}")
 
 
 def _pids(record: dict, field: str, where: str, count: int, what: str = "pids") -> tuple:

@@ -35,6 +35,16 @@ def run_cli(*args, cwd=ROOT, timeout=None):
     )
 
 
+def main_in_process(capsys, *args):
+    """`run_cli` through `cli.main` in this process, its streams captured by
+    `capsys`.  Building the argument parser costs as much as a small run, so
+    a test that calls this often caches `cli._parser` first."""
+    capsys.readouterr()
+    code = cli.main(list(args))
+    out = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out.out, out.err)
+
+
 def test_check_certified_spec_exits_zero():
     out = run_cli("check", "zoo:of-race-3", "--inputs", "01", "--depth", "60")
     assert out.returncode == 0
@@ -124,19 +134,22 @@ ATTACK_LINEAR_PINS = {
 }
 
 
-def _attack_pinned(tmp_path, kind, option, pins):
-    for (name, value, *depth), (code, digest) in pins.items():
+def _attack_pinned(tmp_path, monkeypatch, capsys, kind, option, pins):
+    """The first pin runs the real entry point in its own process, and every
+    other one `cli.main` in this process, with one shared argument parser."""
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    for n, ((name, value, *depth), (code, digest)) in enumerate(pins.items()):
         target = tmp_path / f"{name}-{value}.jsonl"
         extra = ("--depth", str(depth[0])) if depth else ()
-        out = run_cli("attack", kind, f"zoo:{name}", option, str(value), *extra,
-                      "--out", str(target))
+        args = ("attack", kind, f"zoo:{name}", option, str(value), *extra, "--out", str(target))
+        out = run_cli(*args) if n == 0 else main_in_process(capsys, *args)
         blob = json.dumps([out.stdout, out.stderr, target.read_text()])
         assert (out.returncode, hashlib.sha256(blob.encode()).hexdigest()) \
             == (code, digest), (name, value, *depth, out.stderr)
 
 
-def test_attack_linear_outputs_are_pinned(tmp_path):
-    _attack_pinned(tmp_path, "linear", "--m", ATTACK_LINEAR_PINS)
+def test_attack_linear_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    _attack_pinned(tmp_path, monkeypatch, capsys, "linear", "--m", ATTACK_LINEAR_PINS)
 
 
 # (exit code, last stderr line, SHA-256 of the --out file) of `attack linear`
@@ -185,8 +198,8 @@ ATTACK_SQRT_PINS = {
 }
 
 
-def test_attack_sqrt_outputs_are_pinned(tmp_path):
-    _attack_pinned(tmp_path, "sqrt", "--target-r", ATTACK_SQRT_PINS)
+def test_attack_sqrt_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    _attack_pinned(tmp_path, monkeypatch, capsys, "sqrt", "--target-r", ATTACK_SQRT_PINS)
 
 
 def test_attack_linear_inconclusive_exits_three():
@@ -469,6 +482,20 @@ def test_valency_at_trace_position(tmp_path):
     assert '"classification": "bivalent"' in out.stdout
 
 
+def test_valency_at_must_be_nonnegative(tmp_path, monkeypatch, capsys):
+    # a negative --at would slice off the trace's last steps, and once did
+    # so and exited 0
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    target = tmp_path / "v.jsonl"
+    assert main_in_process(capsys, "attack", "sqrt", "zoo:one-register-flag", "--target-r",
+                           "2", "--out", str(target)).returncode == 2
+    query = ("valency", "zoo:one-register-flag", "--trace", str(target), "--at")
+    out = main_in_process(capsys, *query, "-2")
+    assert (out.returncode, out.stdout, out.stderr) \
+        == (1, "", "error: --at must be nonnegative, got -2\n")
+    assert main_in_process(capsys, *query, "0").returncode == 0
+
+
 def test_valency_trace_reads_a_certificate_s_first_level(tmp_path):
     # an r = 2 sqrt certificate's level 0 is two processes that took no step,
     # not its first witness's run in the top level's three-process system
@@ -493,7 +520,10 @@ def test_valency_trace_must_be_the_named_algorithm(tmp_path):
     assert same.returncode == 0
 
 
-def test_zoo_list_and_show():
+def test_zoo_list_and_show(monkeypatch, capsys):
+    # `zoo list` runs the real entry point in its own process, and every
+    # `zoo show` runs in this process
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
     out = run_cli("zoo", "list")
     assert out.returncode == 0
     assert "one-register-flag" in out.stdout
@@ -507,7 +537,7 @@ def test_zoo_list_and_show():
         else:
             want = (packaged / f"{entry.name}.alg").read_text("utf-8")
             hand_written.append(f"{entry.name}.alg")
-        shown = run_cli("zoo", "show", entry.name)
+        shown = main_in_process(capsys, "zoo", "show", entry.name)
         assert shown.returncode == 0
         assert shown.stdout == want
         assert hashlib.sha256(shown.stdout.encode()).hexdigest() == ZOO_SHOW_SHA256[entry.name]

@@ -3,13 +3,15 @@ import json
 
 import pytest
 
-from regforce import cli, traceio
+from regforce import cli, traceio, zoo
 from regforce.linear_attack import linear_run
 from regforce.oracle import oracle_check
 from regforce.reports import ViolationReport
 from regforce.sqrt_attack import sqrt_run
 from regforce.execution import Execution
 from regforce.model import initial_configuration
+
+from test_cli import ATTACK_LINEAR_PINS, ATTACK_SQRT_PINS
 
 
 def test_sqrt_certificate_round_trip(race3):
@@ -213,3 +215,88 @@ def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch, capsys):
             assert code in (0, 1), text
             assert code == 0 or err.startswith("replay error:") \
                 or (field == "algorithm_text" and err.startswith("error:")), (err, text)
+
+
+def _replayed(data):
+    """`replay_file`'s summary of a file, or its error as the CLI prints it."""
+    try:
+        return traceio.replay_file(data)
+    except traceio.ReplayError as e:
+        return f"replay error: {e}"
+
+
+def test_spaced_step_lines_replay_as_emitted(tmp_path, monkeypatch):
+    # every pinned attack's file, its step lines re-serialized with spaces so
+    # that none is decoded once per tail, replays to the emitted file's summary
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    target = tmp_path / "emitted.jsonl"
+    for kind, option, pins in (("linear", "--m", ATTACK_LINEAR_PINS),
+                               ("sqrt", "--target-r", ATTACK_SQRT_PINS)):
+        for name, value, *depth in pins:
+            extra = ["--depth", str(depth[0])] if depth else []
+            cli.main(["attack", kind, f"zoo:{name}", option, str(value), *extra,
+                      "--out", str(target)])
+            lines = target.read_text().splitlines()
+            spaced = [json.dumps(rec) if rec["record"] == "step" else line
+                      for line, rec in zip(lines, map(json.loads, lines))]
+            want = _replayed(target.read_bytes())
+            assert isinstance(want, dict), (name, value, want)
+            assert _replayed("\n".join(spaced)) == want, (name, value)
+
+
+def test_a_repeated_i_key_overrides_the_index(race3):
+    # the decoder keeps a record's last `i`, spelled plainly or escaped
+    lines = traceio.sqrt_certificate_lines(sqrt_run(race3, 2, depth=64))
+    n = next(n for n, line in enumerate(lines) if line.startswith('{"i":5,'))
+    for key in ('"i"', '"\\u0069"'):
+        edited = lines[:n] + [f"{lines[n][:-1]},{key}:6}}"] + lines[n + 1:]
+        assert _replayed("\n".join(edited)) == "replay error: step 5: i is 6, not its index 5"
+
+
+def test_each_distinct_step_tail_is_decoded_once(monkeypatch):
+    # a step line is `{"i":N,` and a tail; of_race(5)'s certificate repeats
+    # tails, and replay decodes each distinct one and each other record once
+    lines = traceio.sqrt_certificate_lines(sqrt_run(zoo.get_zoo("of-race-5"), 3, depth=64))
+    tails, others = set(), 0
+    for line in lines:
+        rec = json.loads(line)
+        if rec["record"] == "step":
+            prefix = f'{{"i":{rec["i"]},'
+            assert line.startswith(prefix)
+            tails.add(line[len(prefix):])
+        else:
+            others += 1
+    assert len(tails) < len(lines) - others
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    assert traceio.replay_file("\n".join(lines))["kind"] == "certificate"
+    assert len(decoded) == len(tails) + others
+
+
+def test_a_repeated_tail_is_checked_against_its_own_level(race3):
+    # each level's steps repeat tails of the one before; with one input fewer
+    # a level rejects a pid as a full parse of every line does
+    records = [json.loads(line)
+               for line in traceio.sqrt_certificate_lines(sqrt_run(race3, 3, depth=64))]
+    for n, rec in enumerate(records):
+        if rec["record"] == "level":
+            cut = records[:n] + [dict(rec, inputs=rec["inputs"][:-1])] + records[n + 1:]
+            compact = "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":"))
+                                for r in cut)
+            got = _replayed(compact)
+            assert got == _replayed("\n".join(map(json.dumps, cut))), rec["r"]
+            assert got.startswith("replay error:"), rec["r"]
+
+
+def test_a_number_too_long_for_an_int_is_a_replay_error(race3):
+    # the decoder refuses an int of more than 4,300 digits with a ValueError;
+    # here one is the index of a line whose tail an earlier line holds
+    lines = traceio.sqrt_certificate_lines(sqrt_run(race3, 2, depth=64))
+    seen = set()
+    for n, line in enumerate(lines):
+        head, _, tail = line.partition(",")
+        if head.startswith('{"i":') and tail in seen:
+            break
+        seen.add(tail)
+    edited = lines[:n] + ['{"i":' + "1" * 5000 + "," + tail] + lines[n + 1:]
+    assert _replayed("\n".join(edited)).startswith(f"replay error: line {n + 1}: not a JSON record")
