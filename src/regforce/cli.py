@@ -44,13 +44,13 @@ def _bits(text: str) -> list:
 
 
 def _pids(text: str, count: int) -> list:
-    """A `--set` list such as 0,2 of pids below `count`."""
+    """A `--set` list such as 0,2 of distinct pids below `count`."""
     try:
         pids = [int(p) for p in text.split(",")]
     except ValueError:
         pids = None
-    if pids is None or not all(0 <= pid < count for pid in pids):
-        raise UsageError(f"--set must list pids below {count}, got {text!r}")
+    if pids is None or len(set(pids)) != len(pids) or not all(0 <= pid < count for pid in pids):
+        raise UsageError(f"--set must list distinct pids below {count}, got {text!r}")
     return pids
 
 
@@ -204,7 +204,7 @@ def _cmd_valency(args) -> int:
         config = traceio.first_trace(spec, _read_file(args.trace), args.at).final
     else:
         config = initial_configuration(spec, _bits(args.inputs))
-    if args.pidset:
+    if args.pidset is not None:
         pids = _pids(args.pidset, len(config.procs))
     else:
         pids = list(range(len(config.procs)))

@@ -97,28 +97,32 @@ class AlgorithmSpec:
         first use, so parsing never pays for it.  Every read of a validated
         spec resolves every register value."""
         ids = {name: i for i, name in enumerate(self.states)}
-        outcomes = (BOTTOM,) + self.alphabet
+        digits = {value: d for d, value in enumerate((BOTTOM,) + self.alphabet)}
+        base = len(digits)
         rows, covers = [], []
         for actions in self.states.values():
             row, mask = [], 0
             for a in actions:
+                if isinstance(a, Return):
+                    row.append((RETURN, 0, 0, a.decision, 0, a))
+                    continue
+                weight, bit = base ** a.reg, 1 << a.reg
                 if isinstance(a, Read):
-                    row.append((READ, a.reg, {v: ids[a.target(v)] for v in outcomes}, a))
-                elif isinstance(a, Write):
-                    row.append((WRITE, a.reg, (a.value, ids[a.next_state]), a))
-                    mask |= 1 << a.reg
+                    kind, arg = READ, tuple(ids[a.target(value)] for value in digits)
                 else:
-                    row.append((RETURN, None, a.decision, a))
+                    kind, arg = WRITE, (digits[a.value], ids[a.next_state])
+                    mask |= bit
+                row.append((kind, weight, weight * base, arg, bit, a))
             rows.append(tuple(row))
             covers.append(mask)
-        return SpecTables(ids=ids, rows=tuple(rows), covers=tuple(covers))
+        return SpecTables(ids=ids, rows=tuple(rows), covers=tuple(covers), digits=digits,
+                          vectors=base ** self.register_count)
 
     @functools.cached_property
     def memos(self) -> dict:
-        """Search memos by name (`valency` keeps its query, profile, solo,
-        solo-run and class-tables memos here, and `dead`, the classes from
-        which no reserving run returns each target); they live exactly as
-        long as the spec."""
+        """Search memos by name (`valency` keeps its query, profile, solo and
+        solo-run memos here, and `dead`, the classes from which no reserving
+        run returns each target); they live exactly as long as the spec."""
         return collections.defaultdict(dict)
 
 
@@ -129,17 +133,37 @@ READ, WRITE, RETURN = 0, 1, 2
 @dataclass(frozen=True)
 class SpecTables:
     """A spec compiled to integers, with the step semantics of
-    `step_in_place` for one process.
+    `step_in_place` for one process; the one register encoding every search
+    runs on.
+
+    A register vector is one int in base `len(alphabet) + 1`, register r
+    being its digit of weight `base**r`: `_` is digit 0, then the alphabet's
+    values in order (`digits`).  `pack` builds it from a registers tuple,
+    and `vectors` is the number of register vectors, so every packed vector
+    is below it.
 
     `ids` numbers the states in declaration order.  `rows[id]` holds the
-    state's actions in declaration order as `(kind, reg, arg, action)`, where
-    `arg` is a read's outcome -> next-id table, a write's `(value, next-id)`
-    or a return's decision.  Bit r of `covers[id]` is set when some action of
-    the state writes register r.
+    state's actions in declaration order as `(kind, weight, weight * base,
+    arg, bit, action)`, with the weight and the bit of the register acted on
+    (0 for a return), where `arg` is a read's next ids indexed by the digit
+    read, a write's `(value digit, next id)` or a return's decision, and
+    `action` is the model's action.  So the digit of a row's register in a
+    vector `regs` is `regs % (weight * base) // weight`, and a write stores
+    its value by adding `(value - digit) * weight`.  Bit r of `covers[id]` is
+    set when some action of the state writes register r.
     """
     ids: dict
     rows: tuple
     covers: tuple
+    digits: dict
+    vectors: int
+
+    def pack(self, registers: tuple) -> int:
+        """The register vector of a registers tuple, as one int."""
+        digits, regs = self.digits, 0
+        for value in reversed(registers):
+            regs = regs * len(digits) + digits[value]
+        return regs
 
 
 @dataclass(frozen=True)

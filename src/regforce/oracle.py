@@ -7,14 +7,15 @@ category, and re-confirms violation reports produced elsewhere.  It shares
 only the model's step semantics with the adversaries: solo termination is
 decided by its own exact closure (`solo_returns`), not by their searches.
 
-Both run on ints built per sweep (`sweep_tables`): a register vector is one
-int with a digit per register, so a read or a write is digit arithmetic, and
-a solo node is one int, registers and state id.  A configuration's dedup key
-is one int too: its packed registers above the sum of one table entry per
-process code (`multiset_key_tables`), which names the multiset of codes by
-their power sums.  The key thus stands one to one for `model.canonicalize`'s
-key, and a move changes it by a few additions, with no sort.  A state
-explored costs one int in the seen set.
+Both run on the model's compiled step semantics (`AlgorithmSpec.tables`), as
+the adversaries' searches do: a register vector is one int with a digit per
+register, so a read or a write is digit arithmetic, and a solo node is one
+int, registers and state id.  A configuration's dedup key is one int too:
+its packed registers above the sum of one table entry per process code
+(`multiset_key_tables`), which names the multiset of codes by their power
+sums.  The key thus stands one to one for `model.canonicalize`'s key, and a
+move changes it by a few additions, with no sort.  A state explored costs
+one int in the seen set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    BOTTOM,
     READ,
     RETURN,
     WRITE,
@@ -59,42 +59,6 @@ class OracleVerdict:
 MAX_STATES = 500_000
 
 
-def sweep_tables(spec: AlgorithmSpec) -> tuple:
-    """`(rows, pack)`: the spec's table rows in the digit form the sweep and
-    the solo closure run on, and the function that packs a registers tuple
-    into one int.  Built per sweep, from `spec.tables`.
-
-    A register vector is one int in base `len(alphabet) + 1`, register r
-    being its digit of weight `base**r`: `_` is digit 0, then the alphabet's
-    values in order.  `rows[id]` holds the state's actions in declaration
-    order as `(kind, weight, weight * base, arg, action)`, with the weight of
-    the register acted on (0 for a return), where `arg` is a read's next ids
-    indexed by the digit read, a write's `(value digit, next id)` or a
-    return's decision, and `action` is the model's action.
-    """
-    base = len(spec.alphabet) + 1
-    digits = {value: d for d, value in enumerate((BOTTOM,) + spec.alphabet)}
-    weights = [base ** reg for reg in range(spec.register_count)]
-    rows = []
-    for row in spec.tables.rows:
-        packed = []
-        for kind, reg, arg, action in row:
-            if kind == READ:
-                arg = tuple(arg[value] for value in digits)
-            elif kind == WRITE:
-                arg = (digits[arg[0]], arg[1])
-            else:
-                packed.append((kind, 0, 0, arg, action))
-                continue
-            packed.append((kind, weights[reg], weights[reg] * base, arg, action))
-        rows.append(tuple(packed))
-
-    def pack(registers: tuple) -> int:
-        return sum(digits[value] * weight for value, weight in zip(registers, weights))
-
-    return tuple(rows), pack
-
-
 def multiset_key_tables(n: int, code_base: int) -> tuple:
     """`(table, span)`: an additive key for a multiset of `n` codes below
     `code_base`.  The multiset's key is the sum of `table[c]` over its
@@ -119,8 +83,8 @@ def multiset_key_tables(n: int, code_base: int) -> tuple:
 
 def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[bool]:
     """Whether a process in state id `sid` can still return when it runs
-    alone from the packed registers `regs`, on the `sweep_tables` rows
-    `rows`: exact reachability of a RETURN row, with no depth bound.
+    alone from the packed registers `regs`, on the `SpecTables` rows `rows`:
+    exact reachability of a RETURN row, with no depth bound.
 
     One process alone moves in a finite graph of `(state id, registers)`
     nodes, each one int, `registers * len(rows) + state id`.  On a miss in
@@ -148,7 +112,7 @@ def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[
             returns.append(node)
             continue  # what lies beyond does not change this node's answer
         here = node - s  # the registers, in state id 0
-        for kind, weight, span, arg, _ in row:
+        for kind, weight, span, arg, _, _ in row:
             if kind == READ:
                 succ = here + arg[r % span // weight]
             else:
@@ -175,8 +139,8 @@ def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[
     return memo[start]
 
 
-def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_STATES,
-                 dedup: bool = True) -> OracleVerdict:
+def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
+                 max_states: int = MAX_STATES) -> OracleVerdict:
     """Breadth-first sweep over all schedules with canonical deduplication.
 
     BFS reaches every configuration at its minimal depth, so `truncated`
@@ -188,11 +152,9 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
     exact (`solo_returns`), so `truncated` comes only from the depth and
     state bounds.  The state bound also caps the solo closures: together
     they may hold `max_states` nodes, and a solo check past that is left
-    open and marks the sweep truncated.  `dedup=False` explores the raw
-    schedule tree instead; tiny instances must reach the same verdicts
-    either way.
+    open and marks the sweep truncated.
 
-    The sweep runs on `sweep_tables`.  A node's processes are one code per
+    The sweep runs on `spec.tables`.  A node's processes are one code per
     pid, `(state id * 3 + status) * 2 + input`, where status 0 is active and
     1 + b means returned b.  Its dedup key is one int, `regs * W + csum`:
     the packed registers `regs`, and the `multiset_key_tables` sum `csum` of
@@ -213,8 +175,8 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
     `step_with_outcome` when it is recorded.
     """
     root = initial_configuration(spec, inputs)
-    ids = spec.tables.ids
-    rows, pack = sweep_tables(spec)
+    tables = spec.tables
+    ids, rows = tables.ids, tables.rows
     states = len(rows)
     width = max(map(len, rows))
     codes0 = tuple(ids[p.state] * 6 + p.input for p in root.procs)
@@ -230,7 +192,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
         config, steps = root, []
         for mv in reversed(trail):
             pid, j = divmod(mv, width)
-            action = rows[ids[config.proc(pid).state]][j][4]
+            action = rows[ids[config.proc(pid).state]][j][-1]
             config, outcome = step_with_outcome(spec, config, pid, action)
             steps.append(Step(pid, action, outcome))
         return tuple(steps)
@@ -242,7 +204,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
     room = max_states
 
     verdict = OracleVerdict("ok", "ok", "ok")
-    key0 = pack(root.registers) * W + sum(table[c] for c in codes0)
+    key0 = tables.pack(root.registers) * W + sum(table[c] for c in codes0)
     seen = {key0}
     valid = sum(1 << b for b in set(inputs))  # the decisions validity allows
     truncated = False
@@ -293,7 +255,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
                 continue
             inp = code & 1
             rest = key - table[code]  # the key without this process
-            for j, (kind, weight, span, arg, _) in enumerate(rows[sid]):
+            for j, (kind, weight, span, arg, _, _) in enumerate(rows[sid]):
                 decided2 = decided
                 if kind == READ:
                     code2 = arg[regs % span // weight] * 6 + inp
@@ -306,13 +268,12 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int, max_states: int = MAX_
                     code2 = code + 2 + 2 * arg  # status 1 + decision
                     key2 = rest + table[code2]
                     decided2 |= 1 << arg
-                if dedup:
-                    if key2 in seen:
-                        continue
-                    # CPython allocates a sum one digit wider than it
-                    # needs; `| 0` copies it at its exact size
-                    key2 |= 0
-                    seen.add(key2)
+                if key2 in seen:
+                    continue
+                # CPython allocates a sum one digit wider than it needs; `| 0`
+                # copies it at its exact size
+                key2 |= 0
+                seen.add(key2)
                 queue.append((key2, codes[:pid] + (code2,) + codes[pid + 1:], decided2))
                 parent.append(node)
                 move.append(pid * width + j)
@@ -376,13 +337,13 @@ def replay_violation(report: ViolationReport) -> tuple:
             return False, "no stuck process identified"
         # exact, so the report's `depth` (the bound of the search that found
         # it) plays no part
-        final, ids, memo = replayed.final, replayed.spec.tables.ids, {}
-        rows, pack = sweep_tables(replayed.spec)
+        final, tables, memo = replayed.final, replayed.spec.tables, {}
+        regs = tables.pack(final.registers)
         for pid in report.stuck_pids:
             p = final.proc(pid)
             if not p.active:
                 return False, f"pid {pid} already returned"
-            ok = solo_returns(rows, memo, ids[p.state], pack(final.registers), MAX_STATES)
+            ok = solo_returns(tables.rows, memo, tables.ids[p.state], regs, MAX_STATES)
             if ok is None:
                 return False, f"pid {pid}'s solo runs span more than {MAX_STATES} nodes"
             if ok:

@@ -6,11 +6,12 @@ such run exists), or unknown (runs exist, but each is longer than the depth
 bound).  Searches operate on *units*: a unit is one pid, or a
 process-clone pair that moves in lockstep and counts as a single process.
 Both kinds of search run on the integer tables a spec compiles on first use
-(`AlgorithmSpec.tables`), not on `Configuration`s.  A proven witness keeps
-the configuration it starts from and its actions; its steps are built by the
-model's own step semantics (`materialize`), which re-checks every pair's
-lockstep outcome, only when they are first read, since most witnesses a
-query proves are never read.
+(`AlgorithmSpec.tables`), not on `Configuration`s: a query packs its root's
+registers into one int once, and each read or write is then digit
+arithmetic.  A proven witness keeps the configuration it starts from and its
+actions; its steps are built by the model's own step semantics
+(`materialize`), which re-checks every pair's lockstep outcome, only when
+they are first read, since most witnesses a query proves are never read.
 
 Solo queries are exact.  One unit alone moves in a finite graph of
 `(state id, registers)` nodes: what it can do depends on nothing else, not on
@@ -30,21 +31,20 @@ The oracle decides solo termination by its own closure
 The reserving search (`_Search`) is exact too.  It first closes the query's
 class graph, whose nodes are the symmetry classes `(sorted state ids,
 registers, written)` below, with no depth bound and by the goal and cover
-rules of the DFS.  A class is one int: the unit count, the registers as
-digits, the written bits and the sorted state ids (`_class_tables` builds
-the digit form once per spec).  When no goal is reachable the answer is
-"refuted", and every class the closure visited joins the spec's `dead` memo
-for the target: no run from it reaches the goal, whatever the pids, and a
-later closure stops there.  Otherwise the search is exhaustive depth-first
-over scheduling and nondeterministic choice, units in (state name, unit)
-order and each unit's actions in declaration order, bounded by the depth, so
-the first witness found is the least one and repeated runs are identical;
-finding none, it answers "unknown", since every run is longer than the
-depth.  The (state name, unit) order is the one the `profile` memo binds a
-found run's movers by, so a memo hit equals a fresh search of the queried
-subset, and the order in which queries are asked changes no answer.  The
-DFS's state is a list of unit state ids, the register contents and a bitmask
-of the registers written so far.  The exact memo key `(state ids,
+rules of the DFS.  A class is one int: the unit count, the packed registers,
+the written bits and the sorted state ids.  When no goal is reachable the
+answer is "refuted", and every class the closure visited joins the spec's
+`dead` memo for the target: no run from it reaches the goal, whatever the
+pids, and a later closure stops there.  Otherwise the search is exhaustive
+depth-first over scheduling and nondeterministic choice, units in (state
+name, unit) order and each unit's actions in declaration order, bounded by
+the depth, so the first witness found is the least one and repeated runs are
+identical; finding none, it answers "unknown", since every run is longer
+than the depth.  The (state name, unit) order is the one the `profile` memo
+binds a found run's movers by, so a memo hit equals a fresh search of the
+queried subset, and the order in which queries are asked changes no answer.
+The DFS's state is a list of unit state ids, the packed registers and a
+bitmask of the registers written so far.  The exact memo key `(state ids,
 registers, written)` maps one to one onto (state names, registers, written
 set); a node is entered at most once per budget, and a revisit with no
 larger budget is pruned.  A pair is checked in sync once, at the root.  It
@@ -98,7 +98,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    BOTTOM,
     READ,
     RETURN,
     AlgorithmSpec,
@@ -330,23 +329,22 @@ class _Search:
         tables = self.spec.tables
         self.rows, self.covers = tables.rows, tables.covers
         states = [tables.ids[config.proc(u[0]).state] for u in self.units]
-        if not self._reaches(states, config.registers):
+        regs = tables.pack(config.registers)
+        if not self._reaches(states, regs):
             return None, False
-        found = self._dfs(states, config.registers, 0, depth)
+        found = self._dfs(states, regs, 0, depth)
         return (None if found is None else tuple(reversed(found))), self.cutoff
 
-    def _reaches(self, states, registers) -> bool:
+    def _reaches(self, states, regs) -> bool:
         """Whether a goal is reachable from the root's symmetry class, by a
         closure of the class graph with no depth bound that stops at the
         classes of the spec's dead set for this target.  A closure that
         reaches no goal adds every class it visited to that set."""
-        spec, target, covers = self.spec, self.target, self.covers
-        rows, pack, span = _class_tables(spec)
+        spec, target, rows, covers = self.spec, self.target, self.rows, self.covers
         dead = spec.memos["dead"].setdefault(target, set())
         shift, width = spec.register_count, len(rows)
-        head = len(states) * span  # the unit count leads every key
+        head = len(states) * spec.tables.vectors  # the unit count leads every key
         states = tuple(sorted(states))
-        regs = pack(registers)
         k = (head + regs) << shift
         for s in states:
             k = k * width + s
@@ -360,14 +358,14 @@ class _Search:
                 if i and states[i - 1] == s:
                     continue  # a unit in the same state has the same moves
                 rest = states[:i] + states[i + 1:]
-                for kind, weight, digit_span, arg, bit in rows[s]:
+                for kind, weight, span, arg, bit, _ in rows[s]:
                     if kind == RETURN:
                         if target is None or arg == target:
                             masks = [covers[x] for x in rest]
                             if self._covered(masks, written):
                                 return True
                         continue
-                    digit = regs % digit_span // weight
+                    digit = regs % span // weight
                     if kind == READ:
                         nxt, regs2, written2 = arg[digit], regs, written
                     else:
@@ -413,7 +411,7 @@ class _Search:
             return None
         rows, covers, units, target = self.rows, self.covers, self.units, self.target
         for i, s in enumerate(states):
-            for kind, reg, arg, action in rows[s]:
+            for kind, weight, span, arg, bit, action in rows[s]:
                 if kind == RETURN:
                     if target is not None and arg != target:
                         continue
@@ -422,12 +420,12 @@ class _Search:
                     if not self._covered(masks, written):
                         continue
                     return [(units[i], action)]
+                digit = regs % span // weight
                 if kind == READ:
-                    nxt, regs2, written2 = arg[regs[reg]], regs, written
+                    nxt, regs2, written2 = arg[digit], regs, written
                 else:
                     value, nxt = arg
-                    regs2 = regs[:reg] + (value,) + regs[reg + 1:]
-                    written2 = written | 1 << reg
+                    regs2, written2 = regs + (value - digit) * weight, written | bit
                 states[i] = nxt
                 # every node's masks match its written set, so a move that
                 # writes no new register and loses no cover keeps the match
@@ -442,46 +440,6 @@ class _Search:
                 states[i] = s
         failed[cls] = budget
         return None
-
-
-def _class_tables(spec) -> tuple:
-    """`(rows, pack, span)`: the spec's table rows in the digit form the
-    class closure runs on, the function that packs a registers tuple into
-    one int, and the number of register vectors.  Built once per spec and
-    kept in its `class-tables` memo; the oracle packs by its own tables.
-
-    A register vector is one int in base `len(alphabet) + 1`, register r
-    being its digit of weight `base**r`: `_` is digit 0, then the alphabet's
-    values in order.  `rows[id]` holds the state's actions in declaration
-    order as `(kind, weight, weight * base, arg, bit)`, with the weight and
-    the bit of the register acted on (0 for a return), where `arg` is a
-    read's next ids indexed by the digit read, a write's `(value digit, next
-    id)` or a return's decision.
-    """
-    memo = spec.memos["class-tables"]
-    if not memo:
-        base = len(spec.alphabet) + 1
-        digits = {value: d for d, value in enumerate((BOTTOM,) + spec.alphabet)}
-        weights = [base ** reg for reg in range(spec.register_count)]
-        rows = []
-        for row in spec.tables.rows:
-            packed = []
-            for kind, reg, arg, _ in row:
-                if kind == RETURN:
-                    packed.append((kind, 0, 0, arg, 0))
-                    continue
-                if kind == READ:
-                    arg = tuple(arg[value] for value in digits)
-                else:
-                    arg = (digits[arg[0]], arg[1])
-                packed.append((kind, weights[reg], weights[reg] * base, arg, 1 << reg))
-            rows.append(tuple(packed))
-
-        def pack(registers: tuple) -> int:
-            return sum(digits[value] * weight for value, weight in zip(registers, weights))
-
-        memo["tables"] = (tuple(rows), pack, base ** spec.register_count)
-    return memo["tables"]
 
 
 def materialize(spec: AlgorithmSpec, config: Configuration, moves) -> tuple:
@@ -522,17 +480,18 @@ def _tri(witness: Optional[Witness], cutoff: bool) -> Tri:
     return Tri("refuted")
 
 
-def _solo_successor(kind, reg, arg, sid, regs) -> tuple:
+def _solo_successor(kind, weight, span, arg, sid, regs) -> tuple:
     """The node one READ or WRITE row leads a unit alone to."""
+    digit = regs % span // weight
     if kind == READ:
-        return arg[regs[reg]], regs
+        return arg[digit], regs
     value, nxt = arg
-    return nxt, regs[:reg] + (value,) + regs[reg + 1:]
+    return nxt, regs + (value - digit) * weight
 
 
-def _solo_distances(spec, sid: int, regs: tuple) -> tuple:
+def _solo_distances(spec, sid: int, regs: int) -> tuple:
     """(least moves to a return of 0, of 1) of a unit alone in state id `sid`
-    over the registers `regs`, None where that return is unreachable.
+    over the packed registers `regs`, None where that return is unreachable.
 
     On a miss in the spec's `solo` memo, which maps `(state id, registers)`
     nodes to their distances, this explores every node the unit reaches
@@ -551,11 +510,11 @@ def _solo_distances(spec, sid: int, regs: tuple) -> tuple:
     stack = [start]
     while stack:
         node = stack.pop()
-        for kind, reg, arg, _ in rows[node[0]]:
+        for kind, weight, span, arg, _, _ in rows[node[0]]:
             if kind == RETURN:
                 seeds[arg].append((1, node))
                 continue
-            succ = _solo_successor(kind, reg, arg, *node)
+            succ = _solo_successor(kind, weight, span, arg, *node)
             known = memo.get(succ)
             if known is not None:
                 for d in (0, 1):
@@ -591,7 +550,7 @@ def _least(distances, target) -> Optional[int]:
     return min((k for k in distances if k is not None), default=None)
 
 
-def _solo_actions(spec, sid: int, regs: tuple, target) -> tuple:
+def _solo_actions(spec, sid: int, regs: int, target) -> tuple:
     """The actions of the least solo run returning `target` (any decision
     when None) from a node that has one: of the least runs, the first in
     action order, found by following the distances down.  Memoised per
@@ -605,12 +564,12 @@ def _solo_actions(spec, sid: int, regs: tuple, target) -> tuple:
     k = _least(distances[sid, regs], target)
     actions = []
     while k:
-        for kind, reg, arg, action in rows[sid]:
+        for kind, weight, span, arg, _, action in rows[sid]:
             if kind == RETURN:
                 if k == 1 and target in (None, arg):
                     break
                 continue
-            succ = _solo_successor(kind, reg, arg, sid, regs)
+            succ = _solo_successor(kind, weight, span, arg, sid, regs)
             if _least(distances[succ], target) == k - 1:
                 sid, regs = succ
                 break
@@ -627,7 +586,8 @@ def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
     Both come from the spec's solo memos (see the module docstring)."""
     if not unit_active(config, unit):
         return None, False
-    sid, regs = spec.tables.ids[config.proc(unit[0]).state], config.registers
+    tables = spec.tables
+    sid, regs = tables.ids[config.proc(unit[0]).state], tables.pack(config.registers)
     least = _least(_solo_distances(spec, sid, regs), target)
     if least is None or least > depth:
         return None, least is not None

@@ -240,7 +240,9 @@ def test_parse_error_exits_one(tmp_path, monkeypatch, capsys):
     cases = [["check", str(bad)]]
     cases += [["check", "zoo:of-race-3", "--inputs", bits] for bits in ("2", "", "0a")]
     cases += [["valency", "zoo:of-race-3", "--inputs", bits] for bits in ("2", "", "0a")]
-    cases += [["valency", "zoo:of-race-3", "--set", pids] for pids in ("0,9", "0,a", "-1")]
+    cases += [["valency", "zoo:of-race-3", "--set", pids]
+              for pids in ("0,9", "0,a", "-1", "0,0", "")]
+    cases += [["valency", "zoo:of-race-3", "--set", "0,0", "--mode", "reserving", "--m", "1"]]
     cases += [["attack", "sqrt", "zoo:of-race-3", "--target-r", "-1"]]
     cases += [[*command, "--depth", "-1"] for command in (
         ["check", "zoo:of-race-3"], ["attack", "sqrt", "zoo:of-race-3", "--target-r", "1"],

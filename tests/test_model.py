@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from regforce import zoo
 from regforce.model import (
     BOTTOM,
+    READ,
+    RETURN,
+    Proc,
     Read,
     Return,
     SpecError,
@@ -12,10 +17,11 @@ from regforce.model import (
     format_algorithm,
     initial_configuration,
     load_algorithm,
+    step_in_place,
     step_with_outcome,
 )
 
-from conftest import algorithm_texts, enabled_actions
+from conftest import THREE_VALUES, WRITE_OR_RETURN, algorithm_texts, enabled_actions
 
 TRIVIAL = zoo.TRIVIAL_DECIDER
 
@@ -53,6 +59,39 @@ def test_zoo_round_trip_parse_print(name):
 def test_generated_algorithms_round_trip(text):
     spec = load_algorithm(text)
     assert load_algorithm(format_algorithm(spec)) == spec
+
+
+@pytest.mark.parametrize("name", sorted(zoo.CATALOG) + ["three-values", "write-or-return"])
+def test_packed_table_steps_as_the_model(name):
+    # every row of every state, from every register vector: the row's digit
+    # arithmetic on the packed vector lands where `step_in_place` does on the
+    # registers tuple, and `pack` numbers the vectors 0, 1, ..., vectors - 1;
+    # three-values packs in base 4, write-or-return chooses among actions
+    texts = {"three-values": THREE_VALUES, "write-or-return": WRITE_OR_RETURN}
+    spec = load_algorithm(texts[name]) if name in texts else zoo.get_zoo(name)
+    tables = spec.tables
+    names = list(tables.ids)
+    vectors = list(itertools.product(tables.digits, repeat=spec.register_count))
+    assert sorted(map(tables.pack, vectors)) == list(range(tables.vectors))
+    for state, sid in tables.ids.items():
+        assert [row[-1] for row in tables.rows[sid]] == list(spec.actions(state))
+        for kind, weight, span, arg, bit, action in tables.rows[sid]:
+            for registers in vectors:
+                after, procs = list(registers), [Proc(0, state)]
+                step_in_place(spec, after, procs, 0, action)
+                if kind == RETURN:
+                    assert (weight, span, bit, arg) == (0, 0, 0, procs[0].decided)
+                    continue
+                assert bit == 1 << action.reg
+                regs = tables.pack(registers)
+                digit = regs % span // weight
+                if kind == READ:
+                    nxt, regs2 = arg[digit], regs
+                else:
+                    value, nxt = arg
+                    regs2 = regs + (value - digit) * weight
+                assert (names[nxt], regs2) == (procs[0].state, tables.pack(tuple(after))), \
+                    (state, action, registers)
 
 
 def test_parse_error_carries_line_number():

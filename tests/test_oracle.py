@@ -13,7 +13,7 @@ from regforce.model import (
     initial_configuration,
     load_algorithm,
 )
-from regforce.oracle import MAX_STATES, oracle_check, replay_violation, solo_returns, sweep_tables
+from regforce.oracle import MAX_STATES, oracle_check, replay_violation, solo_returns
 from regforce.reports import ViolationReport
 from conftest import (
     NO_RETURN,
@@ -24,6 +24,7 @@ from conftest import (
     random_execution,
     write_loop,
 )
+from reference_oracle import reference_oracle_check
 from reference_valency import oracle_valency
 
 
@@ -83,10 +84,10 @@ def test_solo_closure_matches_unbounded_solo_bfs(text):
     # among several actions, the solo graphs hold cycles, and three-values
     # packs its registers in base 4
     spec = load_algorithm(text)
-    ids = spec.tables.ids
-    rows, pack = sweep_tables(spec)
-    values = (BOTTOM,) + spec.alphabet
-    unpacked = {pack(regs): regs for regs in itertools.product(values, repeat=2)}
+    tables = spec.tables
+    ids, rows = tables.ids, tables.rows
+    values = tuple(tables.digits)
+    unpacked = {tables.pack(regs): regs for regs in itertools.product(values, repeat=2)}
     assert len(unpacked) == len(values) ** 2
     memo: dict = {}
     for state, packed in itertools.product(spec.states, unpacked):
@@ -107,8 +108,8 @@ def test_solo_closure_matches_unbounded_solo_bfs(text):
 def test_solo_closure_stops_at_a_return_row():
     # a node with a RETURN row is answered without exploring past it
     spec = load_algorithm(write_loop(30, RETURN_HERE))
-    rows, pack = sweep_tables(spec)
-    start = (spec.tables.ids["A"], pack((BOTTOM,) * 30))
+    rows = spec.tables.rows
+    start = (spec.tables.ids["A"], spec.tables.pack((BOTTOM,) * 30))
     memo: dict = {}
     assert solo_returns(rows, memo, *start, 1) is True
     assert memo == {start[1] * len(rows) + start[0]: True}
@@ -116,15 +117,15 @@ def test_solo_closure_stops_at_a_return_row():
 
 def test_solo_closure_past_its_limit_answers_nothing():
     spec = load_algorithm(write_loop(30, RETURN_AFTER_READ))
-    rows, pack = sweep_tables(spec)
-    start = (spec.tables.ids["A"], pack((BOTTOM,) * 30))
+    rows = spec.tables.rows
+    start = (spec.tables.ids["A"], spec.tables.pack((BOTTOM,) * 30))
     memo: dict = {}
     assert solo_returns(rows, memo, *start, 1000) is None
     assert memo == {}
     # with 4 registers the closure holds 16 A nodes and the 8 R nodes with r0 = 1
     spec = load_algorithm(write_loop(4, RETURN_AFTER_READ))
-    rows, pack = sweep_tables(spec)
-    start = (spec.tables.ids["A"], pack((BOTTOM,) * 4))
+    rows = spec.tables.rows
+    start = (spec.tables.ids["A"], spec.tables.pack((BOTTOM,) * 4))
     assert solo_returns(rows, memo, *start, 23) is None
     assert solo_returns(rows, memo, *start, 24) is True
     assert len(memo) == 24 and all(memo.values())
@@ -197,9 +198,10 @@ def test_oracle_valency_degenerate_after_returns(trivial):
 
 
 def test_dedup_does_not_change_verdicts(flag, trivial):
+    # the reference's raw schedule tree, with no deduplication
     for spec, inputs in ((flag, [0, 1]), (trivial, [0, 1]), (trivial, [0, 0])):
         with_dd = oracle_check(spec, inputs, depth=8)
-        without = oracle_check(spec, inputs, depth=8, dedup=False)
+        without = reference_oracle_check(spec, inputs, depth=8, dedup=False)
         assert (with_dd.agreement, with_dd.validity, with_dd.solo_termination) == \
                (without.agreement, without.validity, without.solo_termination)
         assert without.explored >= with_dd.explored

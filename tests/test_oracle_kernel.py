@@ -29,12 +29,12 @@ from reference_oracle import reference_oracle_check
 TEXTS = {"write-or-return": WRITE_OR_RETURN, "three-values": THREE_VALUES}
 INPUTS = [list(bits) for n in (1, 2, 3) for bits in itertools.product((0, 1), repeat=n)]
 DEPTHS = (0, 1, 2, 5, 8)
-# the default bound, and bounds small enough to trip
-MAX_STATES = (500_000, 1, 10, 100)
+# the default bound, and bounds small enough to trip; spin-reader's sweeps
+# hold one configuration, which only a bound of 0 trips
+MAX_STATES = (500_000, 0, 1, 10, 100)
 # four processes, where a dedup key must tell multisets of four codes apart,
 # on the specs whose four-process spaces stay small at these depths (at most
-# 9,440 canonical states, at depth 12); the raw tree is swept to depth 4 (at
-# depth 5 it spans up to 78k nodes).  A sweep that packs four codes' key in
+# 9,440 canonical states, at depth 12).  A sweep that packs four codes' key in
 # three codes' radices is caught only from depth 12 on.
 FOUR = [[0, 0, 1, 1], [0, 1, 1, 1]]
 FOUR_DEPTHS = (0, 1, 2, 4, 5, 12)
@@ -43,27 +43,21 @@ FOUR_SPECS = ("of-race-3", "three-values", "write-or-return")
 
 def _cases(name):
     depths = DEPTHS + ((60,) if name == "of-race-3" else ())
-    # write-or-return and three-values branch widely: three processes span
-    # 500k raw nodes by depth 8
-    raw_depth = 5 if name in TEXTS else 8
-    for inputs, depth, max_states in itertools.product(INPUTS, depths, MAX_STATES):
-        for dedup in (True, False) if depth <= raw_depth else (True,):
-            yield inputs, depth, max_states, dedup
+    yield from itertools.product(INPUTS, depths, MAX_STATES)
     if name in FOUR_SPECS:
-        for inputs, depth, max_states in itertools.product(FOUR, FOUR_DEPTHS, MAX_STATES):
-            for dedup in (True, False) if depth <= 4 else (True,):
-                yield inputs, depth, max_states, dedup
+        yield from itertools.product(FOUR, FOUR_DEPTHS, MAX_STATES)
 
 
-# (name, inputs, depth, max_states, dedup) of every case where the reference's
+# (name, inputs, depth, max_states) of every case where the reference's
 # solo search is cut off and the packed sweep's exact closure answers: at
 # depth 0 the reference searches with budget 0 and reports a truncated `ok`
 # for the root's spin-reader process, which never returns; the closure says
-# `stuck` (pid 0, empty trace).  Every spin-reader depth-0 case, and no other.
-CUT_OFF = {("spin-reader", tuple(inputs), 0, max_states, dedup)
-           for inputs in INPUTS for max_states in MAX_STATES for dedup in (True, False)}
+# `stuck` (pid 0, empty trace).  Every spin-reader depth-0 case but those at
+# bound 0, where both sweeps stop before any solo check, and no other.
+CUT_OFF = {("spin-reader", tuple(inputs), 0, max_states)
+           for inputs in INPUTS for max_states in MAX_STATES if max_states}
 
-# (name, inputs, depth, max_states, dedup) of every case where the packed
+# (name, inputs, depth, max_states) of every case where the packed
 # sweep leaves its solo check open and the reference finds a stuck process:
 # at a bound of 10, three-values' closures from the root (23 nodes from A, 29
 # from B) outgrow the room the bound leaves them, so the packed sweep checks
@@ -71,8 +65,8 @@ CUT_OFF = {("spin-reader", tuple(inputs), 0, max_states, dedup)
 # W, which spins alone, one step from input 0's A or two from input 1's B,
 # and reports `stuck`.  Every three-values case at bound 10 deep enough to
 # reach W, and no other.
-LEFT_OPEN = {("three-values", tuple(inputs), depth, 10, dedup)
-             for inputs, depth, max_states, dedup in _cases("three-values")
+LEFT_OPEN = {("three-values", tuple(inputs), depth, 10)
+             for inputs, depth, max_states in _cases("three-values")
              if max_states == 10 and depth >= (1 if 0 in inputs else 2)}
 
 
@@ -82,10 +76,10 @@ def test_packed_sweep_matches_reference(name):
     # three-values' do
     spec = load_algorithm(TEXTS[name]) if name in TEXTS else zoo.get_zoo(name)
     tripped = cut_off = left_open = 0
-    for inputs, depth, max_states, dedup in _cases(name):
-        got = oracle_check(spec, inputs, depth, max_states, dedup)
-        want = reference_oracle_check(spec, inputs, depth, max_states, dedup)
-        case = (name, tuple(inputs), depth, max_states, dedup)
+    for inputs, depth, max_states in _cases(name):
+        got = oracle_check(spec, inputs, depth, max_states)
+        want = reference_oracle_check(spec, inputs, depth, max_states)
+        case = (name, tuple(inputs), depth, max_states)
         if case in CUT_OFF:
             cut_off += 1
             assert (want.solo_termination, want.truncated) == ("ok", True), case

@@ -381,7 +381,8 @@ def test_solo_memo_answers_as_a_fresh_search():
                    for target in (0, 1, None) for depth in DEPTHS]
         for _ in range(2):
             for unit, target, depth in queries:
-                key = (spec.tables.ids[config.proc(unit[0]).state], config.registers)
+                key = (spec.tables.ids[config.proc(unit[0]).state],
+                       spec.tables.pack(config.registers))
                 hits += key in spec.memos["solo"]
                 fresh = dataclasses.replace(spec)
                 assert not fresh.memos["solo"] and not fresh.memos["solo-run"]

@@ -7,7 +7,9 @@ other import is the standard library's, and each module imports only the
 package modules its layer allows: the oracle shares nothing with the
 adversaries but the model's step semantics, pairs are read off executions
 alone, and no module but `cli` imports the file format (`traceio`) that
-certificates are checked against, or `cli` itself.
+certificates are checked against, or `cli` itself.  And no module but
+`model` reads a spec's `alphabet`: the register encoding every search runs
+on is `model.SpecTables`, and there is no other.
 """
 
 import ast
@@ -60,3 +62,12 @@ def test_package_imports_follow_the_layers(name):
     assert package <= LAYERS[name], f"{name}.py imports {sorted(package - LAYERS[name])}"
     assert other <= sys.stdlib_module_names, \
         f"{name}.py imports {sorted(other - sys.stdlib_module_names)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_model_reads_the_alphabet(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "alphabet"]
+    assert path.stem == "model" or reads == [], \
+        f"{path.name}: reads `.alphabet` at lines {reads}; pack by `spec.tables`"
