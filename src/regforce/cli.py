@@ -209,9 +209,15 @@ def _cmd_valency(args) -> int:
     else:
         pids = list(range(len(config.procs)))
     m = args.m
-    if args.mode == "reserving" and m is None:
-        print("error: --mode reserving requires --m", file=sys.stderr)
-        return USAGE
+    if args.mode == "reserving":
+        if m is None:
+            raise UsageError("--mode reserving requires --m")
+        # with fewer than m + 1 active units the library calls both decisions
+        # refuted ("degenerate"), which says nothing about reachability here
+        active = sum(config.proc(pid).active for pid in pids)
+        if active < m + 1:
+            raise UsageError(f"--mode reserving --m {m} needs at least {m + 1} active "
+                             f"processes in the set, got {active}")
     report = valency(spec, config, pids, m, args.depth, args.mode)
     out = {
         "mode": args.mode,

@@ -14,8 +14,16 @@ int, registers and state id.  A configuration's dedup key is one int too:
 its packed registers above the sum of one table entry per process code
 (`multiset_key_tables`), which names the multiset of codes by their power
 sums.  The key thus stands one to one for `model.canonicalize`'s key, and a
-move changes it by a few additions, with no sort.  A state explored costs
-one int in the seen set.
+move changes it by one addition, with no sort: before the sweep, a move
+plan lists for each active process code its moves, each with the whole key
+change for every digit its register may hold.  A state explored costs one
+int in the seen set.
+
+A node re-checks solo termination only for the processes its move can have
+changed: every active one after a write, the mover after a read, none after
+a return.  Any other process has the state and registers it had in the
+parent, which was checked first, so its answer is known already; this
+changes no verdict, trace or count.
 """
 
 from __future__ import annotations
@@ -159,20 +167,39 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
     1 + b means returned b.  Its dedup key is one int, `regs * W + csum`:
     the packed registers `regs`, and the `multiset_key_tables` sum `csum` of
     its codes, which names their multiset.  So the key maps one to one onto
-    `model.canonicalize`'s key, the registers and the sorted processes.  A
-    move of one process changes one code and at most one register digit, so
-    a child's key is its parent's plus `table[new code] - table[old code]`
-    plus the register change times `W`, and no codes are sorted.
+    `model.canonicalize`'s key, the registers and the sorted processes.
 
-    A queue entry is `(key, codes, decided)`: `key // W` gives back the
-    registers, and `decided` has bit b set when some process returned b (a
-    return move ORs in its bit), which agreement and validity test against
-    masks.  A child's codes are built only when the child is new.  A node's
-    index is its place in the queue's order, so it needs no field; it
-    indexes the `parent` and `move` arrays, which keep the parent's index
-    and the move `pid * width + action index` that reached the node.  A
-    trace's `Step`s are re-stepped from the root by the model's
-    `step_with_outcome` when it is recorded.
+    Before the sweep, a move plan gives each active code its moves, `(j,
+    weight, span, deltas, nexts, bit, scope)` for action index j, and a
+    returned code none.  The digit d of the move's register is `regs % span // weight`
+    (a return reads digit 0: its weight and span are 1), and the child's
+    key is the parent's plus `deltas[d]`: `table[new code] - table[old
+    code]`, plus, for a write, `(value - d) * weight * W`.  `nexts[d]` is
+    the mover's new code and `bit` the decision a return adds.  So a move
+    costs one digit, one addition and one lookup in the seen set, and no
+    codes are sorted.
+
+    A queue entry is `(key, codes, flags)`.  `key // W` gives back the
+    registers.  The low two bits of `flags` are `decided`, with bit b set
+    when some process returned b, which agreement and validity test against
+    masks; `flags >> 2` indexes `rechecks`, the pids whose solo runs the
+    node checks: every pid at the root and after a write (`scope` 2), the
+    mover after a read (`scope` 1), none after a return (`scope` 0).  Held
+    in one small int, they cost a queue entry no more than `decided` alone
+    did.  That is exact: a pid left out has the state id and
+    the registers it had in the parent, which was popped and checked first,
+    so its answer is in `solo_memo` already, or was stuck and is recorded in
+    `verdict.stuck` at the parent or earlier, or was left open, which marked
+    the sweep truncated and spent the room the closures had, so that no
+    closure ran since.  And the closures run in the same order as if every
+    pid were checked, so `room` and the open checks are the same too.
+
+    A child's codes are built only when the child is new.  A node's index is
+    its place in the queue's order, so it needs no field; it indexes the
+    `parent` and `move` arrays, which keep the parent's index and the move
+    `pid * width + action index` that reached the node.  A trace's `Step`s
+    are re-stepped from the root by the model's `step_with_outcome` when it
+    is recorded.
     """
     root = initial_configuration(spec, inputs)
     tables = spec.tables
@@ -180,8 +207,36 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
     states = len(rows)
     width = max(map(len, rows))
     codes0 = tuple(ids[p.state] * 6 + p.input for p in root.procs)
-    table, W = multiset_key_tables(len(codes0), 6 * states)
+    n = len(codes0)
+    table, W = multiset_key_tables(n, 6 * states)
     parent, move = array("l", [-1]), array("l", [-1])
+
+    # the move plan, indexed by code: no moves for a returned code
+    plan: list = [()] * (6 * states)
+    for sid, row in enumerate(rows):
+        for inp in (0, 1):
+            code = sid * 6 + inp
+            moves = []
+            for j, (kind, weight, span, arg, _, _) in enumerate(row):
+                if kind == READ:
+                    nexts = tuple(s2 * 6 + inp for s2 in arg)
+                    deltas = tuple(table[c2] - table[code] for c2 in nexts)
+                    moves.append((j, weight, span, deltas, nexts, 0, 1))
+                elif kind == WRITE:
+                    value, s2 = arg
+                    c2 = s2 * 6 + inp
+                    digits = range(span // weight)
+                    deltas = tuple(table[c2] - table[code] + (value - d) * weight * W
+                                   for d in digits)
+                    moves.append((j, weight, span, deltas, (c2,) * len(digits), 0, 2))
+                else:
+                    c2 = code + 2 + 2 * arg  # status 1 + decision
+                    moves.append((j, 1, 1, (table[c2] - table[code],), (c2,), 1 << arg, 0))
+            plan[code] = tuple(moves)
+    # the pids a node re-checks: none, one pid, or every pid; and a move's
+    # index into them, by its pid and scope, shifted above the decided bits
+    rechecks = [(), *((pid,) for pid in range(n)), tuple(range(n))]
+    tags = [(0, (pid + 1) << 2, (n + 1) << 2) for pid in range(n)]
 
     def path(node) -> tuple:
         """The Steps from the root to `node`, re-stepped by the model."""
@@ -208,14 +263,14 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
     seen = {key0}
     valid = sum(1 << b for b in set(inputs))  # the decisions validity allows
     truncated = False
-    queue = deque([(key0, codes0, 0)])
+    queue = deque([(key0, codes0, (n + 1) << 2)])  # the root re-checks every pid
     # a node's index is its place in the queue's order, and the nodes of one
     # depth are consecutive: `used` is the depth of the node popped, and
     # `level_end` the index of the first node one deeper
     explored = used = 0
     level_end = 1
     while queue:
-        key, codes, decided = queue.popleft()
+        key, codes, flags = queue.popleft()
         node = explored
         explored += 1
         if explored > max_states:
@@ -225,6 +280,7 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
             used += 1
             level_end = len(parent)
 
+        decided = flags & 3
         if decided:
             if decided == 3 and verdict.agreement == "ok":
                 verdict.agreement = "violated"
@@ -235,8 +291,8 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
 
         regs = key // W
         solo_node = regs * states  # plus a state id: a `solo_returns` node
-        deep = used >= depth
-        for pid, code in enumerate(codes):
+        for pid in rechecks[flags >> 2]:
+            code = codes[pid]
             if code % 6 > 1:
                 continue  # returned
             sid = code // 6
@@ -250,31 +306,24 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
             elif not ok and verdict.solo_termination == "ok":
                 verdict.solo_termination = "stuck"
                 verdict.stuck = (path(node), pid)
-            if deep:
+
+        if used >= depth:
+            if any(plan[code] for code in codes):  # some process can move
                 truncated = True
-                continue
-            inp = code & 1
-            rest = key - table[code]  # the key without this process
-            for j, (kind, weight, span, arg, _, _) in enumerate(rows[sid]):
-                decided2 = decided
-                if kind == READ:
-                    code2 = arg[regs % span // weight] * 6 + inp
-                    key2 = rest + table[code2]
-                elif kind == WRITE:
-                    value, s2 = arg
-                    code2 = s2 * 6 + inp
-                    key2 = rest + table[code2] + (value - regs % span // weight) * weight * W
-                else:
-                    code2 = code + 2 + 2 * arg  # status 1 + decision
-                    key2 = rest + table[code2]
-                    decided2 |= 1 << arg
+            continue
+        for pid, code in enumerate(codes):
+            mine = tags[pid]
+            for j, weight, span, deltas, nexts, bit, scope in plan[code]:
+                d = regs % span // weight
+                key2 = key + deltas[d]
                 if key2 in seen:
                     continue
                 # CPython allocates a sum one digit wider than it needs; `| 0`
                 # copies it at its exact size
                 key2 |= 0
                 seen.add(key2)
-                queue.append((key2, codes[:pid] + (code2,) + codes[pid + 1:], decided2))
+                queue.append((key2, codes[:pid] + (nexts[d],) + codes[pid + 1:],
+                              decided | bit | mine[scope]))
                 parent.append(node)
                 move.append(pid * width + j)
 

@@ -162,9 +162,11 @@ def algorithm_texts(draw):
                 lines.append(f"state {name}: write r{reg} := {val} -> {nxt}")
             else:
                 reg = draw(st.integers(0, k - 1))
+                # sorted: a set of strings iterates in an order that depends
+                # on PYTHONHASHSEED, and each label draws its own target
                 branches = [
                     f"{label} -> {draw(st.sampled_from(names))}"
-                    for label in draw(st.sets(st.sampled_from(alphabet + ['_'])))
+                    for label in sorted(draw(st.sets(st.sampled_from(alphabet + ['_']))))
                 ]
                 branches.append(f"* -> {draw(st.sampled_from(names))}")
                 lines.append(f"state {name}: read r{reg} ? {{ " + " ; ".join(branches) + " }")

@@ -243,6 +243,8 @@ def test_parse_error_exits_one(tmp_path, monkeypatch, capsys):
     cases += [["valency", "zoo:of-race-3", "--set", pids]
               for pids in ("0,9", "0,a", "-1", "0,0", "")]
     cases += [["valency", "zoo:of-race-3", "--set", "0,0", "--mode", "reserving", "--m", "1"]]
+    # two active processes cannot make a set of m + 1 = 6 units
+    cases += [["valency", "zoo:of-race-3", "--mode", "reserving", "--m", "5"]]
     cases += [["attack", "sqrt", "zoo:of-race-3", "--target-r", "-1"]]
     cases += [[*command, "--depth", "-1"] for command in (
         ["check", "zoo:of-race-3"], ["attack", "sqrt", "zoo:of-race-3", "--target-r", "1"],

@@ -171,6 +171,32 @@ def test_sweep_charges_its_solo_closures_to_the_state_bound():
         assert verdict.stuck == ((), 0)
 
 
+# pid 0 in S returns alone from the root, but once pid 1 writes 0 into r0 its
+# read sends it to Spin for good
+STRANDED_BY_A_WRITE = """\
+algorithm stranded
+values 0
+registers 1
+input 0 -> S
+input 1 -> W
+state S: read r0 ? { 0 -> Spin ; * -> R }
+state Spin: read r0 ? { * -> Spin }
+state R: return 0
+state W: write r0 := 0 -> D
+state D: return 1
+"""
+
+
+def test_a_write_strands_a_process_that_does_not_move():
+    # after a write the sweep re-checks every active pid, not only the
+    # writer: pid 0 is stuck one step in, before it takes any step of its own
+    spec = load_algorithm(STRANDED_BY_A_WRITE)
+    verdict = oracle_check(spec, [0, 1], depth=3)
+    write = spec.actions("W")[0]
+    assert verdict.stuck == ((Step(1, write, None),), 0)
+    assert verdict == reference_oracle_check(spec, [0, 1], 3)
+
+
 def test_replay_of_a_stuck_report_past_the_node_bound_confirms_nothing(monkeypatch):
     spec = load_algorithm(write_loop(4, NO_RETURN))
     verdict = oracle_check(spec, [0], depth=8)
