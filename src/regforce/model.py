@@ -79,6 +79,11 @@ Action = Union[Read, Write, Return]
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
+    """A parsed algorithm: each state's actions in declaration order.  Its
+    caches live exactly as long as it does and are built on first use:
+    `tables` for the exhaustive searches, `interned` for the step kernel and
+    `memos` for the searches' memos.  None of them is a field, so two specs
+    loaded from the same text compare equal and share none of them."""
     name: str
     alphabet: tuple
     register_count: int
@@ -117,6 +122,13 @@ class AlgorithmSpec:
             covers.append(mask)
         return SpecTables(ids=ids, rows=tuple(rows), covers=tuple(covers), digits=digits,
                           vectors=base ** self.register_count)
+
+    @functools.cached_property
+    def interned(self) -> dict:
+        """The intern table of `step_in_place`: (input, state, decided) ->
+        the one Proc it gives a mover, filled on first use, so the processes
+        of every configuration stepped from this spec share their Procs."""
+        return {}
 
     @functools.cached_property
     def memos(self) -> dict:
@@ -202,22 +214,29 @@ def initial_configuration(spec: AlgorithmSpec, inputs: Sequence[int]) -> Configu
 def step_in_place(spec: AlgorithmSpec, registers: list, procs: list, pid: int, action: Action):
     """The step semantics: apply one enabled action of `pid` to the register
     contents and processes of a configuration, given as two lists that are
-    updated in place; returns the read outcome, or None."""
+    updated in place; returns the read outcome, or None.  The mover's next
+    Proc is the one `spec.interned` holds for its (input, state, decided), so
+    stepping builds a Proc only the first time a spec reaches that triple."""
     if not 0 <= pid < len(procs):
         raise ValueError(f"unknown pid {pid}")
     p = procs[pid]
     if p.decided is not None or action not in spec.actions(p.state):
         raise ValueError(f"action {action} not enabled for pid {pid}")
+    outcome = None
     if isinstance(action, Read):
         outcome = registers[action.reg]
-        procs[pid] = Proc(p.input, action.target(outcome), None)
-        return outcome
-    if isinstance(action, Write):
+        key = (p.input, action.target(outcome), None)
+    elif isinstance(action, Write):
         registers[action.reg] = action.value
-        procs[pid] = Proc(p.input, action.next_state, None)
+        key = (p.input, action.next_state, None)
     else:
-        procs[pid] = Proc(p.input, p.state, action.decision)
-    return None
+        key = (p.input, p.state, action.decision)
+    interned = spec.interned
+    q = interned.get(key)
+    if q is None:
+        q = interned[key] = Proc(*key)
+    procs[pid] = q
+    return outcome
 
 
 def step_with_outcome(spec: AlgorithmSpec, config: Configuration, pid: int, action: Action):

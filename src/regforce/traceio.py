@@ -18,15 +18,18 @@ joining them.  Replay takes the file's bytes (text is encoded to them
 first) and decodes and splits them one line at a time, so it holds the file
 once.
 
-Step records repeat far more than they differ, so both directions work once
-per distinct record.  `i` is the first sorted key, so an emitted step line
-is `{"i":N,` and a tail, the rest of the record.  The emitters encode each
-distinct tail once per file.  Replay decodes and validates each distinct
-tail once per file, and its lines share one Step; every later line with
-that tail checks only what the tail cannot fix, its index and its pid and
-role against its own section.  A step line of any other shape is decoded and
-validated on its own, with the same checks in the same order, so a file
-gives the same summary or the same error either way.
+Step records repeat far more than they differ, and differ by pid more than
+by anything else a step does, so both directions work once per distinct
+record with its pid cut out.  Sorted keys put `i` first and `pid` between
+`outcome` and `record`, so an emitted step line is `{"i":N,`, a head up to
+`"pid":`, the pid and the rest; head and rest are the line's tail.  The
+emitters encode each distinct tail once per file.  Replay decodes and
+validates each distinct tail once per file, and the lines of one tail and
+pid share one Step; every later line with that tail checks only what the
+tail cannot fix, its index and its pid and role against its own section.  A
+step line of any other shape is decoded and validated on its own, with the
+same checks in the same order, so a file gives the same summary or the same
+error either way.
 
 A linear certificate's `pairs` (in the header and in each level) record the
 pair layout of its processes, [[0, 1], [2, 3], ...]: pair i is leader 2i and
@@ -115,14 +118,16 @@ def execution_lines(exec_: Execution, roles=None, first_index: int = 0, memo=Non
     were validated when exec_ was built, so each process's states are read
     off its actions and recorded outcomes.
 
-    `memo` maps (pid, id(action), outcome, state_before, role) to the
-    record's encoding after its index, its state_after and the action; one
-    emitted file shares it, so each distinct record is encoded once per file.
-    Its key holds only ints and strings, so no Step is hashed, and its value
-    holds the action, so no id is reused while the memo lives; an action
-    equal to another but not the same object only misses the memo, and
-    encodes to the same bytes.  `i` is the first sorted key, so a line is
-    `{"i":N,` followed by that encoding."""
+    A record's encoding depends on its pid only where the pid is written, so
+    `memo` maps (id(action), outcome, state_before, role) to the encoding
+    after its index split around its pid, the state_after and the action;
+    one emitted file shares it, so each distinct pid-free record is encoded
+    once per file.  Its key holds only ints and strings, so no Step is
+    hashed, and its value holds the action, so no id is reused while the
+    memo lives; an action equal to another but not the same object only
+    misses the memo, and encodes to the same bytes.  Sorted keys put `i`
+    first and `pid` between `outcome` and `record`, so a line is `{"i":N,`,
+    the head, the pid and the rest."""
     roles = roles or {}
     memo = {} if memo is None else memo
     states = [p.state for p in exec_.initial.procs]
@@ -131,16 +136,18 @@ def execution_lines(exec_: Execution, roles=None, first_index: int = 0, memo=Non
     for i, step in enumerate(exec_.steps, start=first_index):
         pid, action = step.pid, step.action
         before, role = states[pid], role_of[pid]
-        key = (pid, id(action), step.outcome, before, role)
+        key = (id(action), step.outcome, before, role)
         hit = memo.get(key)
         if hit is None:
             rec = _step_record(0, step, before, role)
             del rec["i"]
-            hit = memo[key] = (_dump(rec)[1:], rec["state_after"], action)
-        tail, after, _ = hit
+            rec["pid"] = 0
+            head, _, rest = _dump(rec)[1:].partition(',"pid":0')
+            hit = memo[key] = (head + ',"pid":', rest, rec["state_after"], action)
+        head, rest, after, _ = hit
         if after is not None:
             states[pid] = after
-        lines.append(f'{{"i":{i},{tail}')
+        lines.append(f'{{"i":{i},{head}{pid}{rest}')
     return lines
 
 
@@ -316,19 +323,25 @@ def _lines(data):
 
 
 # the start of a step line as the emitters write it: an index, then the rest
-# of the record (its tail) as the next key; a longer index than any file
-# holds is left to the decoder, which rejects one too long for an int
-_INDEXED = re.compile(r'\{"i":(0|[1-9][0-9]{0,17}),(?=")')
+# of the record (its tail) up to and including its pid, which follows its
+# kind and outcome; a line with a longer index or pid than any file holds is
+# left to the decoder, which rejects a number too long for an int, and to
+# the checks after it
+_INDEXED = re.compile(r'\{"i":(0|[1-9][0-9]{0,17}),'
+                      r'("kind":[^,]*,"outcome":[^,]*,"pid":)(0|[1-9][0-9]{0,17})(?=,")')
 
 
 class _Tail:
-    """The step lines of a file that share one tail: its record decoded once,
-    then, once a line of it is validated, only the Step and role it gives."""
+    """The step lines of a file that share one tail once their pid is cut
+    out: its record decoded once, then, once a line of it is validated, the
+    role it gives and one shared Step for each pid that takes it (`steps`,
+    keyed by the pid's digits; its first Step gives the others their action
+    and outcome)."""
 
-    __slots__ = ("rec", "step", "role")
+    __slots__ = ("rec", "role", "steps")
 
     def __init__(self, rec: dict):
-        self.rec, self.step, self.role = rec, None, None
+        self.rec, self.role, self.steps = rec, None, None
 
 
 def _sections(data):
@@ -337,12 +350,13 @@ def _sections(data):
     stripped of the whitespace around it; blank lines count in line numbers
     and are skipped.  Step records before the first record get None.
 
-    A step line that opens `{"i":N,` is decoded once per file for each
-    distinct rest of the line (its tail): the section holds (N, the tail's
-    shared `_Tail`), and later lines with that tail are not decoded again.
-    Every other step line is held decoded, and so is one whose tail holds
-    `"i"` or a backslash anywhere: either may make a second key i, which
-    would override N."""
+    A step line that opens `{"i":N,"kind":...,"outcome":...,"pid":P,` is
+    decoded once per file for each distinct rest of the line with P cut out
+    (its tail): the section holds (N, P's digits, the tail's shared
+    `_Tail`), and later lines with that tail are not decoded again.  Every
+    other step line is held decoded, and so is one whose tail holds `"i"`, a
+    second `"pid"` or a backslash anywhere: each may make a second key i or
+    pid, which would override N or P."""
     meta, steps, tails = None, [], {}
     for n, line in enumerate(_lines(data), start=1):
         line = line.strip()
@@ -350,10 +364,10 @@ def _sections(data):
             continue
         indexed = _INDEXED.match(line)
         if indexed:
-            text = line[indexed.end():]
+            text = indexed[2] + line[indexed.end():]
             tail = tails.get(text)
             if tail is not None:
-                steps.append((int(indexed[1]), tail))
+                steps.append((int(indexed[1]), indexed[3], tail))
                 continue
         try:
             record = json.loads(line)
@@ -365,9 +379,9 @@ def _sections(data):
             if meta is not None or steps:
                 yield meta, steps
             meta, steps = record, []
-        elif indexed and '"i"' not in text and "\\" not in text:
+        elif indexed and '"i"' not in text and text.count('"pid"') == 1 and "\\" not in text:
             tail = tails[text] = _Tail(record)
-            steps.append((int(indexed[1]), tail))
+            steps.append((int(indexed[1]), indexed[3], tail))
         else:
             steps.append(record)
     if meta is not None or steps:
@@ -425,27 +439,33 @@ def _steps_from_records(spec, records, pids: int, first: int = 0, roles=None):
     `roles` (pid -> "leader" | "clone"), each step's role must be its pid's,
     or "solo" for a pid in no pair.
 
-    A tail's record is validated in full once; a later line with that tail
-    checks only its index, its pid against `pids` and its role, in that
-    order, since every other check reads only the tail."""
+    A tail's record is validated in full once, with the pid of the line
+    validated; a later line with that tail checks only its index, then its
+    pid against `pids` and its role, in that order, since every other check
+    reads only the tail, and takes the Step its tail holds for its pid."""
     steps = []
     for i, rec in enumerate(records, start=first):
         tail = None
         if type(rec) is tuple:
-            index, tail = rec
+            index, pid, tail = rec
             if index != i:
                 raise ReplayError(f"step {i}: i is {index!r}, not its index {i}")
-            step = tail.step
-            if step is not None:
+            shared = tail.steps
+            if shared is not None:
+                step = shared.get(pid)
+                if step is None:
+                    first_step = next(iter(shared.values()))
+                    step = shared[pid] = Step(int(pid), first_step.action, first_step.outcome)
                 _check_pid(i, step.pid, pids, roles, tail.role)
                 steps.append(step)
                 continue
             rec = tail.rec
+            rec["pid"] = int(pid)
         elif type(rec.get("i")) is not int or rec["i"] != i:
             raise ReplayError(f"step {i}: i is {rec.get('i')!r}, not its index {i}")
         step = _step(spec, rec, i, pids, roles)
         if tail is not None:
-            tail.rec, tail.step, tail.role = None, step, rec.get("role")
+            tail.rec, tail.role, tail.steps = None, rec.get("role"), {pid: step}
         steps.append(step)
     return steps
 

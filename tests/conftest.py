@@ -142,14 +142,32 @@ def block_write(exec_: Execution, writers) -> Execution:
 @st.composite
 def algorithm_texts(draw):
     """Random small valid algorithms: every referenced state and value exists
-    and every read is total or carries a default."""
+    and every read is total or carries a default.
+
+    A quarter of them start input 0 in a guard G and input 1 in W, which
+    writes 1 to r0: a process in G that reads 1 there spins for ever, so the
+    write strands a process that has not moved.  Another quarter start input
+    0 in H, which may return or read into that spin, so the read strands its
+    mover.  A sweep that skips either re-check finds the stuck process late
+    or never."""
     n_states = draw(st.integers(2, 5))
     k = draw(st.integers(1, 3))
     alphabet = ["0", "1"]
     names = [f"S{i}" for i in range(n_states)]
     lines = ["algorithm fuzzed", "values 0 1", f"registers {k}"]
-    lines.append(f"input 0 -> {draw(st.sampled_from(names))}")
-    lines.append(f"input 1 -> {draw(st.sampled_from(names))}")
+    gadget = draw(st.integers(0, 3))
+    if gadget == 0:
+        lines += ["input 0 -> G", "input 1 -> W",
+                  f"state G: read r0 ? {{ 1 -> Spin ; * -> {draw(st.sampled_from(names))} }}",
+                  f"state W: write r0 := 1 -> {draw(st.sampled_from(names))}"]
+    elif gadget == 1:
+        lines += ["input 0 -> H", f"input 1 -> {draw(st.sampled_from(names))}",
+                  "state H: return 0", "state H: read r0 ? { * -> Spin }"]
+    else:
+        lines.append(f"input 0 -> {draw(st.sampled_from(names))}")
+        lines.append(f"input 1 -> {draw(st.sampled_from(names))}")
+    if gadget < 2:
+        lines.append("state Spin: read r0 ? { * -> Spin }")
     for name in names:
         for _ in range(draw(st.integers(1, 2))):
             kind = draw(st.sampled_from(["return", "write", "read"]))

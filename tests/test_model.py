@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,40 @@ def test_same_state_processes_move_identically():
     a = step_with_outcome(spec, config, 0, action)[0]
     b = step_with_outcome(spec, config, 1, action)[0]
     assert a.procs[0].state == b.procs[1].state
+
+
+def test_stepped_procs_are_interned_per_spec_and_equal_fresh_ones():
+    # the kernel hands a mover the one Proc its spec holds for its (input,
+    # state, decided): equal, with the same hash, to a fresh Proc, and shared
+    # by every configuration that reaches it; two specs loaded from one text
+    # are equal, step alike and share no intern table, and stepping compiles
+    # no search tables
+    text = zoo.of_race(3)
+    specs = load_algorithm(text), load_algorithm(text)
+    assert specs[0] == specs[1]
+    rng = random.Random(7)
+    schedule, config = [], initial_configuration(specs[0], [0, 1, 1, 0])
+    while any(p.active for p in config.procs):
+        pid = rng.choice([pid for pid, p in enumerate(config.procs) if p.active])
+        action = rng.choice(enabled_actions(specs[0], config, pid))
+        schedule.append((pid, action))
+        config = step_with_outcome(specs[0], config, pid, action)[0]
+    finals = []
+    for spec in specs:
+        config = initial_configuration(spec, [0, 1, 1, 0])
+        for pid, action in schedule:
+            config = step_with_outcome(spec, config, pid, action)[0]
+            p = config.procs[pid]
+            fresh = Proc(p.input, p.state, p.decided)
+            assert p == fresh and hash(p) == hash(fresh)
+            assert p is spec.interned[(p.input, p.state, p.decided)]
+        finals.append(config)
+        assert "tables" not in vars(spec)
+    assert finals[0] == finals[1]
+    assert specs[0].interned is not specs[1].interned
+    assert specs[0].interned.keys() == specs[1].interned.keys()
+    assert not {id(p) for p in specs[0].interned.values()} \
+        & {id(p) for p in specs[1].interned.values()}
 
 
 def test_apply_step_rejects_non_enabled_action():

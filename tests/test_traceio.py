@@ -254,23 +254,62 @@ def test_a_repeated_i_key_overrides_the_index(race3):
 
 
 def test_each_distinct_step_tail_is_decoded_once(monkeypatch):
-    # a step line is `{"i":N,` and a tail; of_race(5)'s certificate repeats
-    # tails, and replay decodes each distinct one and each other record once
+    # a step line is `{"i":N,` and a tail that holds its pid; of_race(5)'s
+    # certificate repeats tails, more so with the pid cut out, and replay
+    # decodes each distinct pid-free tail and each other record once
     lines = traceio.sqrt_certificate_lines(sqrt_run(zoo.get_zoo("of-race-5"), 3, depth=64))
-    tails, others = set(), 0
+    tails, pid_free, others = set(), set(), 0
     for line in lines:
         rec = json.loads(line)
         if rec["record"] == "step":
             prefix = f'{{"i":{rec["i"]},'
             assert line.startswith(prefix)
             tails.add(line[len(prefix):])
+            pid_free.add(line[len(prefix):].replace(f'"pid":{rec["pid"]},', '"pid":,', 1))
         else:
             others += 1
-    assert len(tails) < len(lines) - others
+    assert len(pid_free) < len(tails) < len(lines) - others
     loads, decoded = json.loads, []
     monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
     assert traceio.replay_file("\n".join(lines))["kind"] == "certificate"
-    assert len(decoded) == len(tails) + others
+    assert len(decoded) == len(pid_free) + others
+
+
+def test_a_repeated_tail_with_another_pid_replays_as_its_spaced_form(race3, flag):
+    # a line whose pid-free tail an earlier line holds, its pid changed: out
+    # of range, of the wrong role, longer than 18 digits, or overridden by a
+    # second pid key, plain or escaped; each gives the summary or the error
+    # of the same file with every step record spaced and decoded in full
+    def spaced(lines):
+        return "\n".join(json.dumps(json.loads(line)) for line in lines)
+
+    def repeated(lines):
+        seen = set()
+        for n, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec["record"] == "step":
+                free = json.dumps(dict(rec, i=None, pid=None), sort_keys=True)
+                if free in seen:
+                    return n, rec["pid"]
+                seen.add(free)
+
+    errors = []
+    for lines in (traceio.sqrt_certificate_lines(sqrt_run(race3, 2, depth=64)),
+                  traceio.linear_certificate_lines(linear_run(flag, 1, depth=64))):
+        n, pid = repeated(lines)
+        old = f'"pid":{pid},'
+        assert old in lines[n]
+        edits = [lines[n].replace(old, new, 1)
+                 for new in ('"pid":99,', f'"pid":{pid ^ 1},', '"pid":' + "1" * 19 + ",")]
+        edits += [f"{lines[n][:-1]},{key}:{value}}}"
+                  for key in ('"pid"', '"\\u0070id"') for value in (pid ^ 1, 99)]
+        for edited in edits:
+            edited_lines = lines[:n] + [edited] + lines[n + 1:]
+            got = _replayed("\n".join(edited_lines))
+            assert got == _replayed(spaced(edited_lines)), edited
+            errors.append(got)
+    assert all(isinstance(e, str) and e.startswith("replay error: ") for e in errors), errors
+    assert any(" is not one of " in e for e in errors) and any(" role " in e for e in errors)
 
 
 def test_a_repeated_tail_is_checked_against_its_own_level(race3):
