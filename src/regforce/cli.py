@@ -119,7 +119,7 @@ def _parser() -> argparse.ArgumentParser:
     val = sub.add_parser("valency", help="decision reachability of a configuration")
     val.add_argument("spec")
     val.add_argument("--trace", default=None, help="certificate/report file to replay into")
-    val.add_argument("--at", type=int, default=None, help="stop after this many steps")
+    val.add_argument("--at", type=int, default=None, help="stop after this many steps of --trace")
     val.add_argument("--inputs", default="01", help="inputs when no trace is given")
     val.add_argument("--set", dest="pidset", default=None,
                      help="comma-separated pids (default: all)")
@@ -199,6 +199,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_valency(args) -> int:
+    if args.at is not None and not args.trace:
+        raise UsageError("--at needs --trace: it counts steps of the trace")
     spec = _load_spec(args.spec)
     if args.trace:
         config = traceio.first_trace(spec, _read_file(args.trace), args.at).final

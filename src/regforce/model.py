@@ -132,9 +132,10 @@ class AlgorithmSpec:
 
     @functools.cached_property
     def memos(self) -> dict:
-        """Search memos by name (`valency` keeps its query, profile, solo and
+        """Search memos by name (`valency` keeps its profile, solo and
         solo-run memos here, and `dead`, the classes from which no reserving
-        run returns each target); they live exactly as long as the spec."""
+        run returns each target); they hold no witness, so no reference
+        cycle through the spec, and live exactly as long as it does."""
         return collections.defaultdict(dict)
 
 

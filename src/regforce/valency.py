@@ -81,19 +81,18 @@ is the exact key, and the class memo prunes nothing more.
 
 The argument does not fix which run is found first: the unit order does, and
 permuting which unit holds which state changes only which pids the witness
-moves.  Nor does the DFS's cutoff flag alone tell "refuted" from "unknown":
-the class memo can prune every node that would hit the depth bound.  The
-closure does, so a verdict depends only on the class of the query and the
-depth.  `tests/test_search_kernel.py` checks the witness against the
-exact-keyed dataclass reference and every verdict against the oracle's
-reachability.
+moves.  Nor can the DFS alone tell "refuted" from "unknown": the class memo
+can prune every node that would hit the depth bound.  The closure tells them
+apart, so the DFS only ever proves, and a verdict depends only on the class
+of the query and the depth.  `tests/test_search_kernel.py` checks the
+witness against the exact-keyed dataclass reference and every verdict
+against the oracle's reachability.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -270,22 +269,23 @@ def _match(masks, written) -> Optional[list]:
     there is none.  Simple augmenting-path matching, registers in increasing
     order and masks in list order; both sides stay tiny here."""
     owner = [0] * len(masks)
-
-    def augment(bit, seen):
-        for j, mask in enumerate(masks):
-            if mask & bit and j not in seen:
-                seen.add(j)
-                if not owner[j] or augment(owner[j], seen):
-                    owner[j] = bit
-                    return True
-        return False
-
     while written:
         bit = written & -written
         written ^= bit
-        if not augment(bit, set()):
+        if not _augment(masks, owner, bit, set()):
             return None
     return owner
+
+
+def _augment(masks, owner, bit, seen) -> bool:
+    """Give `bit` a covering mask not in `seen`, by an augmenting path."""
+    for j, mask in enumerate(masks):
+        if mask & bit and j not in seen:
+            seen.add(j)
+            if not owner[j] or _augment(masks, owner, owner[j], seen):
+                owner[j] = bit
+                return True
+    return False
 
 
 def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs) -> Optional[dict]:
@@ -312,7 +312,6 @@ class _Search:
         self.memo: dict = {}
         self.failed: dict = {}  # symmetry class -> largest budget it failed at
         self.matchable: dict = {}  # (sorted cover masks, written) -> bool
-        self.cutoff = False
 
     def run(self, config: Configuration, depth: int):
         if depth < 0:
@@ -333,7 +332,7 @@ class _Search:
         if not self._reaches(states, regs):
             return None, False
         found = self._dfs(states, regs, 0, depth)
-        return (None if found is None else tuple(reversed(found))), self.cutoff
+        return (None, True) if found is None else (tuple(reversed(found)), False)
 
     def _reaches(self, states, regs) -> bool:
         """Whether a goal is reachable from the root's symmetry class, by a
@@ -405,9 +404,6 @@ class _Search:
             return None
         self.memo[key] = budget
         if budget <= 0:
-            # every unit is active at every node (a return ends the search)
-            # and every state has an action, so some move is cut off here
-            self.cutoff = True
             return None
         rows, covers, units, target = self.rows, self.covers, self.units, self.target
         for i, s in enumerate(states):
@@ -598,7 +594,7 @@ def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
 
 def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> ValencyReport:
     """All decisions reachable by terminating solo runs of one unit."""
-    return _valency_uncached(spec, config, (_as_unit(unit),), None, depth, "solo")
+    return valency(spec, config, (_as_unit(unit),), None, depth, "solo")
 
 
 def solo_terminating(spec, config, unit, depth: int) -> Optional[Witness]:
@@ -728,31 +724,34 @@ def _subset_search(spec, config, units, m, depth, target):
     return moves, cut
 
 
+def _subsets(config, active, size) -> list:
+    """For each multiset of the states of `size` units of `active` (sorted),
+    the first subset with it in `itertools.combinations` order, which holds
+    the lowest units of each state; in that order too."""
+    groups = {}
+    for unit in active:
+        groups.setdefault(config.proc(unit[0]).state, []).append(unit)
+    partial, room = [[]], len(active)  # room: units in groups not drawn from yet
+    for group in groups.values():
+        room -= len(group)
+        partial = [chosen + group[:c] for chosen in partial
+                   for c in range(max(0, size - len(chosen) - room),
+                                  min(len(group), size - len(chosen)) + 1)]
+    return sorted(sorted(chosen) for chosen in partial)
+
+
 def valency(spec, config, units, m, depth, mode) -> ValencyReport:
     """Decision reachability from a configuration.
 
     solo mode: a decision is proven when some unit of `units` has a
     terminating solo run returning it.  reserving mode: when some subset of
-    exactly m+1 active units has a reserving execution returning it.
-    Queries are cached on the spec (`AlgorithmSpec.memos`), keyed on the
-    canonical form restricted to the queried units: nothing else can affect
-    the answer.
+    exactly m+1 active units has a reserving execution returning it; units
+    are anonymous, so one subset per multiset of states is searched
+    (`_subsets`), through the spec's `profile` memo.
     """
     units = tuple(sorted(_as_unit(u) for u in units))
-    # the per-unit state list keeps witnesses attached to the right pids;
-    # cross-permutation sharing happens inside the subset-profile memo
-    states = tuple(unit_state(config, u) for u in units)
-    query_key = (mode, m, depth, units, config.registers, states)
-    cache = spec.memos["query"]
-    hit = cache.get(query_key)
-    if hit is not None:
-        return hit
-    report = _valency_uncached(spec, config, units, m, depth, mode)
-    cache[query_key] = report
-    return report
-
-
-def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
+    # unit_state raises when the members of a pair are out of sync
+    decided = [unit_state(config, u)[1] for u in units]
     tris = {}
     if mode == "solo":
         for d in (0, 1):
@@ -767,17 +766,17 @@ def _valency_uncached(spec, config, units, m, depth, mode) -> ValencyReport:
     elif mode == "reserving":
         if m < 0:
             raise ValueError(f"negative m {m}")
-        active = [u for u in units if unit_active(config, u)]
+        active = [u for u, done in zip(units, decided) if done is None]
+        subsets = _subsets(config, active, m + 1) if len(active) >= m + 1 else []
         for d in (0, 1):
             witness = None
             cutoff = False
-            if len(active) >= m + 1:
-                for subset in itertools.combinations(active, m + 1):
-                    moves, cut = _subset_search(spec, config, list(subset), m, depth, d)
-                    cutoff = cutoff or cut
-                    if moves is not None:
-                        witness = _witness(spec, config, moves, list(subset), "reserving")
-                        break
+            for subset in subsets:
+                moves, cut = _subset_search(spec, config, subset, m, depth, d)
+                cutoff = cutoff or cut
+                if moves is not None:
+                    witness = _witness(spec, config, moves, subset, "reserving")
+                    break
             tris[d] = _tri(witness, cutoff)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -253,6 +253,8 @@ def test_parse_error_exits_one(tmp_path, monkeypatch, capsys):
               ["valency", "zoo:of-race-3", "--mode", "reserving", "--m", "-1"]]
     cases += [["check", "zoo:of-race-3", "--max-states", "-1"]]
     cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
+    # with no trace there are no steps to stop after
+    cases += [["valency", "zoo:of-race-3", "--at", "0"]]
     # input that cannot be read as text: a file that is not UTF-8, and a
     # directory, each given as an algorithm, a file to replay and a trace
     latin1 = tmp_path / "latin1.jsonl"

@@ -5,18 +5,20 @@ states, registers, written set) with no depth bound, and answers "refuted"
 when no goal is reachable; otherwise it runs a DFS whose exact memo key is a
 bijection of the reference's.  The DFS also prunes a node whose symmetry
 class already failed with at least its budget.  By the argument in the
-`valency` docstring that keeps whether a run exists, and the closure makes
-the cutoff flag exact, so:
+`valency` docstring that keeps whether a run exists, and the closure tells
+"refuted" from "unknown", so:
 - on every case of `_cases()` both return the same moves; the kernel says
   "refuted" exactly where the oracle finds the target unreachable, which is
   where the reference says "refuted" or only hits its depth bound;
 - permuting which unit holds which state keeps the found and cutoff flags;
 - hand-made specs fail if the class key drops the registers or the written
   set, and a guard fails if the class pruning is removed;
-- where the DFS alone answers "refuted" and the reference "unknown", the
-  oracle confirms the refutation;
+- where the closure refutes and the reference only hits its depth bound,
+  the oracle confirms the refutation;
 - every answer the profile memo or the dead-class set gives equals the
-  answer of the same spec with empty memos.
+  answer of the same spec with empty memos;
+- a reserving `valency` report, which searches one subset per multiset of
+  states (`_subsets`), equals the all-combinations loop's.
 The exact solo closure must prove exactly what the reference's solo search
 proves, by the run the reference finds at the least depth it proves at; it
 must refute wherever the reference does, and the oracle must confirm every
@@ -46,8 +48,10 @@ from regforce.valency import (
     _match,
     _solo_run,
     _subset_search,
+    _subsets,
     covered_injectively,
     is_reserving,
+    reserving_search,
     solo_terminating,
     unit_active,
     unit_state,
@@ -107,16 +111,17 @@ def _reachability():
 
 def _both(spec, config, units, target, depth, reachable):
     """The kernel's answer, and the kernel and reference searches after both
-    ran; they return the same moves, and the same cutoff flag except where
-    the reference hits its depth bound and no run reaches the target at all:
-    the kernel refutes."""
+    ran; they return the same moves and, where neither finds a run, the same
+    cutoff flag, except where the reference hits its depth bound and no run
+    reaches the target at all: the kernel refutes."""
     reference = ReferenceSearch(spec, units, target, True, m=None)
     kernel = _Search(spec, units, target)
     want = reference.run(config, depth)
     got = kernel.run(config, depth)
-    if want == (None, True) and not reachable(spec, config, units, target):
-        want = (None, False)
-    assert got == want, (spec.name, config, units, target, depth)
+    where = (spec.name, config, units, target, depth)
+    assert got[0] == want[0], where
+    if want[0] is None:
+        assert got[1] == (want[1] and reachable(spec, config, units, target)), where
     return got, kernel, reference
 
 
@@ -132,13 +137,13 @@ def test_kernel_matches_reference_on_every_zoo_spec():
         for group in _groups(active):
             for target in (0, 1, None):
                 for depth in DEPTHS:
-                    _, kernel, reference = _both(spec, config, group, target, depth, reachable)
+                    got, _, reference = _both(spec, config, group, target, depth, reachable)
                     if reference.found is not None:
                         outcomes["found"] += 1
                     elif not reference.cutoff:
                         outcomes["refuted"] += 1
                     else:
-                        outcomes["sharpened" if not kernel.cutoff else "cutoff"] += 1
+                        outcomes["sharpened" if not got[1] else "cutoff"] += 1
     # every kind of answer, the cutoff included, was compared
     assert all(outcomes.values()), outcomes
 
@@ -252,11 +257,10 @@ def test_class_key_keeps_registers_and_written_set():
             assert moves[0] == ((0,), spec.actions("S")[1]), (spec.name, moves)
 
 
-def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off(monkeypatch):
+def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
     # found by a wider sweep than `_cases()`: on these claim-commit states the
-    # exact-keyed search hits its depth bound, while the class memo of the
-    # DFS alone prunes every node that would and proves no 0-run exists; the
-    # closure refutes them too, and the oracle agrees
+    # exact-keyed search hits its depth bound, while no 0-run exists at all;
+    # the closure of the class graph refutes them, and the oracle agrees
     spec = zoo.get_zoo("claim-commit")
     for states, units, depth in (
             (("CHK1", "CHK1", "CHK1", "CHK1", "CHK1"), [(0, 1), (2, 3), (4,)], 5),
@@ -265,10 +269,6 @@ def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off(monkeypatch)
                                                  for pid, state in enumerate(states)))
         assert ReferenceSearch(spec, units, 0, True, m=None).run(config, depth) == (None, True)
         assert _Search(spec, units, 0).run(config, depth) == (None, False)
-        with monkeypatch.context() as patch:
-            patch.setattr(_Search, "_reaches", lambda self, states, registers: True)
-            search = _Search(spec, units, 0)
-            assert search.run(config, depth) == (None, False) and search.memo
         assert not oracle_valency(spec, config, units, "reserving", m=len(units) - 1)[0]
 
 
@@ -564,3 +564,59 @@ def test_memo_answers_equal_fresh_searches(monkeypatch):
         assert _memo_answer(_answer_by_search, spec, config, units, target, depth) \
             == _fresh_answer(_answer_by_search, spec, config, units, target, depth), \
             (config, units, target, depth)
+
+
+def _all_combinations_valency(spec, config, active, m, depth) -> list:
+    """Per decision, (status, members, moves) by the loop `valency` ran
+    before `_subsets`: a fresh search of every subset of m+1 `active` units
+    in `itertools.combinations` order, up to the first that proves."""
+    sides = []
+    for d in (0, 1):
+        side, cutoff = None, False
+        for subset in itertools.combinations(active, m + 1):
+            moves, cut = reserving_search(spec, config, subset, m, depth, d)
+            cutoff = cutoff or cut
+            if moves is not None:
+                side = ("proven", subset, tuple(moves))
+                break
+        sides.append(side or ("unknown" if cutoff else "refuted", None, None))
+    return sides
+
+
+def test_reserving_valency_equals_the_all_combinations_loop():
+    # every unit of the layout is queried, returned ones too; the loop runs
+    # on a copy of the spec with empty memos
+    outcomes = {"proven": 0, "unknown": 0, "refuted": 0}
+    for spec, config, active in _cases():
+        every = _layout_units(config)
+        for m in range(len(active)):
+            for depth in DEPTHS:
+                want = _all_combinations_valency(dataclasses.replace(spec), config, active,
+                                                 m, depth)
+                report = valency.valency(spec, config, every, m, depth, "reserving")
+                got = [(tri.status, tri.witness and tri.witness.members,
+                        tri.witness and tri.witness.moves) for tri in (report.zero, report.one)]
+                assert got == want, (spec.name, config, m, depth)
+                for status, _, _ in want:
+                    outcomes[status] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_subsets_are_the_first_combination_of_each_multiset():
+    rng = random.Random(1)
+    for _ in range(400):
+        states = [rng.choice("ABC") for _ in range(rng.randrange(1, 8))]
+        units, pid = [], 0
+        while pid < len(states):
+            # a pair's clone holds its leader's state
+            width = min(rng.choice((1, 2)), len(states) - pid)
+            units.append(tuple(range(pid, pid + width)))
+            states[pid + width - 1] = states[pid]
+            pid += width
+        config = Configuration((), tuple(Proc(0, state) for state in states))
+        for size in range(1, len(units) + 1):
+            first = {}
+            for subset in itertools.combinations(units, size):
+                multiset = tuple(sorted(states[unit[0]] for unit in subset))
+                first.setdefault(multiset, list(subset))
+            assert _subsets(config, units, size) == list(first.values()), (states, units, size)

@@ -1,9 +1,10 @@
+import gc
 import random
 
 import pytest
 
+from regforce import linear_attack, sqrt_attack, zoo
 from regforce import valency as valency_module
-from regforce import zoo
 from regforce.execution import Execution
 from regforce.linear_attack import linear_run
 from regforce.model import EngineError, Return, Write, initial_configuration, load_algorithm
@@ -156,6 +157,15 @@ def test_out_of_sync_pair_is_refused_even_without_a_write(race3):
             is_reserving(race3, config, units, steps, m=1)
     with pytest.raises(EngineError, match="out of sync"):
         covered_injectively(race3, config, units, ())
+    # unit (0,) proves both decisions alone, so a solo query would never
+    # search the pair (1, 2), whose leader read alone; it is refused anyway
+    spec = load_algorithm(WRITE_OR_RETURN)
+    root = initial_configuration(spec, [1, 1, 1])
+    config = Execution.start(spec, root).extend(1, spec.actions("B")[2]).final
+    assert valency(spec, config, [0], None, 8, "solo").classify() == "bivalent"
+    for mode in ("solo", "reserving"):
+        with pytest.raises(EngineError, match="out of sync"):
+            valency(spec, config, [0, (1, 2)], 0, 8, mode)
 
 
 def test_reserving_prefix_closure(flag):
@@ -348,21 +358,19 @@ def test_memoised_witnesses_step_their_moves_from_their_configuration(monkeypatc
     # their moves stepped from the configuration that was queried, whether
     # or not anything read them before
     seen = []
-    uncached = valency_module._valency_uncached
 
-    def recording(spec, config, *args):
-        report = uncached(spec, config, *args)
+    def recording(spec, config, *args, **kwargs):
+        report = valency(spec, config, *args, **kwargs)
         seen.append((spec, config, report))
         return report
 
-    monkeypatch.setattr(valency_module, "_valency_uncached", recording)
+    # `valency` where `solo_search` and each attack look it up
+    for module in (valency_module, linear_attack, sqrt_attack):
+        monkeypatch.setattr(module, "valency", recording)
     chain_spec, pair_spec = load_algorithm(zoo.of_race(5)), load_algorithm(zoo.CLAIM_COMMIT)
     assert isinstance(sqrt_run(chain_spec, 5, depth=64), SqrtChainCertificate)
     assert isinstance(linear_run(pair_spec, 2, depth=64), LinearChainCertificate)
-    recorded = {id(report) for _, _, report in seen}
-    for spec in (chain_spec, pair_spec):
-        memo = spec.memos["query"]
-        assert memo and all(id(report) in recorded for report in memo.values())
+    assert {id(spec) for spec, _, _ in seen} == {id(chain_spec), id(pair_spec)}
     kinds = set()
     for spec, config, report in seen:
         for side in (report.zero, report.one):
@@ -371,3 +379,18 @@ def test_memoised_witnesses_step_their_moves_from_their_configuration(monkeypatc
                 assert side.witness.steps == valency_module.materialize(
                     spec, config, side.witness.moves)
     assert kinds == {"solo", "reserving"}
+
+
+def test_attacks_leave_no_reference_cycles():
+    # a memo holding witnesses, which hold their spec, or a recursive
+    # closure would leave garbage that only a full collection frees
+    runs = ((sqrt_run, zoo.of_race(5), 5), (linear_run, zoo.CLAIM_COMMIT, 2),
+            (linear_run, zoo.ONE_REGISTER_FLAG, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for run, text, k in runs:
+            run(load_algorithm(text), k, 64)
+            assert gc.collect() == 0, text.splitlines()[0]
+    finally:
+        gc.enable()
