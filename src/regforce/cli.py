@@ -201,6 +201,8 @@ def _cmd_attack(args) -> int:
 def _cmd_valency(args) -> int:
     if args.at is not None and not args.trace:
         raise UsageError("--at needs --trace: it counts steps of the trace")
+    if args.m is not None and args.mode == "solo":
+        raise UsageError("--m needs --mode reserving: a solo query has no register budget")
     spec = _load_spec(args.spec)
     if args.trace:
         config = traceio.first_trace(spec, _read_file(args.trace), args.at).final

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -132,10 +133,11 @@ class AlgorithmSpec:
 
     @functools.cached_property
     def memos(self) -> dict:
-        """Search memos by name (`valency` keeps its profile, solo and
-        solo-run memos here, and `dead`, the classes from which no reserving
-        run returns each target); they hold no witness, so no reference
-        cycle through the spec, and live exactly as long as it does."""
+        """Search memos by name (`valency` keeps its solo and solo-run memos
+        here, its `reserving` answers by root class, depth and target, and
+        `dead`, the classes from which no reserving run returns each
+        target); they hold no witness, so no reference cycle through the
+        spec, and live exactly as long as it does."""
         return collections.defaultdict(dict)
 
 
@@ -313,6 +315,9 @@ def load_algorithm(source: str) -> AlgorithmSpec:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise SpecError("expected: registers <count>", ln)
             register_count = int(parts[1])
+            if register_count > sys.maxsize:
+                # no registers tuple of that length can be made
+                raise SpecError(f"register count {register_count} is too large", ln)
         elif line.startswith("input"):
             m = _INPUT_RE.match(line)
             if not m:

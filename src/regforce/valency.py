@@ -24,7 +24,8 @@ at most `depth` moves and "unknown" when it is longer: for solo queries the
 depth only caps the length of a witness.  The witness is the least run that
 comes first in action order; its actions are kept once per node and decision
 (the `solo-run` memo), shared by every witness that starts there, and bound
-to the queried unit when the witness's moves are first read.
+to the queried unit when the witness's moves are first read.  So units in
+one state have one answer, and solo `valency` asks the first of each.
 The oracle decides solo termination by its own closure
 (`oracle.solo_returns`) and never reads these memos.
 
@@ -40,9 +41,11 @@ depth-first over scheduling and nondeterministic choice, units in (state
 name, unit) order and each unit's actions in declaration order, bounded by
 the depth, so the first witness found is the least one and repeated runs are
 identical; finding none, it answers "unknown", since every run is longer
-than the depth.  The (state name, unit) order is the one the `profile` memo
-binds a found run's movers by, so a memo hit equals a fresh search of the
-queried subset, and the order in which queries are asked changes no answer.
+than the depth.  The DFS names each mover by its position in that order,
+which depends only on the class, so the spec's `reserving` memo keeps a
+proven or unknown answer under (root class, depth, target), refutations
+stay in `dead`, and `run` binds a fresh or remembered answer's positions to
+the queried units alike: the order of queries changes no answer.
 The DFS's state is a list of unit state ids, the packed registers and a
 bitmask of the registers written so far.  The exact memo key `(state ids,
 registers, written)` maps one to one onto (state names, registers, written
@@ -303,7 +306,8 @@ def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs)
 class _Search:
     """One exhaustive reserving search for a target decision (or any return),
     run on the spec's integer tables: a closure of the class graph, then,
-    when some run exists, the depth-bounded DFS; see the module docstring."""
+    when some run exists, the depth-bounded DFS.  `run` owns the answers, in
+    `dead` and the `reserving` memo, and binds them; see the module docstring."""
 
     def __init__(self, spec, units, target):
         self.spec = spec
@@ -323,33 +327,39 @@ class _Search:
             # unit_state raises when the members of a pair are out of sync
             if not unit_active(config, unit):
                 raise ValueError(f"unit {unit} already returned")
-        # the order the profile memo binds a run's movers by
+        # a run names its movers by their positions in this order
         self.units.sort(key=lambda unit: (config.proc(unit[0]).state, unit))
-        tables = self.spec.tables
+        spec, tables = self.spec, self.spec.tables
         self.rows, self.covers = tables.rows, tables.covers
         states = [tables.ids[config.proc(u[0]).state] for u in self.units]
         regs = tables.pack(config.registers)
-        if not self._reaches(states, regs):
+        root = (len(states) * tables.vectors + regs) << spec.register_count
+        for s in sorted(states):
+            root = root * len(self.rows) + s
+        dead = spec.memos["dead"].setdefault(self.target, set())
+        if root in dead:
             return None, False
-        found = self._dfs(states, regs, 0, depth)
-        return (None, True) if found is None else (tuple(reversed(found)), False)
+        key = (root, depth, self.target)
+        found = spec.memos["reserving"].get(key)
+        if found is None:
+            if not self._reaches(states, regs, root, dead):
+                return None, False
+            path = self._dfs(states, regs, 0, depth)
+            found = spec.memos["reserving"][key] = () if path is None else tuple(reversed(path))
+        if not found:
+            return None, True
+        return tuple([(self.units[i], action) for i, action in found]), False
 
-    def _reaches(self, states, regs) -> bool:
-        """Whether a goal is reachable from the root's symmetry class, by a
-        closure of the class graph with no depth bound that stops at the
-        classes of the spec's dead set for this target.  A closure that
-        reaches no goal adds every class it visited to that set."""
-        spec, target, rows, covers = self.spec, self.target, self.rows, self.covers
-        dead = spec.memos["dead"].setdefault(target, set())
-        shift, width = spec.register_count, len(rows)
-        head = len(states) * spec.tables.vectors  # the unit count leads every key
+    def _reaches(self, states, regs, root, dead) -> bool:
+        """Whether a goal is reachable from the root's symmetry class `root`,
+        by a closure of the class graph with no depth bound that stops at the
+        classes of `dead`, the spec's dead set for this target.  A closure
+        that reaches no goal adds every class it visited to that set."""
+        target, rows, covers = self.target, self.rows, self.covers
+        shift, width = self.spec.register_count, len(rows)
+        head = len(states) * self.spec.tables.vectors  # the unit count leads every key
         states = tuple(sorted(states))
-        k = (head + regs) << shift
-        for s in states:
-            k = k * width + s
-        if k in dead:
-            return False
-        seen = {k}
+        seen = {root}
         stack = [(states, regs, 0)]
         while stack:
             states, regs, written = stack.pop()
@@ -394,7 +404,8 @@ class _Search:
         return hit
 
     def _dfs(self, states, regs, written, budget) -> Optional[list]:
-        """The moves of the first run found from this node, last move first."""
+        """The moves of the first run found from this node, last move first,
+        each as (the mover's position in `units`, action)."""
         key = (tuple(states), regs, written)
         if self.memo.get(key, -1) >= budget:
             return None
@@ -405,7 +416,7 @@ class _Search:
         self.memo[key] = budget
         if budget <= 0:
             return None
-        rows, covers, units, target = self.rows, self.covers, self.units, self.target
+        rows, covers, target = self.rows, self.covers, self.target
         for i, s in enumerate(states):
             for kind, weight, span, arg, bit, action in rows[s]:
                 if kind == RETURN:
@@ -415,7 +426,7 @@ class _Search:
                     masks[i] = 0  # a returned unit covers nothing
                     if not self._covered(masks, written):
                         continue
-                    return [(units[i], action)]
+                    return [(i, action)]
                 digit = regs % span // weight
                 if kind == READ:
                     nxt, regs2, written2 = arg[digit], regs, written
@@ -431,7 +442,7 @@ class _Search:
                     continue
                 found = self._dfs(states, regs2, written2, budget - 1)
                 if found is not None:
-                    found.append((units[i], action))
+                    found.append((i, action))
                     return found
                 states[i] = s
         failed[cls] = budget
@@ -700,30 +711,6 @@ def group_moves(units, steps) -> Optional[list]:
 
 # -- valency ----------------------------------------------------------------
 
-def _subset_search(spec, config, units, m, depth, target):
-    """Reserving search memoized on the anonymity profile of the subset:
-    subsets whose members sit in the same multiset of states share results.
-    A found run is stored by each mover's position in the (state, unit)
-    order, the order `_Search` moves units in, and a hit binds those
-    positions to the queried subset, so it equals a fresh search."""
-    profile = sorted([(config.proc(u[0]).state, u) for u in units])
-    key = (config.registers, tuple([state for state, _ in profile]), m, depth, target)
-    memo = spec.memos["profile"]
-    hit = memo.get(key)
-    if hit is not None:
-        tag, payload = hit
-        if tag == "proven":
-            return [(profile[pos][1], action) for pos, action in payload], False
-        return None, tag == "unknown"
-    moves, cut = reserving_search(spec, config, units, m, depth, target)
-    if moves is not None:
-        position = {u: i for i, (_, u) in enumerate(profile)}
-        memo[key] = ("proven", tuple((position[u], a) for u, a in moves))
-    else:
-        memo[key] = ("unknown" if cut else "refuted", None)
-    return moves, cut
-
-
 def _subsets(config, active, size) -> list:
     """For each multiset of the states of `size` units of `active` (sorted),
     the first subset with it in `itertools.combinations` order, which holds
@@ -745,41 +732,34 @@ def valency(spec, config, units, m, depth, mode) -> ValencyReport:
 
     solo mode: a decision is proven when some unit of `units` has a
     terminating solo run returning it.  reserving mode: when some subset of
-    exactly m+1 active units has a reserving execution returning it; units
-    are anonymous, so one subset per multiset of states is searched
-    (`_subsets`), through the spec's `profile` memo.
+    exactly m+1 active units has a reserving execution returning it.  Units
+    are anonymous, so one unit or subset per state or multiset of states is
+    asked (`_subsets`): the first, whose answer every later one repeats.
     """
     units = tuple(sorted(_as_unit(u) for u in units))
     # unit_state raises when the members of a pair are out of sync
     decided = [unit_state(config, u)[1] for u in units]
-    tris = {}
-    if mode == "solo":
-        for d in (0, 1):
-            witness = None
-            cutoff = False
-            for unit in units:
-                witness, cut = _solo_run(spec, config, unit, d, depth)
-                cutoff = cutoff or cut
-                if witness is not None:
-                    break
-            tris[d] = _tri(witness, cutoff)
-    elif mode == "reserving":
-        if m < 0:
-            raise ValueError(f"negative m {m}")
-        active = [u for u, done in zip(units, decided) if done is None]
-        subsets = _subsets(config, active, m + 1) if len(active) >= m + 1 else []
-        for d in (0, 1):
-            witness = None
-            cutoff = False
-            for subset in subsets:
-                moves, cut = _subset_search(spec, config, subset, m, depth, d)
-                cutoff = cutoff or cut
+    if mode not in ("solo", "reserving"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "reserving" and m < 0:
+        raise ValueError(f"negative m {m}")
+    size = 1 if mode == "solo" else m + 1
+    active = [u for u, done in zip(units, decided) if done is None]
+    subsets = _subsets(config, active, size) if len(active) >= size else []
+    tris = []
+    for d in (0, 1):
+        witness, cutoff = None, False
+        for subset in subsets:
+            if mode == "solo":
+                witness, cut = _solo_run(spec, config, subset[0], d, depth)
+            else:
+                moves, cut = reserving_search(spec, config, subset, m, depth, d)
                 if moves is not None:
                     witness = _witness(spec, config, moves, subset, "reserving")
-                    break
-            tris[d] = _tri(witness, cutoff)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+            cutoff = cutoff or cut
+            if witness is not None:
+                break
+        tris.append(_tri(witness, cutoff))
     return ValencyReport(zero=tris[0], one=tris[1], mode=mode, units=units, m=m, depth=depth)
 
 

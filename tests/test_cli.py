@@ -255,6 +255,17 @@ def test_parse_error_exits_one(tmp_path, monkeypatch, capsys):
     cases += [["valency", "zoo:of-race-3", "--trace", str(path)] for path in (empty, mistyped)]
     # with no trace there are no steps to stop after
     cases += [["valency", "zoo:of-race-3", "--at", "0"]]
+    # a solo query reads no m; the default mode is solo
+    cases += [["valency", "zoo:of-race-3", "--m", "1"],
+              ["valency", "zoo:of-race-3", "--mode", "solo", "--m", "0"]]
+    # a register count no registers tuple can hold, in an algorithm file and
+    # in a replayed file's header
+    huge, huge_header = tmp_path / "huge.alg", tmp_path / "huge.jsonl"
+    huge.write_text(zoo.of_race(3).replace("registers 3", f"registers {sys.maxsize + 1}"))
+    header, *rest = empty.read_text().splitlines(keepends=True)
+    huge_header.write_text(json.dumps({**json.loads(header), "algorithm_text": huge.read_text()})
+                           + "\n" + "".join(rest))
+    cases += [["check", str(huge)], ["replay", str(huge_header)]]
     # input that cannot be read as text: a file that is not UTF-8, and a
     # directory, each given as an algorithm, a file to replay and a trace
     latin1 = tmp_path / "latin1.jsonl"
@@ -567,3 +578,16 @@ def test_byte_identical_reruns(tmp_path):
                       "--target-r", "1", "--out", str(target))
         assert out.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_peak_rss_passes_the_exit_code_and_bounds_the_peak():
+    # the helper CI bounds its largest runs' memory with
+    def peak_rss(max_mb, code):
+        return subprocess.run([sys.executable, str(ROOT / "tests" / "peak_rss.py"), max_mb, "--",
+                               sys.executable, "-c", f"import sys; sys.exit({code})"],
+                              capture_output=True, text=True)
+
+    ok, over, failed = peak_rss("1000", 0), peak_rss("0.5", 0), peak_rss("1000", 3)
+    assert ok.returncode == 0 and ok.stderr.startswith("peak ") and " MB: " in ok.stderr
+    assert over.returncode == 1 and "peak above 0.5 MB" in over.stderr
+    assert failed.returncode == 3 and failed.stderr.startswith("exited 3: ")

@@ -15,10 +15,13 @@ class already failed with at least its budget.  By the argument in the
   set, and a guard fails if the class pruning is removed;
 - where the closure refutes and the reference only hits its depth bound,
   the oracle confirms the refutation;
-- every answer the profile memo or the dead-class set gives equals the
-  answer of the same spec with empty memos;
+- every answer the spec's `reserving` memo or its dead-class sets give
+  equals the answer of the same spec with empty memos; the tests of the
+  search itself empty that memo before each search (`_searched`), so that
+  no hit hides a search, and count the searches they compare;
 - a reserving `valency` report, which searches one subset per multiset of
-  states (`_subsets`), equals the all-combinations loop's.
+  states (`_subsets`), equals the all-combinations loop's, and a solo one,
+  which asks one unit per state, the per-unit loop's.
 The exact solo closure must prove exactly what the reference's solo search
 proves, by the run the reference finds at the least depth it proves at; it
 must refute wherever the reference does, and the oracle must confirm every
@@ -47,7 +50,6 @@ from regforce.valency import (
     _apply_move,
     _match,
     _solo_run,
-    _subset_search,
     _subsets,
     covered_injectively,
     is_reserving,
@@ -109,15 +111,23 @@ def _reachability():
     return reachable
 
 
+def _searched(spec, units, target, config, depth):
+    """A `_Search` and its answer, run with the spec's `reserving` memo of
+    answers emptied first, so that the search runs and no memo hit hides
+    it."""
+    spec.memos["reserving"].clear()
+    kernel = _Search(spec, units, target)
+    return kernel, kernel.run(config, depth)
+
+
 def _both(spec, config, units, target, depth, reachable):
     """The kernel's answer, and the kernel and reference searches after both
     ran; they return the same moves and, where neither finds a run, the same
     cutoff flag, except where the reference hits its depth bound and no run
     reaches the target at all: the kernel refutes."""
     reference = ReferenceSearch(spec, units, target, True, m=None)
-    kernel = _Search(spec, units, target)
     want = reference.run(config, depth)
-    got = kernel.run(config, depth)
+    kernel, got = _searched(spec, units, target, config, depth)
     where = (spec.name, config, units, target, depth)
     assert got[0] == want[0], where
     if want[0] is None:
@@ -155,7 +165,7 @@ def test_kernel_refutes_exactly_where_the_oracle_finds_no_run():
         for group in _groups(active):
             for target in (0, 1, None):
                 for depth in DEPTHS:
-                    moves, cut = _Search(spec, group, target).run(config, depth)
+                    _, (moves, cut) = _searched(spec, group, target, config, depth)
                     status = "proven" if moves is not None else "unknown" if cut else "refuted"
                     assert (status == "refuted") == (not reachable(spec, config, group, target)), \
                         (spec.name, config, group, target, depth, status)
@@ -175,28 +185,34 @@ def _permuted(config, units, order):
 
 def test_outcome_is_the_same_for_every_permutation_of_unit_states():
     outcomes = {"found": 0, "cutoff": 0, "refuted": 0}
+    dfs = 0
     for spec, config, active in _cases():
         if len(active) < 2:
             continue
         orders = list(itertools.permutations(range(len(active))))
         for target in (0, 1, None):
             for depth in DEPTHS:
-                runs = {(moves is not None, cut) for moves, cut in (
-                    _Search(spec, active, target).run(_permuted(config, active, order), depth)
-                    for order in orders)}
+                runs = set()
+                for order in orders:
+                    kernel, (moves, cut) = _searched(spec, active, target,
+                                                     _permuted(config, active, order), depth)
+                    runs.add((moves is not None, cut))
+                    dfs += bool(kernel.memo)
                 # whether a run exists within the depth, and whether one
                 # exists at all, do not depend on which unit holds which state
                 assert len(runs) == 1, (spec.name, config, active, target, depth, runs)
                 found, cut = runs.pop()
                 outcomes["found" if found else "cutoff" if cut else "refuted"] += 1
     assert all(outcomes.values()), outcomes
+    # the searches that ran their DFS; a hit in the answers memo would hide some
+    assert dfs == 1638, dfs
 
 
 def test_class_memo_prunes_multi_unit_searches_only():
     # with exact keys alone the DFS enters exactly the reference's nodes; for
     # one unit the class key is the exact key, so it prunes nothing more.  A
     # search the closure refutes never reaches the DFS and is not compared
-    kernel_nodes = reference_nodes = 0
+    kernel_nodes = reference_nodes = compared = 0
     reachable = _reachability()
     for spec, config, active in _cases():
         for target in (0, 1, None):
@@ -205,12 +221,14 @@ def test_class_memo_prunes_multi_unit_searches_only():
                     _, kernel, reference = _both(spec, config, group, target, depth, reachable)
                     if not kernel.memo:
                         continue
+                    compared += 1
                     if len(group) == 1:
                         assert len(kernel.memo) == len(reference.memo)
                     else:
                         kernel_nodes += len(kernel.memo)
                         reference_nodes += len(reference.memo)
     assert kernel_nodes < reference_nodes, (kernel_nodes, reference_nodes)
+    assert compared == 567, compared
 
 
 # two units, S and the idler X, which covers r0 by a write of 1 it repeats
@@ -268,14 +286,14 @@ def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
         config = Configuration(("1", "_"), tuple(Proc(pid % 2, state)
                                                  for pid, state in enumerate(states)))
         assert ReferenceSearch(spec, units, 0, True, m=None).run(config, depth) == (None, True)
-        assert _Search(spec, units, 0).run(config, depth) == (None, False)
+        assert _searched(spec, units, 0, config, depth)[1] == (None, False)
         assert not oracle_valency(spec, config, units, "reserving", m=len(units) - 1)[0]
 
 
 def test_negative_depth_is_refused():
     spec, config, active = next(_cases())
     with pytest.raises(ValueError, match="negative depth"):
-        _Search(spec, active, None).run(config, -1)
+        _searched(spec, active, None, config, -1)
 
 
 def test_solo_closure_matches_the_reference_search():
@@ -518,52 +536,72 @@ def _answer_by_search(spec, config, units, target, depth):
 
 
 def test_memo_answers_equal_fresh_searches(monkeypatch):
-    # every answer the profile memo gives, bound to the queried subset, and
+    # every answer the reserving memo gives, bound to the queried units, and
     # every search run past the dead-class sets, equals the answer of the
     # same spec with empty memos: on every subset of `_cases()`, queried
-    # twice, and on the subset queries and searches of a linear run
+    # twice, and on every search of a linear run
     hits = 0
     for spec, config, active in _cases():
         queries = [(list(subset), m, depth, target) for m in range(len(active))
                    for subset in itertools.combinations(active, m + 1)
                    for target in (0, 1, None) for depth in DEPTHS]
-        fresh = [_fresh_answer(_subset_search, spec, config, *query) for query in queries]
+        fresh = [_fresh_answer(reserving_search, spec, config, *query) for query in queries]
         for _ in range(2):
             for query, want in zip(queries, fresh):
-                hits += bool(spec.memos["profile"])
-                assert _memo_answer(_subset_search, spec, config, *query) == want, \
+                hits += bool(spec.memos["reserving"])
+                assert _memo_answer(reserving_search, spec, config, *query) == want, \
                     (spec.name, config, query)
     assert hits
 
-    subset_queries, searches = {}, set()
-    subset_search, run = valency._subset_search, _Search.run
-
-    def recorded_subset_search(spec, config, units, m, depth, target):
-        # subsets whose units hold the same states in the same pid order get
-        # the same answers, fresh or from the memo, up to which pids move;
-        # one of each is replayed
-        states = tuple(config.proc(u[0]).state for u in sorted(units))
-        subset_queries.setdefault((config.registers, states, m, depth, target),
-                                  (config, list(units), m, depth, target))
-        return subset_search(spec, config, units, m, depth, target)
+    searches, run = set(), _Search.run
 
     def recorded_run(self, config, depth):
         searches.add((config, tuple(self.units), self.target, depth))
         return run(self, config, depth)
 
-    monkeypatch.setattr(valency, "_subset_search", recorded_subset_search)
     monkeypatch.setattr(_Search, "run", recorded_run)
     spec = load_algorithm(zoo.of_race(3))
     assert isinstance(linear_run(spec, 3, 64), LinearChainCertificate)
     monkeypatch.undo()
-    assert len(subset_queries) > len(searches) > 0 and spec.memos["dead"]
-    for query in subset_queries.values():
-        assert _memo_answer(_subset_search, spec, *query) \
-            == _fresh_answer(_subset_search, spec, *query), query
+    assert searches and spec.memos["dead"] and any(spec.memos["reserving"].values())
     for config, units, target, depth in searches:
         assert _memo_answer(_answer_by_search, spec, config, units, target, depth) \
             == _fresh_answer(_answer_by_search, spec, config, units, target, depth), \
             (config, units, target, depth)
+
+
+def _per_unit_solo_valency(spec, config, units, depth) -> list:
+    """Per decision, (status, members, moves) by the loop solo `valency` ran
+    before `_subsets`: every unit of `units` asked in order, returned ones
+    too, up to the first that proves."""
+    sides = []
+    for d in (0, 1):
+        witness, cutoff = None, False
+        for unit in units:
+            witness, cut = _solo_run(spec, config, unit, d, depth)
+            cutoff = cutoff or cut
+            if witness is not None:
+                break
+        sides.append(("proven", witness.members, witness.moves) if witness is not None
+                     else ("unknown" if cutoff else "refuted", None, None))
+    return sides
+
+
+def test_solo_valency_equals_the_per_unit_loop():
+    # every unit of the layout is queried, returned ones too; the loop runs
+    # on a copy of the spec with empty memos
+    outcomes = {"proven": 0, "unknown": 0, "refuted": 0}
+    for spec, config, _ in _cases():
+        every = _layout_units(config)
+        for depth in DEPTHS:
+            want = _per_unit_solo_valency(dataclasses.replace(spec), config, every, depth)
+            report = valency.valency(spec, config, every, None, depth, "solo")
+            got = [(tri.status, tri.witness and tri.witness.members,
+                    tri.witness and tri.witness.moves) for tri in (report.zero, report.one)]
+            assert got == want, (spec.name, config, depth)
+            for status, _, _ in want:
+                outcomes[status] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def _all_combinations_valency(spec, config, active, m, depth) -> list:

@@ -217,6 +217,35 @@ def test_single_field_edits_never_crash_replay(tmp_path, monkeypatch, capsys):
                 or (field == "algorithm_text" and err.startswith("error:")), (err, text)
 
 
+def test_adjacent_record_swaps_are_replay_errors(tmp_path, monkeypatch, capsys):
+    # every emitted file kind: a sqrt certificate, a linear certificate, a
+    # sqrt agreement report, a `check` agreement report, a solo-termination
+    # report and an inconclusive file.  Each unedited file replays; swapping
+    # any two adjacent distinct lines of it is a replay error.
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser))
+    emitted, swapped = tmp_path / "emitted.jsonl", tmp_path / "swapped.jsonl"
+    swaps = {}
+    for args, code in ((["attack", "sqrt", "zoo:of-race-3", "--target-r", "3"], 0),
+                       (["attack", "linear", "zoo:claim-commit", "--m", "2"], 0),
+                       (["attack", "sqrt", "zoo:one-register-flag", "--target-r", "2"], 2),
+                       (["check", "zoo:of-race-3", "--inputs", "011"], 2),
+                       (["check", "zoo:spin-reader"], 2),
+                       (["attack", "linear", "zoo:of-race-3", "--m", "1"], 3)):
+        assert cli.main([*args, "--out", str(emitted)]) == code
+        lines = emitted.read_text().splitlines(keepends=True)
+        assert cli.main(["replay", str(emitted)]) == 0, args
+        capsys.readouterr()
+        swaps[" ".join(args)] = 0
+        for i in range(len(lines) - 1):
+            if lines[i] == lines[i + 1]:
+                continue
+            swapped.write_text("".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]))
+            assert cli.main(["replay", str(swapped)]) == 1, (args, i)
+            assert capsys.readouterr().err.startswith("replay error:"), (args, i)
+            swaps[" ".join(args)] += 1
+    assert all(swaps.values()), swaps
+
+
 def _replayed(data):
     """`replay_file`'s summary of a file, or its error as the CLI prints it."""
     try:

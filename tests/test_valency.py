@@ -63,9 +63,9 @@ def test_negative_m_is_refused(race3):
 
 
 def test_solo_valency_searches_once_per_state(race3, monkeypatch):
-    # three units in one state: target 0 is proven by the first unit, target
-    # 1 is refuted for each of them, yet their solo graph is closed only once,
-    # by the first query, and read from the memo by the other three
+    # three units in one state: only the first is asked, once per decision;
+    # target 0 is proven and target 1 refuted, and their solo graph is
+    # closed once, by the first query, and read from the memo by the second
     misses = []
     closure = valency_module._solo_distances
 
@@ -76,7 +76,7 @@ def test_solo_valency_searches_once_per_state(race3, monkeypatch):
     monkeypatch.setattr(valency_module, "_solo_distances", counting)
     report = valency(race3, initial_configuration(race3, [0, 0, 0]), [0, 1, 2], None, 64, "solo")
     assert report.classify() == "0-univalent"
-    assert misses == [True, False, False, False]
+    assert misses == [True, False]
 
 
 def test_of_race_solo_decision_equals_own_input(race3):
