@@ -249,11 +249,7 @@ def _cmd_zoo(args) -> int:
         for entry in zoo.list_zoo():
             print(f"{entry.name}\t{entry.intent}\t{entry.scale_notes}")
         return OK
-    entry = zoo.CATALOG.get(args.name)
-    if entry is None:
-        print(f"error: unknown zoo algorithm {args.name!r}", file=sys.stderr)
-        return USAGE
-    sys.stdout.write(entry.text)
+    sys.stdout.write(zoo.entry(args.name).text)
     return OK
 
 

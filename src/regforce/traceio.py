@@ -668,8 +668,9 @@ def _replay_certificate(spec, header, sections):
         if kind not in ("witness", "closing-block-write") \
                 or (kind == "closing-block-write" and sqrt):
             raise ReplayError(f"unexpected {kind!r} record in a {header['attack']} certificate")
-        if not steps:
-            raise ReplayError(f"{kind} section holds no steps")
+        # at m = 0, R_c is empty and so is the closing block write
+        if not steps and kind == "witness":
+            raise ReplayError("witness section holds no steps")
         witnesses = level[3]
         if kind == "witness":
             decision = meta.get("decision")

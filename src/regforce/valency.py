@@ -47,14 +47,13 @@ proven or unknown answer under (root class, depth, target), refutations
 stay in `dead`, and `run` binds a fresh or remembered answer's positions to
 the queried units alike: the order of queries changes no answer.
 The DFS's state is a list of unit state ids, the packed registers and a
-bitmask of the registers written so far.  The exact memo key `(state ids,
+bitmask of the registers written so far.  Its exact key `(state ids,
 registers, written)` maps one to one onto (state names, registers, written
-set); a node is entered at most once per budget, and a revisit with no
-larger budget is pruned.  A pair is checked in sync once, at the root.  It
+set); the DFS keeps the exact keys of its path, adding a node's on entry and
+removing it on failure.  A pair is checked in sync once, at the root.  It
 cannot diverge afterwards: the clone repeats the leader's action on the
-register contents the leader left, so a read sees the value the leader saw
-and a write stores the value the leader stored, and both land in the same
-state.
+register contents the leader left, so a read sees the value the leader saw and
+a write stores the value the leader stored, and both land in the same state.
 
 Coverage has one rule.  A unit's cover mask is the spec's bitmask of the
 registers its state has a write to (`_cover_masks`), 0 once it has returned,
@@ -77,19 +76,22 @@ A node whose exploration failed with budget b found no run except through
 nodes that were still open, and every node its search skipped was open or had
 failed with at least its budget.  So a class memo written only on failure may
 prune a later node of that class with budget at most b: whether a run within
-the depth exists is unchanged.  Open nodes stay exact-keyed.  Pruning a node
-because an isomorphic ancestor is still on the stack skips runs the unpruned
-search finds first, and so changes the witness.  For one unit the class key
-is the exact key, and the class memo prunes nothing more.
+the depth exists is unchanged.  Open nodes are pruned by exact key, on the
+path: pruning one for an isomorphic ancestor on the path skips runs the
+unpruned search finds first.  The path and the class memo prune exactly the
+nodes an exact-keyed memo of every node entered would, so the witness is the
+same: a node on the path is pruned by both; one that failed at budget b set
+its class's entry to b, which only grows (a class is entered again only with
+a larger budget); a success ends the search.  For one unit the class key is
+the exact key, and the class memo prunes no more.
 
 The argument does not fix which run is found first: the unit order does, and
 permuting which unit holds which state changes only which pids the witness
 moves.  Nor can the DFS alone tell "refuted" from "unknown": the class memo
 can prune every node that would hit the depth bound.  The closure tells them
 apart, so the DFS only ever proves, and a verdict depends only on the class
-of the query and the depth.  `tests/test_search_kernel.py` checks the
-witness against the exact-keyed dataclass reference and every verdict
-against the oracle's reachability.
+of the query and the depth.  `tests/test_search_kernel.py` checks the witness
+against the dataclass reference, and every verdict against the oracle.
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ class _Search:
         self.spec = spec
         self.units = list(units)
         self.target = target
-        self.memo: dict = {}
+        self.path: set = set()  # exact keys of the nodes the DFS is inside
         self.failed: dict = {}  # symmetry class -> largest budget it failed at
         self.matchable: dict = {}  # (sorted cover masks, written) -> bool
 
@@ -406,16 +408,13 @@ class _Search:
     def _dfs(self, states, regs, written, budget) -> Optional[list]:
         """The moves of the first run found from this node, last move first,
         each as (the mover's position in `units`, action)."""
-        key = (tuple(states), regs, written)
-        if self.memo.get(key, -1) >= budget:
-            return None
-        failed = self.failed
-        cls = (tuple(sorted(states)), regs, written)
-        if failed.get(cls, -1) >= budget:
-            return None
-        self.memo[key] = budget
         if budget <= 0:
             return None
+        key, failed = (tuple(states), regs, written), self.failed
+        cls = (tuple(sorted(states)), regs, written)
+        if key in self.path or failed.get(cls, -1) >= budget:
+            return None
+        self.path.add(key)
         rows, covers, target = self.rows, self.covers, self.target
         for i, s in enumerate(states):
             for kind, weight, span, arg, bit, action in rows[s]:
@@ -445,6 +444,7 @@ class _Search:
                     found.append((i, action))
                     return found
                 states[i] = s
+        self.path.remove(key)
         failed[cls] = budget
         return None
 

@@ -150,12 +150,23 @@ def list_zoo() -> list:
     return list(_ENTRIES)
 
 
-def get_zoo(name: str) -> AlgorithmSpec:
+class UnknownZooAlgorithm(KeyError):
+    """No zoo entry has this name.  Unlike a KeyError's, its text is the
+    message alone, as `check zoo:<name>` and `zoo show <name>` print it."""
+
+    def __str__(self) -> str:
+        return f"unknown zoo algorithm {self.args[0]} (see zoo list)"
+
+
+def entry(name: str) -> ZooEntry:
     try:
-        entry = CATALOG[name]
+        return CATALOG[name]
     except KeyError:
-        raise KeyError(f"unknown zoo algorithm {name!r}; see `zoo list`") from None
-    return load_algorithm(entry.text)
+        raise UnknownZooAlgorithm(name) from None
+
+
+def get_zoo(name: str) -> AlgorithmSpec:
+    return load_algorithm(entry(name).text)
 
 
 def __getattr__(name: str) -> str:

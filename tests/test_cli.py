@@ -202,6 +202,21 @@ def test_attack_sqrt_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     _attack_pinned(tmp_path, monkeypatch, capsys, "sqrt", "--target-r", ATTACK_SQRT_PINS)
 
 
+def test_attack_linear_at_m_0_replays(tmp_path, capsys):
+    # at m = 0, R_c is empty, and so is the closing block write
+    target = tmp_path / "m0.jsonl"
+    out = main_in_process(capsys, "attack", "linear", "zoo:trivial-decider", "--m", "0",
+                          "--out", str(target))
+    assert (out.returncode, out.stderr) \
+        == (0, "chain complete: r=0, pairs=6, registers written=0\n")
+    assert json.loads(target.read_text().splitlines()[-1]) \
+        == {"record": "closing-block-write", "registers_written": 0}
+    replay = main_in_process(capsys, "replay", str(target))
+    assert (replay.returncode, replay.stderr) == (0, "")
+    assert json.loads(replay.stdout) == {"attack": "linear", "kind": "certificate",
+                                         "levels": 1, "witnesses": 2}
+
+
 def test_attack_linear_inconclusive_exits_three():
     out = run_cli("attack", "linear", "zoo:of-race-3", "--m", "1")
     assert out.returncode == 3
@@ -561,6 +576,13 @@ def test_zoo_list_and_show(monkeypatch, capsys):
     # generated entries ship no file of their own
     assert sorted(p.name for p in packaged.iterdir() if p.name.endswith(".alg")) \
         == sorted(hand_written)
+
+
+def test_unknown_zoo_name_has_one_message(capsys):
+    for args in (("check", "zoo:nope"), ("zoo", "show", "nope")):
+        out = main_in_process(capsys, *args)
+        assert (out.returncode, out.stdout, out.stderr) \
+            == (1, "", "error: unknown zoo algorithm nope (see zoo list)\n"), args
 
 
 def test_package_attributes_are_its_submodules():

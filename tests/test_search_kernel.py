@@ -2,17 +2,18 @@
 
 The reserving kernel first closes the query's class graph (sorted unit
 states, registers, written set) with no depth bound, and answers "refuted"
-when no goal is reachable; otherwise it runs a DFS whose exact memo key is a
-bijection of the reference's.  The DFS also prunes a node whose symmetry
-class already failed with at least its budget.  By the argument in the
-`valency` docstring that keeps whether a run exists, and the closure tells
-"refuted" from "unknown", so:
+when no goal is reachable; otherwise it runs a DFS whose exact node key is a
+bijection of the reference's memo key.  The DFS prunes a node whose exact key
+is on its current path, and a node whose symmetry class already failed with
+at least its budget.  By the argument in the `valency` docstring that keeps
+whether a run exists, and the closure tells "refuted" from "unknown", so:
 - on every case of `_cases()` both return the same moves; the kernel says
   "refuted" exactly where the oracle finds the target unreachable, which is
   where the reference says "refuted" or only hits its depth bound;
 - permuting which unit holds which state keeps the found and cutoff flags;
 - hand-made specs fail if the class key drops the registers or the written
-  set, and a guard fails if the class pruning is removed;
+  set, or if the DFS skips its path check or never takes a node off its
+  path, and a guard fails if the class pruning is removed;
 - where the closure refutes and the reference only hits its depth bound,
   the oracle confirms the refutation;
 - every answer the spec's `reserving` memo or its dead-class sets give
@@ -112,27 +113,36 @@ def _reachability():
 
 
 def _searched(spec, units, target, config, depth):
-    """A `_Search` and its answer, run with the spec's `reserving` memo of
-    answers emptied first, so that the search runs and no memo hit hides
-    it."""
+    """The exact keys (unit state ids, registers, written set) of the nodes a
+    `_Search`'s DFS is called on, and its answer, run with the spec's
+    `reserving` memo of answers emptied first, so that the search runs and
+    no memo hit hides it."""
     spec.memos["reserving"].clear()
-    kernel = _Search(spec, units, target)
-    return kernel, kernel.run(config, depth)
+    kernel, nodes = _Search(spec, units, target), set()
+    dfs = kernel._dfs
+
+    def counted(states, regs, written, budget):
+        nodes.add((tuple(states), regs, written))
+        return dfs(states, regs, written, budget)
+
+    kernel._dfs = counted  # the DFS recurses through the instance
+    return nodes, kernel.run(config, depth)
 
 
 def _both(spec, config, units, target, depth, reachable):
-    """The kernel's answer, and the kernel and reference searches after both
-    ran; they return the same moves and, where neither finds a run, the same
-    cutoff flag, except where the reference hits its depth bound and no run
-    reaches the target at all: the kernel refutes."""
+    """The kernel's answer, the nodes its DFS was called on and the
+    reference search after both ran; they return the same moves and, where
+    neither finds a run, the same cutoff flag, except where the reference
+    hits its depth bound and no run reaches the target at all: the kernel
+    refutes."""
     reference = ReferenceSearch(spec, units, target, True, m=None)
     want = reference.run(config, depth)
-    kernel, got = _searched(spec, units, target, config, depth)
+    nodes, got = _searched(spec, units, target, config, depth)
     where = (spec.name, config, units, target, depth)
     assert got[0] == want[0], where
     if want[0] is None:
         assert got[1] == (want[1] and reachable(spec, config, units, target)), where
-    return got, kernel, reference
+    return got, nodes, reference
 
 
 def _groups(active):
@@ -194,10 +204,10 @@ def test_outcome_is_the_same_for_every_permutation_of_unit_states():
             for depth in DEPTHS:
                 runs = set()
                 for order in orders:
-                    kernel, (moves, cut) = _searched(spec, active, target,
-                                                     _permuted(config, active, order), depth)
+                    nodes, (moves, cut) = _searched(spec, active, target,
+                                                    _permuted(config, active, order), depth)
                     runs.add((moves is not None, cut))
-                    dfs += bool(kernel.memo)
+                    dfs += bool(nodes)
                 # whether a run exists within the depth, and whether one
                 # exists at all, do not depend on which unit holds which state
                 assert len(runs) == 1, (spec.name, config, active, target, depth, runs)
@@ -209,23 +219,24 @@ def test_outcome_is_the_same_for_every_permutation_of_unit_states():
 
 
 def test_class_memo_prunes_multi_unit_searches_only():
-    # with exact keys alone the DFS enters exactly the reference's nodes; for
-    # one unit the class key is the exact key, so it prunes nothing more.  A
-    # search the closure refutes never reaches the DFS and is not compared
+    # with its path and exact keys alone the DFS is called on exactly the
+    # reference's nodes; for one unit the class key is the exact key, so it
+    # prunes nothing more.  A search the closure refutes never reaches the
+    # DFS and is not compared
     kernel_nodes = reference_nodes = compared = 0
     reachable = _reachability()
     for spec, config, active in _cases():
         for target in (0, 1, None):
             for depth in DEPTHS:
                 for group in [active[:1]] + ([active] if len(active) > 1 else []):
-                    _, kernel, reference = _both(spec, config, group, target, depth, reachable)
-                    if not kernel.memo:
+                    _, nodes, reference = _both(spec, config, group, target, depth, reachable)
+                    if not nodes:
                         continue
                     compared += 1
                     if len(group) == 1:
-                        assert len(kernel.memo) == len(reference.memo)
+                        assert len(nodes) == len(reference.memo)
                     else:
-                        kernel_nodes += len(kernel.memo)
+                        kernel_nodes += len(nodes)
                         reference_nodes += len(reference.memo)
     assert kernel_nodes < reference_nodes, (kernel_nodes, reference_nodes)
     assert compared == 567, compared
@@ -273,6 +284,36 @@ def test_class_key_keeps_registers_and_written_set():
             (moves, _), _, _ = _both(spec, config, [(0,), (1,)], 0, depth, reachable)
             # the run takes S's second action, to the T that wins
             assert moves[0] == ((0,), spec.actions("S")[1]), (spec.name, moves)
+
+
+# one unit: S's first action loops back to S, its second reaches N by a
+# detour, its third reaches N at once, and N returns two moves later.  A DFS
+# that may re-enter a node on its path takes the loop first; one that keeps a
+# failed node on its path never enters N again with the larger budget of the
+# short way
+PATH_REVISITS = """\
+algorithm path-revisits
+values 1
+registers 1
+input 0 -> S
+input 1 -> S
+state S: read r0 ? { * -> S }
+state S: read r0 ? { * -> A }
+state S: read r0 ? { * -> N }
+state A: read r0 ? { * -> N }
+state N: read r0 ? { * -> M }
+state M: return 0
+"""
+
+
+def test_dfs_prunes_exactly_the_nodes_on_its_path():
+    reachable = _reachability()
+    spec = load_algorithm(PATH_REVISITS)
+    config = Configuration(("_",), (Proc(0, "S"),))
+    # at depth 3 only the short way wins; from depth 4 the detour does
+    for depth, first in ((3, 2), (4, 1), (5, 1), (8, 1)):
+        (moves, _), _, _ = _both(spec, config, [(0,)], 0, depth, reachable)
+        assert moves[0] == ((0,), spec.actions("S")[first]), (depth, moves)
 
 
 def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
