@@ -48,7 +48,6 @@ from .valency import (
     reserving_replay,
     reserving_search,
     valency,
-    _witness as make_witness,
 )
 
 
@@ -544,23 +543,18 @@ def _repair_stale(level, assembly):
     return exec_
 
 
-def _validated_witness(spec, exec_, units, moves, m, want) -> Witness:
-    w = make_witness(spec, exec_.final, list(moves), units, "reserving")
-    if w.decision != want:
-        raise ContradictionError(f"witness decides {w.decision}, expected {want}")
-    if not reserving_replay(spec, exec_.final, units, w.steps, m, len(exec_.steps))[1]:
-        raise EngineError("derived witness is not reserving")
-    return w
-
-
 def _search_side(spec, exec_, units, m, depth, want) -> Witness:
-    moves, cut = reserving_search(spec, exec_.final, units, m, depth, want)
-    if moves is not None:
-        return _validated_witness(spec, exec_, units, moves, m, want)
-    if cut:
+    tri = reserving_search(spec, exec_.final, units, m, depth, want)
+    if tri.proven:
+        w = tri.witness
+        if w.decision != want:
+            raise ContradictionError(f"witness decides {w.decision}, expected {want}")
+        if not reserving_replay(spec, exec_.final, units, w.steps, m, len(exec_.steps))[1]:
+            raise EngineError("derived witness is not reserving")
+        return w
+    if not tri.refuted:
         raise Inconclusive(f"side witness search hit depth {depth}")
-    other, cut2 = reserving_search(spec, exec_.final, units, m, depth, 1 - want)
-    if other is not None:
+    if reserving_search(spec, exec_.final, units, m, depth, 1 - want).proven:
         raise ContradictionError(
             f"univalent candidate produced a {1 - want}-returning execution")
     raise Inconclusive("no reserving execution at all for the chosen side set")
@@ -619,14 +613,13 @@ def _finish_switch(level, orient, t_ids, assembly: _Assembly, o_step, flip_side:
     # one step further it is univalent the other way; a duplicate replays that
     # step while its twin keeps the register covered
     exec_o = _advance(exec_, o_step)
-    xi_moves, cut = reserving_search(spec, exec_o.final, f_units, m, depth, 1 - flip_side)
-    if xi_moves is None:
-        if cut:
-            raise Inconclusive(f"switch witness search hit depth {depth}")
+    xi = reserving_search(spec, exec_o.final, f_units, m, depth, 1 - flip_side)
+    if xi.refuted:
         raise Inconclusive("no reserving execution beyond the flip step")
-    xi = make_witness(spec, exec_o.final, list(xi_moves), f_units, "reserving")
+    if not xi.proven:
+        raise Inconclusive(f"switch witness search hit depth {depth}")
     composed = compose_prefix(spec, exec_.final, dup_units[0], o_action,
-                              dup_units[1], xi, m)
+                              dup_units[1], xi.witness, m)
 
     if flip_side == 0:
         p_units, w0 = plain_units, plain_w

@@ -1,9 +1,10 @@
 """Searches for terminating solo and reserving executions, and the
 decision-reachability (valency) classification built on them.
 
-Results are three-valued: proven (with a replayable witness), refuted (no
-such run exists), or unknown (runs exist, but each is longer than the depth
-bound).  Searches operate on *units*: a unit is one pid, or a
+Every search answers with a `Tri`: proven (with a replayable witness),
+refuted (no such run exists), or unknown (runs exist, but each is longer
+than the depth bound); a `ValencyReport` holds one per decision.  Searches
+operate on *units*: a unit is one pid, or a
 process-clone pair that moves in lockstep and counts as a single process.
 Both kinds of search run on the integer tables a spec compiles on first use
 (`AlgorithmSpec.tables`), not on `Configuration`s: a query packs its root's
@@ -208,10 +209,6 @@ class Tri:
 class ValencyReport:
     zero: Tri
     one: Tri
-    mode: str  # "solo" | "reserving"
-    units: tuple
-    m: Optional[int]
-    depth: int
 
     def side(self, decision: int) -> Tri:
         return self.zero if decision == 0 else self.one
@@ -306,12 +303,14 @@ def covered_injectively(spec: AlgorithmSpec, config: Configuration, units, regs)
 
 
 class _Search:
-    """One exhaustive reserving search for a target decision (or any return),
-    run on the spec's integer tables: a closure of the class graph, then,
-    when some run exists, the depth-bounded DFS.  `run` owns the answers, in
-    `dead` and the `reserving` memo, and binds them; see the module docstring."""
+    """One exhaustive reserving search for a target decision, run on the
+    spec's integer tables: a closure of the class graph, then, when some run
+    exists, the depth-bounded DFS.  `run` owns the answers, in `dead` and the
+    `reserving` memo, and binds them; see the module docstring."""
 
     def __init__(self, spec, units, target):
+        if target not in (0, 1):
+            raise ValueError(f"target {target!r} is not a decision")
         self.spec = spec
         self.units = list(units)
         self.target = target
@@ -319,7 +318,7 @@ class _Search:
         self.failed: dict = {}  # symmetry class -> largest budget it failed at
         self.matchable: dict = {}  # (sorted cover masks, written) -> bool
 
-    def run(self, config: Configuration, depth: int):
+    def run(self, config: Configuration, depth: int) -> Tri:
         if depth < 0:
             raise ValueError(f"negative depth {depth}")
         members = [pid for unit in self.units for pid in unit]
@@ -340,17 +339,18 @@ class _Search:
             root = root * len(self.rows) + s
         dead = spec.memos["dead"].setdefault(self.target, set())
         if root in dead:
-            return None, False
+            return Tri("refuted")
         key = (root, depth, self.target)
         found = spec.memos["reserving"].get(key)
         if found is None:
             if not self._reaches(states, regs, root, dead):
-                return None, False
+                return Tri("refuted")
             path = self._dfs(states, regs, 0, depth)
             found = spec.memos["reserving"][key] = () if path is None else tuple(reversed(path))
         if not found:
-            return None, True
-        return tuple([(self.units[i], action) for i, action in found]), False
+            return Tri("unknown")
+        moves = [(self.units[i], action) for i, action in found]
+        return Tri("proven", _witness(spec, config, moves, self.units, "reserving"))
 
     def _reaches(self, states, regs, root, dead) -> bool:
         """Whether a goal is reachable from the root's symmetry class `root`,
@@ -371,10 +371,8 @@ class _Search:
                 rest = states[:i] + states[i + 1:]
                 for kind, weight, span, arg, bit, _ in rows[s]:
                     if kind == RETURN:
-                        if target is None or arg == target:
-                            masks = [covers[x] for x in rest]
-                            if self._covered(masks, written):
-                                return True
+                        if arg == target and self._covered([covers[x] for x in rest], written):
+                            return True
                         continue
                     digit = regs % span // weight
                     if kind == READ:
@@ -419,7 +417,7 @@ class _Search:
         for i, s in enumerate(states):
             for kind, weight, span, arg, bit, action in rows[s]:
                 if kind == RETURN:
-                    if target is not None and arg != target:
+                    if arg != target:
                         continue
                     masks = [covers[x] for x in states]
                     masks[i] = 0  # a returned unit covers nothing
@@ -477,14 +475,6 @@ def _witness(spec, config, moves, members, kind) -> Witness:
     moves = tuple(moves)
     return Witness(kind, tuple(sorted(members)), _decision(moves[-1][1]), moves=moves,
                    start=(spec, config))
-
-
-def _tri(witness: Optional[Witness], cutoff: bool) -> Tri:
-    if witness is not None:
-        return Tri("proven", witness)
-    if cutoff:
-        return Tri("unknown")
-    return Tri("refuted")
 
 
 def _solo_successor(kind, weight, span, arg, sid, regs) -> tuple:
@@ -586,21 +576,24 @@ def _solo_actions(spec, sid: int, regs: int, target) -> tuple:
     return hit
 
 
-def _solo_run(spec, config, unit: Unit, target, depth: int) -> tuple:
-    """(least terminating solo run of `unit` returning `target`, or any
-    decision when target is None, as a Witness or None; whether a run exists
-    but is longer than `depth`).  A unit that already returned has no run.
-    Both come from the spec's solo memos (see the module docstring)."""
+def _solo_run(spec, config, unit: Unit, target, depth: int) -> Tri:
+    """Whether `unit` alone returns `target` (any decision when target is
+    None): proven by its least terminating solo run, unknown when that run is
+    longer than `depth`, refuted when there is none.  A unit that already
+    returned has no run.  The answer comes from the spec's solo memos (see
+    the module docstring)."""
     if not unit_active(config, unit):
-        return None, False
+        return Tri("refuted")
     tables = spec.tables
     sid, regs = tables.ids[config.proc(unit[0]).state], tables.pack(config.registers)
     least = _least(_solo_distances(spec, sid, regs), target)
-    if least is None or least > depth:
-        return None, least is not None
+    if least is None:
+        return Tri("refuted")
+    if least > depth:
+        return Tri("unknown")
     actions = _solo_actions(spec, sid, regs, target)
-    return Witness("solo", (unit,), _decision(actions[-1]), start=(spec, config),
-                   actions=actions), False
+    return Tri("proven", Witness("solo", (unit,), _decision(actions[-1]), start=(spec, config),
+                                 actions=actions))
 
 
 def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) -> ValencyReport:
@@ -611,10 +604,10 @@ def solo_search(spec: AlgorithmSpec, config: Configuration, unit, depth: int) ->
 def solo_terminating(spec, config, unit, depth: int) -> Optional[Witness]:
     """Least terminating solo run, or None when no solo run returns; raises
     when the least run is longer than `depth`."""
-    witness, cut = _solo_run(spec, config, _as_unit(unit), None, depth)
-    if cut:
+    tri = _solo_run(spec, config, _as_unit(unit), None, depth)
+    if tri.status == "unknown":
         raise Inconclusive(f"no terminating solo run of {unit} within depth")
-    return witness
+    return tri.witness
 
 
 def _as_unit(unit) -> Unit:
@@ -623,9 +616,9 @@ def _as_unit(unit) -> Unit:
     return tuple(unit)
 
 
-def reserving_search(spec, config, units, m, depth, target) -> tuple:
-    """(moves or None, cutoff) for Res(config, units) ending with `target`
-    (any return when target is None)."""
+def reserving_search(spec, config, units, m, depth, target) -> Tri:
+    """Whether a reserving execution of `units` from `config` returns
+    `target`, 0 or 1; a proven answer's witness has the units as members."""
     units = [_as_unit(u) for u in units]
     if m < 0:
         raise ValueError(f"negative m {m}")
@@ -735,6 +728,8 @@ def valency(spec, config, units, m, depth, mode) -> ValencyReport:
     exactly m+1 active units has a reserving execution returning it.  Units
     are anonymous, so one unit or subset per state or multiset of states is
     asked (`_subsets`): the first, whose answer every later one repeats.
+    Each side is the first proven answer's `Tri`; with none, it is unknown
+    when some answer was, and refuted otherwise.
     """
     units = tuple(sorted(_as_unit(u) for u in units))
     # unit_state raises when the members of a pair are out of sync
@@ -746,21 +741,20 @@ def valency(spec, config, units, m, depth, mode) -> ValencyReport:
     size = 1 if mode == "solo" else m + 1
     active = [u for u, done in zip(units, decided) if done is None]
     subsets = _subsets(config, active, size) if len(active) >= size else []
-    tris = []
+    sides = []
     for d in (0, 1):
-        witness, cutoff = None, False
+        side = Tri("refuted")
         for subset in subsets:
             if mode == "solo":
-                witness, cut = _solo_run(spec, config, subset[0], d, depth)
+                tri = _solo_run(spec, config, subset[0], d, depth)
             else:
-                moves, cut = reserving_search(spec, config, subset, m, depth, d)
-                if moves is not None:
-                    witness = _witness(spec, config, moves, subset, "reserving")
-            cutoff = cutoff or cut
-            if witness is not None:
-                break
-        tris.append(_tri(witness, cutoff))
-    return ValencyReport(zero=tris[0], one=tris[1], mode=mode, units=units, m=m, depth=depth)
+                tri = reserving_search(spec, config, subset, m, depth, d)
+            if not tri.refuted:
+                side = tri
+                if tri.proven:
+                    break
+        sides.append(side)
+    return ValencyReport(*sides)
 
 
 # -- the constructive reserving procedure -----------------------------------

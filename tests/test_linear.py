@@ -259,10 +259,10 @@ def test_finish_switch_builds_a_verified_level():
     assert all(ok for _, ok, _ in verify_properties(new))
 
 
-def _report(label, units=(), m=2, depth=64, mode="reserving"):
+def _report(label):
     zero, one = {"0-univalent": ("proven", "refuted"),
                  "1-univalent": ("refuted", "proven")}[label]
-    return ValencyReport(Tri(zero), Tri(one), mode, tuple(units), m, depth)
+    return ValencyReport(Tri(zero), Tri(one))
 
 
 def _scripted_valency(monkeypatch, labels):
@@ -271,7 +271,7 @@ def _scripted_valency(monkeypatch, labels):
     queue = list(labels)
 
     def scripted(spec, config, units, m, depth, mode):
-        return _report(queue.pop(0), units, m, depth, mode)
+        return _report(queue.pop(0))
 
     monkeypatch.setattr(linear_attack, "valency", scripted)
     return queue

@@ -47,6 +47,7 @@ from regforce.linear_attack import linear_run
 from regforce.model import Configuration, Proc, Return, Write, initial_configuration, load_algorithm
 from regforce.reports import Inconclusive, LinearChainCertificate
 from regforce.valency import (
+    Tri,
     _Search,
     _apply_move,
     _match,
@@ -108,13 +109,19 @@ def _reachability():
         key = (spec.name, config, tuple(units))
         if key not in memo:
             memo[key] = oracle_valency(spec, config, units, "reserving", m=len(units) - 1)
-        return memo[key][0] or memo[key][1] if target is None else memo[key][target]
+        return memo[key][target]
     return reachable
+
+
+def _answer(tri: Tri) -> tuple:
+    """A search's answer in the reference's shape: (its moves, or None when
+    it proves nothing; whether it hit its depth bound)."""
+    return (tri.witness.moves if tri.proven else None, tri.status == "unknown")
 
 
 def _searched(spec, units, target, config, depth):
     """The exact keys (unit state ids, registers, written set) of the nodes a
-    `_Search`'s DFS is called on, and its answer, run with the spec's
+    `_Search`'s DFS is called on, and its answer (`_answer`), run with the spec's
     `reserving` memo of answers emptied first, so that the search runs and
     no memo hit hides it."""
     spec.memos["reserving"].clear()
@@ -126,7 +133,7 @@ def _searched(spec, units, target, config, depth):
         return dfs(states, regs, written, budget)
 
     kernel._dfs = counted  # the DFS recurses through the instance
-    return nodes, kernel.run(config, depth)
+    return nodes, _answer(kernel.run(config, depth))
 
 
 def _both(spec, config, units, target, depth, reachable):
@@ -155,7 +162,7 @@ def test_kernel_matches_reference_on_every_zoo_spec():
     reachable = _reachability()
     for spec, config, active in _cases():
         for group in _groups(active):
-            for target in (0, 1, None):
+            for target in (0, 1):
                 for depth in DEPTHS:
                     got, _, reference = _both(spec, config, group, target, depth, reachable)
                     if reference.found is not None:
@@ -173,7 +180,7 @@ def test_kernel_refutes_exactly_where_the_oracle_finds_no_run():
     reachable = _reachability()
     for spec, config, active in _cases():
         for group in _groups(active):
-            for target in (0, 1, None):
+            for target in (0, 1):
                 for depth in DEPTHS:
                     _, (moves, cut) = _searched(spec, group, target, config, depth)
                     status = "proven" if moves is not None else "unknown" if cut else "refuted"
@@ -200,7 +207,7 @@ def test_outcome_is_the_same_for_every_permutation_of_unit_states():
         if len(active) < 2:
             continue
         orders = list(itertools.permutations(range(len(active))))
-        for target in (0, 1, None):
+        for target in (0, 1):
             for depth in DEPTHS:
                 runs = set()
                 for order in orders:
@@ -215,7 +222,7 @@ def test_outcome_is_the_same_for_every_permutation_of_unit_states():
                 outcomes["found" if found else "cutoff" if cut else "refuted"] += 1
     assert all(outcomes.values()), outcomes
     # the searches that ran their DFS; a hit in the answers memo would hide some
-    assert dfs == 1638, dfs
+    assert dfs == 980, dfs
 
 
 def test_class_memo_prunes_multi_unit_searches_only():
@@ -226,7 +233,7 @@ def test_class_memo_prunes_multi_unit_searches_only():
     kernel_nodes = reference_nodes = compared = 0
     reachable = _reachability()
     for spec, config, active in _cases():
-        for target in (0, 1, None):
+        for target in (0, 1):
             for depth in DEPTHS:
                 for group in [active[:1]] + ([active] if len(active) > 1 else []):
                     _, nodes, reference = _both(spec, config, group, target, depth, reachable)
@@ -239,7 +246,7 @@ def test_class_memo_prunes_multi_unit_searches_only():
                         kernel_nodes += len(nodes)
                         reference_nodes += len(reference.memo)
     assert kernel_nodes < reference_nodes, (kernel_nodes, reference_nodes)
-    assert compared == 567, compared
+    assert compared == 322, compared
 
 
 # two units, S and the idler X, which covers r0 by a write of 1 it repeats
@@ -334,7 +341,7 @@ def test_class_memo_refutes_soundly_where_the_exact_search_cuts_off():
 def test_negative_depth_is_refused():
     spec, config, active = next(_cases())
     with pytest.raises(ValueError, match="negative depth"):
-        _searched(spec, active, None, config, -1)
+        _searched(spec, active, 0, config, -1)
 
 
 def test_solo_closure_matches_the_reference_search():
@@ -351,7 +358,7 @@ def test_solo_closure_matches_the_reference_search():
                 def reference(depth):
                     return ReferenceSearch(spec, [unit], target, False, m=None).run(config, depth)
 
-                least, _ = _solo_run(spec, config, unit, target, 10 ** 9)
+                least = _solo_run(spec, config, unit, target, 10 ** 9).witness
                 if least is not None:
                     k = len(least.moves)
                     assert target in (None, least.decision)
@@ -362,24 +369,24 @@ def test_solo_closure_matches_the_reference_search():
                     got = _solo_run(spec, config, unit, target, depth)
                     where = (spec.name, config, unit, target, depth)
                     if moves is not None:
-                        assert got == (least, False), where
+                        assert got == Tri("proven", least), where
                         outcomes["proven"] += 1
                     elif not cut:
-                        assert got == (None, False), where
+                        assert got == Tri("refuted"), where
                         outcomes["refuted"] += 1
-                    elif got[1]:
-                        assert got[0] is None and len(least.moves) > depth, where
+                    elif got.status == "unknown":
+                        assert got.witness is None and len(least.moves) > depth, where
                         outcomes["unknown"] += 1
                     else:
-                        assert got == (None, False), where
+                        assert got == Tri("refuted"), where
                         exact = exact or oracle_valency(spec, config, [unit], "solo")
                         assert not any(exact[d] for d in (0, 1) if target in (None, d)), where
                         outcomes["sharpened"] += 1
-                    if target is None and got[1]:
+                    if target is None and got.status == "unknown":
                         with pytest.raises(Inconclusive):
                             solo_terminating(spec, config, unit, depth)
                     elif target is None:
-                        assert solo_terminating(spec, config, unit, depth) == got[0], where
+                        assert solo_terminating(spec, config, unit, depth) == got.witness, where
     assert all(outcomes.values()), outcomes
 
 
@@ -458,9 +465,9 @@ def test_solo_memo_binds_a_pair_s_run_to_a_single_pid():
         spec = zoo.get_zoo("of-race-3")
         config = initial_configuration(spec, inputs)
         for target in (0, 1, None):
-            a, _ = _solo_run(spec, config, first, target, 64)
+            a = _solo_run(spec, config, first, target, 64).witness
             entries = len(spec.memos["solo"])
-            b, _ = _solo_run(spec, config, second, target, 64)
+            b = _solo_run(spec, config, second, target, 64).witness
             # the first query filled the memo and the second is served by it
             assert len(spec.memos["solo"]) == entries > 0
             if target == 1:
@@ -561,7 +568,7 @@ def test_is_reserving_matches_the_reference_predicate():
 
 def _memo_answer(search, spec, config, units, *args):
     """`search`'s moves, or whether it hit its depth bound when it found none."""
-    moves, cut = search(spec, config, units, *args)
+    moves, cut = _answer(search(spec, config, units, *args))
     return (cut, None) if moves is None else (False, tuple(moves))
 
 
@@ -585,7 +592,7 @@ def test_memo_answers_equal_fresh_searches(monkeypatch):
     for spec, config, active in _cases():
         queries = [(list(subset), m, depth, target) for m in range(len(active))
                    for subset in itertools.combinations(active, m + 1)
-                   for target in (0, 1, None) for depth in DEPTHS]
+                   for target in (0, 1) for depth in DEPTHS]
         fresh = [_fresh_answer(reserving_search, spec, config, *query) for query in queries]
         for _ in range(2):
             for query, want in zip(queries, fresh):
@@ -619,8 +626,8 @@ def _per_unit_solo_valency(spec, config, units, depth) -> list:
     for d in (0, 1):
         witness, cutoff = None, False
         for unit in units:
-            witness, cut = _solo_run(spec, config, unit, d, depth)
-            cutoff = cutoff or cut
+            tri = _solo_run(spec, config, unit, d, depth)
+            witness, cutoff = tri.witness, cutoff or tri.status == "unknown"
             if witness is not None:
                 break
         sides.append(("proven", witness.members, witness.moves) if witness is not None
@@ -653,7 +660,7 @@ def _all_combinations_valency(spec, config, active, m, depth) -> list:
     for d in (0, 1):
         side, cutoff = None, False
         for subset in itertools.combinations(active, m + 1):
-            moves, cut = reserving_search(spec, config, subset, m, depth, d)
+            moves, cut = _answer(reserving_search(spec, config, subset, m, depth, d))
             cutoff = cutoff or cut
             if moves is not None:
                 side = ("proven", subset, tuple(moves))

@@ -7,9 +7,10 @@ other import is the standard library's, and each module imports only the
 package modules its layer allows: the oracle shares nothing with the
 adversaries but the model's step semantics, pairs are read off executions
 alone, and no module but `cli` imports the file format (`traceio`) that
-certificates are checked against, or `cli` itself.  And no module but
-`model` reads a spec's `alphabet`: the register encoding every search runs
-on is `model.SpecTables`, and there is no other.
+certificates are checked against, or `cli` itself.  No module imports
+another's underscore name: what one module offers another is public.  And no
+module but `model` reads a spec's `alphabet`: the register encoding every
+search runs on is `model.SpecTables`, and there is no other.
 """
 
 import ast
@@ -62,6 +63,15 @@ def test_package_imports_follow_the_layers(name):
     assert package <= LAYERS[name], f"{name}.py imports {sorted(package - LAYERS[name])}"
     assert other <= sys.stdlib_module_names, \
         f"{name}.py imports {sorted(other - sys.stdlib_module_names)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == [], f"{path.name}: imports the private names {private}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

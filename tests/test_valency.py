@@ -48,16 +48,20 @@ def test_reserving_search_rejects_out_of_sync_and_overlapping_units(race3):
     # the leader of the pair (0, 1) moves alone, so the pair sits in two states
     config = Execution.start(race3, root).extend(0, enabled_actions(race3, root, 0)[0]).final
     with pytest.raises(EngineError, match="out of sync"):
-        reserving_search(race3, config, [(0, 1), (2,)], 1, 8, None)
+        reserving_search(race3, config, [(0, 1), (2,)], 1, 8, 0)
     with pytest.raises(ValueError, match="overlap"):
-        reserving_search(race3, root, [(0, 1), (1, 2)], 1, 8, None)
+        reserving_search(race3, root, [(0, 1), (1, 2)], 1, 8, 0)
+    # a reserving search asks for one decision; there is no "any return"
+    for target in (None, 2, -1, "0"):
+        with pytest.raises(ValueError, match="not a decision"):
+            reserving_search(race3, root, [(0, 1), (2,)], 1, 8, target)
 
 
 def test_negative_m_is_refused(race3):
     # with m = -1 no subset has m + 1 units, which would read as "degenerate"
     root = initial_configuration(race3, [0, 1])
     with pytest.raises(ValueError, match="negative m"):
-        reserving_search(race3, root, [(0,), (1,)], -1, 8, None)
+        reserving_search(race3, root, [(0,), (1,)], -1, 8, 0)
     with pytest.raises(ValueError, match="negative m"):
         valency(race3, root, [0, 1], -1, 8, "reserving")
 
@@ -244,10 +248,8 @@ def test_disjoint_witnesses_identity_when_disjoint(flag):
     config = initial_configuration(flag, [0, 0, 1, 1, 0, 1])
     units = [(i,) for i in range(6)]
     p, q = [(0,), (1,)], [(2,), (3,)]
-    moves0, _ = reserving_search(flag, config, p, 1, 32, 0)
-    moves1, _ = reserving_search(flag, config, q, 1, 32, 1)
-    w0 = _witness(flag, config, moves0, p, "reserving")
-    w1 = _witness(flag, config, moves1, q, "reserving")
+    w0 = reserving_search(flag, config, p, 1, 32, 0).witness
+    w1 = reserving_search(flag, config, q, 1, 32, 1).witness
     p2, q2, w0b, w1b = disjoint_witnesses(flag, config, units, p, q, w0, w1, 1, 32)
     assert (p2, q2, w0b, w1b) == (p, q, w0, w1)
 
@@ -256,11 +258,9 @@ def test_disjoint_witnesses_substitutes_fresh_set(flag):
     config = initial_configuration(flag, [0] * 3 + [1] * 3)
     units = [(i,) for i in range(6)]
     # force an overlap: both witnesses over the same mixed pair
-    moves0, _ = reserving_search(flag, config, [(0,), (3,)], 1, 32, 0)
-    moves1, _ = reserving_search(flag, config, [(0,), (3,)], 1, 32, 1)
-    assert moves0 and moves1
-    w0 = _witness(flag, config, moves0, [(0,), (3,)], "reserving")
-    w1 = _witness(flag, config, moves1, [(0,), (3,)], "reserving")
+    w0 = reserving_search(flag, config, [(0,), (3,)], 1, 32, 0).witness
+    w1 = reserving_search(flag, config, [(0,), (3,)], 1, 32, 1).witness
+    assert w0 is not None and w1 is not None
     p2, q2, w0b, w1b = disjoint_witnesses(
         flag, config, units, list(w0.members), list(w1.members), w0, w1, 1, 32)
     assert not (set(p2) & set(q2))
@@ -285,12 +285,10 @@ def test_disjoint_witnesses_size_bounds_on_random_instances(flag):
         q = [(n0,)] + [(i,) for i in range(n0 + 1, n0 + n1)]
         if len(q) < 2 or len(units) < len(p) + len(q) + 1:
             continue
-        moves0, _ = reserving_search(flag, config, p, 1, 32, 0)
-        moves1, _ = reserving_search(flag, config, q, 1, 32, 1)
-        if not (moves0 and moves1):
+        w0 = reserving_search(flag, config, p, 1, 32, 0).witness
+        w1 = reserving_search(flag, config, q, 1, 32, 1).witness
+        if w0 is None or w1 is None:
             continue
-        w0 = _witness(flag, config, moves0, p, "reserving")
-        w1 = _witness(flag, config, moves1, q, "reserving")
         p2, q2, _, _ = disjoint_witnesses(flag, config, units, p, q, w0, w1, 1, 32)
         lo, hi = sorted((len(p2), len(q2))), sorted((len(p), len(q)))
         assert 2 <= lo[0] <= hi[0]
@@ -309,9 +307,8 @@ def test_compose_prefix_all_reads(flag):
     write = enabled_actions(flag, exec_.final, 0)[0]
     assert isinstance(write, Write)
     after = exec_.extend(0, write)
-    moves, _ = reserving_search(flag, after.final, [(2,), (3,)], 1, 16, 0)
-    assert moves is not None
-    inner = _witness(flag, after.final, moves, [(2,), (3,)], "reserving")
+    inner = reserving_search(flag, after.final, [(2,), (3,)], 1, 16, 0).witness
+    assert inner is not None
     assert all(not isinstance(a, Write) for _, a in inner.moves)
     composed = compose_prefix(flag, exec_.final, (0,), write, (1,), inner, m=1)
     assert composed.decision == inner.decision
@@ -327,8 +324,7 @@ def test_compose_prefix_rejects_non_coverer(flag):
     exec_ = exec_.extend(0, enabled_actions(flag, exec_.final, 0)[0])
     write = enabled_actions(flag, exec_.final, 0)[0]
     after = exec_.extend(0, write)
-    moves, _ = reserving_search(flag, after.final, [(2,), (3,)], 1, 16, 0)
-    inner = _witness(flag, after.final, moves, [(2,), (3,)], "reserving")
+    inner = reserving_search(flag, after.final, [(2,), (3,)], 1, 16, 0).witness
     with pytest.raises(ValueError, match="cover"):
         compose_prefix(flag, exec_.final, (0,), write, (1,), inner, m=1)
 
