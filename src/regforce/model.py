@@ -112,12 +112,13 @@ class AlgorithmSpec:
                 if isinstance(a, Return):
                     row.append((RETURN, 0, 0, a.decision, 0, a))
                     continue
-                weight, bit = base ** a.reg, 1 << a.reg
+                weight = base ** a.reg
                 if isinstance(a, Read):
-                    kind, arg = READ, tuple(ids[a.target(value)] for value in digits)
+                    kind, bit, arg = READ, 0, tuple((ids[a.target(v)], 0) for v in digits)
                 else:
-                    kind, arg = WRITE, (digits[a.value], ids[a.next_state])
-                    mask |= bit
+                    kind, bit, value, nxt = WRITE, 1 << a.reg, digits[a.value], ids[a.next_state]
+                    arg = tuple((nxt, (value - d) * weight) for d in range(base))
+                mask |= bit
                 row.append((kind, weight, weight * base, arg, bit, a))
             rows.append(tuple(row))
             covers.append(mask)
@@ -159,13 +160,18 @@ class SpecTables:
 
     `ids` numbers the states in declaration order.  `rows[id]` holds the
     state's actions in declaration order as `(kind, weight, weight * base,
-    arg, bit, action)`, with the weight and the bit of the register acted on
-    (0 for a return), where `arg` is a read's next ids indexed by the digit
-    read, a write's `(value digit, next id)` or a return's decision, and
-    `action` is the model's action.  So the digit of a row's register in a
-    vector `regs` is `regs % (weight * base) // weight`, and a write stores
-    its value by adding `(value - digit) * weight`.  Bit r of `covers[id]` is
-    set when some action of the state writes register r.
+    arg, bit, action)`, where `action` is the model's action.  A return's
+    weight, span and bit are 0 and its `arg` is its decision.  A read's or a
+    write's `weight` is that of the register it acts on, `bit` is the bit of
+    the register a write writes (0 for a read), and `arg[d]` is its successor
+    when that register holds digit d: `(next id, change)`, the mover's next
+    state id and what the step adds to the packed vector.  A read's change is
+    0; a write of value digit v adds `(v - d) * weight`.  This is the one
+    place the step rule is stated: every search steps a row from a vector
+    `regs` and written bitmask `written` by `nxt, change = arg[regs % span //
+    weight]`, to `regs + change` and `written | bit`, and no search tells a
+    read from a write.  Bit r of `covers[id]` is set when some action of the
+    state writes register r.
     """
     ids: dict
     rows: tuple

@@ -9,15 +9,15 @@ decided by its own exact closure (`solo_returns`), not by their searches.
 
 Both run on the model's compiled step semantics (`AlgorithmSpec.tables`), as
 the adversaries' searches do: a register vector is one int with a digit per
-register, so a read or a write is digit arithmetic, and a solo node is one
-int, registers and state id.  A configuration's dedup key is one int too:
-its packed registers above the sum of one table entry per process code
-(`multiset_key_tables`), which names the multiset of codes by their power
-sums.  The key thus stands one to one for `model.canonicalize`'s key, and a
-move changes it by one addition, with no sort: before the sweep, a move
-plan lists for each active process code its moves, each with the whole key
-change for every digit its register may hold.  A state explored costs one
-int in the seen set.
+register, a row's successor for each digit is compiled there, so a read or a
+write is one lookup, and a solo node is one int, registers and state id.  A
+configuration's dedup key is one int too: its packed registers above the sum
+of one table entry per process code (`multiset_key_tables`), which names the
+multiset of codes by their power sums.  The key thus stands one to one for
+`model.canonicalize`'s key, and a move changes it by one addition, with no
+sort: before the sweep, a move plan lists for each active process code its
+moves, each with the whole key change for every digit its register may
+hold.  A state explored costs one int in the seen set.
 
 A node re-checks solo termination only for the processes its move can have
 changed: every active one after a write, the mover after a read, none after
@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    READ,
     RETURN,
-    WRITE,
     AlgorithmSpec,
     EngineError,
     initial_configuration,
@@ -120,12 +118,9 @@ def solo_returns(rows, memo: dict, sid: int, regs: int, limit: int) -> Optional[
             returns.append(node)
             continue  # what lies beyond does not change this node's answer
         here = node - s  # the registers, in state id 0
-        for kind, weight, span, arg, _, _ in row:
-            if kind == READ:
-                succ = here + arg[r % span // weight]
-            else:
-                value, s2 = arg
-                succ = here + (value - r % span // weight) * weight * states + s2
+        for _, weight, span, arg, _, _ in row:
+            nxt, change = arg[r % span // weight]
+            succ = here + change * states + nxt
             known = memo.get(succ)
             if known is not None:
                 if known:
@@ -174,21 +169,21 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
     returned code none.  The digit d of the move's register is `regs % span // weight`
     (a return reads digit 0: its weight and span are 1), and the child's
     key is the parent's plus `deltas[d]`: `table[new code] - table[old
-    code]`, plus, for a write, `(value - d) * weight * W`.  `nexts[d]` is
-    the mover's new code and `bit` the decision a return adds.  So a move
-    costs one digit, one addition and one lookup in the seen set, and no
-    codes are sorted.
+    code]` plus the row's register change for digit d times W (see
+    `model.SpecTables`).  `nexts[d]` is the mover's new code and `bit` the
+    decision a return adds.  So a move costs one digit, one addition and one
+    lookup in the seen set, and no codes are sorted.
 
     A queue entry is `(key, codes, flags)`.  `key // W` gives back the
     registers.  The low two bits of `flags` are `decided`, with bit b set
     when some process returned b, which agreement and validity test against
     masks; `flags >> 2` indexes `rechecks`, the pids whose solo runs the
-    node checks: every pid at the root and after a write (`scope` 2), the
-    mover after a read (`scope` 1), none after a return (`scope` 0).  Held
-    in one small int, they cost a queue entry no more than `decided` alone
-    did.  That is exact: a pid left out has the state id and
-    the registers it had in the parent, which was popped and checked first,
-    so its answer is in `solo_memo` already, or was stuck and is recorded in
+    node checks: every pid at the root and after a write, a row with a
+    register bit (`scope` 2), the mover after a read, a row with none
+    (`scope` 1), and none after a return (`scope` 0).  Held in one small
+    int, they cost a queue entry no more than `decided` alone did.  That is
+    exact: a pid left out has the state id and the registers it had in the
+    parent, which was popped and checked first, so its answer is in `solo_memo` already, or was stuck and is recorded in
     `verdict.stuck` at the parent or earlier, or was left open, which marked
     the sweep truncated and spent the room the closures had, so that no
     closure ran since.  And the closures run in the same order as if every
@@ -217,21 +212,15 @@ def oracle_check(spec: AlgorithmSpec, inputs, depth: int,
         for inp in (0, 1):
             code = sid * 6 + inp
             moves = []
-            for j, (kind, weight, span, arg, _, _) in enumerate(row):
-                if kind == READ:
-                    nexts = tuple(s2 * 6 + inp for s2 in arg)
-                    deltas = tuple(table[c2] - table[code] for c2 in nexts)
-                    moves.append((j, weight, span, deltas, nexts, 0, 1))
-                elif kind == WRITE:
-                    value, s2 = arg
-                    c2 = s2 * 6 + inp
-                    digits = range(span // weight)
-                    deltas = tuple(table[c2] - table[code] + (value - d) * weight * W
-                                   for d in digits)
-                    moves.append((j, weight, span, deltas, (c2,) * len(digits), 0, 2))
-                else:
+            for j, (kind, weight, span, arg, bit, _) in enumerate(row):
+                if kind == RETURN:
                     c2 = code + 2 + 2 * arg  # status 1 + decision
                     moves.append((j, 1, 1, (table[c2] - table[code],), (c2,), 1 << arg, 0))
+                    continue
+                nexts = tuple(nxt * 6 + inp for nxt, _ in arg)
+                deltas = tuple(table[c2] - table[code] + change * W
+                               for c2, (_, change) in zip(nexts, arg))
+                moves.append((j, weight, span, deltas, nexts, 0, 2 if bit else 1))
             plan[code] = tuple(moves)
     # the pids a node re-checks: none, one pid, or every pid; and a move's
     # index into them, by its pid and scope, shifted above the decided bits

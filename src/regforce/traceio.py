@@ -422,10 +422,11 @@ def _count(record: dict, field: str, where: str) -> int:
     return value
 
 
-def _registers(record: dict, field: str, where: str) -> list:
+def _registers(record: dict, field: str, where: str, count: int) -> list:
     value = record.get(field)
-    if not isinstance(value, list) or any(type(reg) is not int for reg in value):
-        raise ReplayError(f"{where}: {field} is not a list of registers")
+    if not isinstance(value, list) \
+            or any(type(reg) is not int or not 0 <= reg < count for reg in value):
+        raise ReplayError(f"{where}: {field} is not a list of registers below {count}")
     return value
 
 
@@ -710,14 +711,15 @@ def _check_level(level, sqrt: bool, m: int):
     if len(witnesses) != 2:
         raise ReplayError(f"{where}: {len(witnesses)} witness sections, not 2")
     r, count = meta["r"], len(exec_.initial.procs)
+    registers = exec_.spec.register_count
     if sqrt:
         if _count(meta, "budget", where) != count:
             raise ReplayError(f"{where}: budget is not its {count} processes")
-        rebuilt = SqrtLevel(r, exec_, tuple(_registers(meta, "R", where)), *witnesses)
+        rebuilt = SqrtLevel(r, exec_, tuple(_registers(meta, "R", where, registers)), *witnesses)
         check_level(rebuilt)
         return rebuilt
-    split_regs = tuple(_registers(meta, "R_s", where))
-    covered_regs = tuple(_registers(meta, "R_c", where))
+    split_regs = tuple(_registers(meta, "R_s", where, registers))
+    covered_regs = tuple(_registers(meta, "R_c", where, registers))
     cover_ids = _pids(meta, "V", where, count // 2, "pair ids")
     cover = recorded_cover(exec_, split_regs, covered_regs, cover_ids)
     rebuilt = LinearLevel(

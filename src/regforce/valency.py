@@ -8,9 +8,10 @@ operate on *units*: a unit is one pid, or a
 process-clone pair that moves in lockstep and counts as a single process.
 Both kinds of search run on the integer tables a spec compiles on first use
 (`AlgorithmSpec.tables`), not on `Configuration`s: a query packs its root's
-registers into one int once, and each read or write is then digit
-arithmetic.  A proven witness keeps the configuration it starts from and its
-actions; its steps are built by the model's own step semantics
+registers into one int once, and each move is then one lookup in its row's
+successor table, the same for a read and a write (`model.SpecTables` states
+the step rule once).  A proven witness keeps the configuration it starts
+from and its actions; its steps are built by the model's own step semantics
 (`materialize`), which re-checks every pair's lockstep outcome, only when
 they are first read, since most witnesses a query proves are never read.
 
@@ -103,7 +104,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    READ,
     RETURN,
     AlgorithmSpec,
     Configuration,
@@ -374,12 +374,8 @@ class _Search:
                         if arg == target and self._covered([covers[x] for x in rest], written):
                             return True
                         continue
-                    digit = regs % span // weight
-                    if kind == READ:
-                        nxt, regs2, written2 = arg[digit], regs, written
-                    else:
-                        value, nxt = arg
-                        regs2, written2 = regs + (value - digit) * weight, written | bit
+                    nxt, change = arg[regs % span // weight]
+                    regs2, written2 = regs + change, written | bit
                     j = bisect.bisect(rest, nxt)
                     succ = rest[:j] + (nxt,) + rest[j:]
                     if (written2 != written or covers[s] & ~covers[nxt]) \
@@ -424,12 +420,8 @@ class _Search:
                     if not self._covered(masks, written):
                         continue
                     return [(i, action)]
-                digit = regs % span // weight
-                if kind == READ:
-                    nxt, regs2, written2 = arg[digit], regs, written
-                else:
-                    value, nxt = arg
-                    regs2, written2 = regs + (value - digit) * weight, written | bit
+                nxt, change = arg[regs % span // weight]
+                regs2, written2 = regs + change, written | bit
                 states[i] = nxt
                 # every node's masks match its written set, so a move that
                 # writes no new register and loses no cover keeps the match
@@ -477,15 +469,6 @@ def _witness(spec, config, moves, members, kind) -> Witness:
                    start=(spec, config))
 
 
-def _solo_successor(kind, weight, span, arg, sid, regs) -> tuple:
-    """The node one READ or WRITE row leads a unit alone to."""
-    digit = regs % span // weight
-    if kind == READ:
-        return arg[digit], regs
-    value, nxt = arg
-    return nxt, regs + (value - digit) * weight
-
-
 def _solo_distances(spec, sid: int, regs: int) -> tuple:
     """(least moves to a return of 0, of 1) of a unit alone in state id `sid`
     over the packed registers `regs`, None where that return is unreachable.
@@ -507,11 +490,13 @@ def _solo_distances(spec, sid: int, regs: int) -> tuple:
     stack = [start]
     while stack:
         node = stack.pop()
-        for kind, weight, span, arg, _, _ in rows[node[0]]:
+        sid, regs = node
+        for kind, weight, span, arg, _, _ in rows[sid]:
             if kind == RETURN:
                 seeds[arg].append((1, node))
                 continue
-            succ = _solo_successor(kind, weight, span, arg, *node)
+            nxt, change = arg[regs % span // weight]
+            succ = (nxt, regs + change)
             known = memo.get(succ)
             if known is not None:
                 for d in (0, 1):
@@ -566,7 +551,8 @@ def _solo_actions(spec, sid: int, regs: int, target) -> tuple:
                 if k == 1 and target in (None, arg):
                     break
                 continue
-            succ = _solo_successor(kind, weight, span, arg, sid, regs)
+            nxt, change = arg[regs % span // weight]
+            succ = (nxt, regs + change)
             if _least(distances[succ], target) == k - 1:
                 sid, regs = succ
                 break

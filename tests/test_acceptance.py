@@ -452,3 +452,32 @@ def test_criterion_8_sqrt_frontier(tmp_path, capsys):
         for k, r in rows if r == k)
     report(8, ok, "a replayed chain at r = k and a replayed agreement violation at "
                   f"r = k+1 for k in {sorted({k for k, _ in rows})}")
+
+
+def test_criterion_8_linear_frontier(tmp_path, capsys):
+    """The cheap rows of the linear scale table: on of_race(k), `attack
+    linear --m k` forces k registers with 7k + 6 pairs, so its file spends
+    the paper's 2(5m + 6 + 2r) processes at r = m, and meets an agreement
+    violation at m = k+1; `replay` confirms every file."""
+    rows = {}
+    for k in (1, 2, 3):
+        alg = tmp_path / f"of-race-{k}.alg"
+        alg.write_text(zoo.of_race(k))
+        for m, code in ((k, 0), (k + 1, 2)):
+            out = tmp_path / f"of-race-{k}-m{m}.jsonl"
+            assert cli.main(["attack", "linear", str(alg), "--m", str(m),
+                             "--out", str(out)]) == code, (k, m)
+            verdict = capsys.readouterr().err.strip()
+            assert cli.main(["replay", str(out)]) == 0, (k, m, capsys.readouterr().err)
+            header = json.loads(out.read_text().split("\n", 1)[0])
+            rows[k, m] = (verdict, json.loads(capsys.readouterr().out), len(header["inputs"]))
+    ok = all(
+        rows[k, k][0] == f"chain complete: r={k}, pairs={7 * k + 6}, registers written={k}"
+        and rows[k, k][2] == 2 * (5 * k + 6 + 2 * k)
+        and rows[k, k][1] == {"attack": "linear", "kind": "certificate",
+                              "levels": k + 1, "witnesses": 2 * (k + 1)}
+        and rows[k, k + 1][0] == "violation: agreement"
+        and rows[k, k + 1][1]["category"] == "agreement"
+        for k, m in rows if m == k)
+    report(8, ok, "a replayed linear chain at m = k and a replayed agreement violation at "
+                  f"m = k+1 for k in {sorted({k for k, _ in rows})}")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from regforce import zoo
 from regforce.model import (
     BOTTOM,
-    READ,
     RETURN,
     Proc,
     Read,
@@ -64,10 +63,12 @@ def test_generated_algorithms_round_trip(text):
 
 @pytest.mark.parametrize("name", sorted(zoo.CATALOG) + ["three-values", "write-or-return"])
 def test_packed_table_steps_as_the_model(name):
-    # every row of every state, from every register vector: the row's digit
-    # arithmetic on the packed vector lands where `step_in_place` does on the
-    # registers tuple, and `pack` numbers the vectors 0, 1, ..., vectors - 1;
-    # three-values packs in base 4, write-or-return chooses among actions
+    # every row of every state, from every register vector: a read's or a
+    # write's successor for the digit its register holds in the packed
+    # vector lands where `step_in_place` does on the registers tuple, its bit
+    # is the register a write writes (0 for a read), and `pack` numbers the
+    # vectors 0, 1, ..., vectors - 1; three-values packs in base 4,
+    # write-or-return chooses among actions
     texts = {"three-values": THREE_VALUES, "write-or-return": WRITE_OR_RETURN}
     spec = load_algorithm(texts[name]) if name in texts else zoo.get_zoo(name)
     tables = spec.tables
@@ -83,16 +84,12 @@ def test_packed_table_steps_as_the_model(name):
                 if kind == RETURN:
                     assert (weight, span, bit, arg) == (0, 0, 0, procs[0].decided)
                     continue
-                assert bit == 1 << action.reg
+                assert bit == (1 << action.reg if isinstance(action, Write) else 0)
+                assert len(arg) == len(tables.digits)
                 regs = tables.pack(registers)
-                digit = regs % span // weight
-                if kind == READ:
-                    nxt, regs2 = arg[digit], regs
-                else:
-                    value, nxt = arg
-                    regs2 = regs + (value - digit) * weight
-                assert (names[nxt], regs2) == (procs[0].state, tables.pack(tuple(after))), \
-                    (state, action, registers)
+                nxt, change = arg[regs % span // weight]
+                assert (names[nxt], regs + change) == \
+                    (procs[0].state, tables.pack(tuple(after))), (state, action, registers)
 
 
 def test_parse_error_carries_line_number():

@@ -10,7 +10,9 @@ alone, and no module but `cli` imports the file format (`traceio`) that
 certificates are checked against, or `cli` itself.  No module imports
 another's underscore name: what one module offers another is public.  And no
 module but `model` reads a spec's `alphabet`: the register encoding every
-search runs on is `model.SpecTables`, and there is no other.
+search runs on is `model.SpecTables`, and there is no other.  Nor does any
+module but `model` import the row kinds `READ` or `WRITE`: a search steps a
+row by its successor table, so the step rule is stated once, in `model`.
 """
 
 import ast
@@ -81,3 +83,15 @@ def test_only_the_model_reads_the_alphabet(path):
              if isinstance(node, ast.Attribute) and node.attr == "alphabet"]
     assert path.stem == "model" or reads == [], \
         f"{path.name}: reads `.alphabet` at lines {reads}; pack by `spec.tables`"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_model_tells_a_read_row_from_a_write_row(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name in ("READ", "WRITE")]
+    kinds += [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("READ", "WRITE")]
+    assert path.stem == "model" or kinds == [], \
+        f"{path.name}: reads the row kinds {kinds}; step a row by its successor table"

@@ -112,8 +112,8 @@ def _single_field_edits(records):
     """(field, file) for files that differ from `records` in one field of one
     record: the first record of each kind and every step of the first
     witness, with each field deleted or set to each of a few mistyped or
-    out-of-range values; each of those steps also gets another process's
-    pid."""
+    out-of-range values, and a list field also to a list holding a negative
+    or a huge entry; each of those steps also gets another process's pid."""
     firsts = {}
     for i, rec in enumerate(records):
         firsts.setdefault(rec["record"], i)
@@ -124,8 +124,9 @@ def _single_field_edits(records):
         i += 1
     pids = len(records[0]["inputs"])
     for i in targets:
-        edits = [(field, value) for field in records[i]
-                 for value in (None, -1, 99, "x", [])]
+        edits = [(field, value) for field, old in records[i].items()
+                 for value in (None, -1, 99, "x", [])
+                 + (([-1], [10 ** 20]) if isinstance(old, list) else ())]
         if records[i]["record"] == "step":
             edits.append(("pid", (records[i]["pid"] + 1) % pids))
         variants = [(field, dict(records[i], **{field: value})) for field, value in edits]
